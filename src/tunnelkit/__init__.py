@@ -20,7 +20,6 @@ from .errors import (
 )
 from .kinematics import (
     Kinematics,
-    ParticleParams,
     erfc_complex,
     evanescent_scale,
     matching_weight,

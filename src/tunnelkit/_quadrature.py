@@ -1,15 +1,17 @@
 """Adaptive Gauss-Kronrod quadrature for complex integrands.
 
-The (G7, K15) pair gives an embedded error estimate per panel. Oscillatory
-integrands are pre-panelled so no panel spans more than ~pi/4 of phase at the
-caller-supplied worst-case phase rate; adaptive bisection then refines
-wherever the embedded estimate says the integrand has *amplitude* structure
-(narrow resonances, packet edges) the phase bound cannot see.
+One routine, :func:`adaptive_quad`, integrates m integrands on a shared
+panel set. The (G7, K15) pair gives an embedded error estimate per panel.
+Oscillatory integrands are pre-panelled so no panel spans more than ~pi/4 of
+phase at the caller-supplied worst-case phase rate; adaptive bisection then
+refines wherever the embedded estimate says the integrand has *amplitude*
+structure (narrow resonances, packet edges) the phase bound cannot see.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,57 +94,64 @@ def phase_panels(a: float, b: float, max_phase_rate: float,
     return np.linspace(a, b, n + 1)
 
 
-def adaptive_complex_quad(f, a: float, b: float, rel_tol: float = 1e-8,
-                          initial_edges: np.ndarray | None = None,
-                          max_panels: int = 20000):
-    """Integrate a vectorized complex integrand f over [a, b].
+@dataclass(frozen=True)
+class Quadrature:
+    """Result of :func:`adaptive_quad`: the m integrals and the final panels."""
 
-    Bisects the worst panels until the summed embedded error falls below
-    rel_tol relative to the accumulated |integral| (with an absolute floor
-    for integrals that vanish by cancellation). Returns (value, info).
-    """
-    if initial_edges is None:
-        edges = np.linspace(a, b, 9)
-    else:
-        edges = np.asarray(initial_edges, dtype=float)
-    lo = edges[:-1].copy()
-    hi = edges[1:].copy()
+    value: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    error_estimate: float
+    rounds: int
 
+
+def _panel_sums(f, lo: np.ndarray, hi: np.ndarray):
+    """(K15, G7) sums of f on each panel, both of shape (npanels, m)."""
     x, wk, wg = panel_nodes(lo, hi)
-    fv = np.asarray(f(x.ravel()), dtype=complex).reshape(x.shape)
-    k15 = np.sum(wk * fv, axis=1)
-    g7 = np.sum(wg * fv, axis=1)
-    err = np.abs(k15 - g7)
+    fv = np.asarray(f(x.ravel()), dtype=complex).reshape(*x.shape, -1)
+    return np.sum(wk[:, :, None] * fv, axis=1), np.sum(wg[:, :, None] * fv, axis=1)
 
-    for _ in range(200):
-        total = np.sum(k15)
-        scale = max(abs(total), float(np.sum(np.abs(k15))) * 1e-8, 1e-300)
-        tol = rel_tol * scale
-        if np.sum(err) <= tol:
-            break
-        if lo.size >= max_panels:
-            worst = int(np.argmax(err))
+
+def adaptive_quad(f, edges: np.ndarray, rel_tol: float, max_panels: int = 20000,
+                  max_rounds: int = 200) -> Quadrature:
+    """Integrate f over [edges[0], edges[-1]], starting from the given panels.
+
+    f maps an array of n nodes to an (n, m) complex array: m integrands that
+    share one panel set. A panel's error is the worst |K15 - G7| over the m
+    columns. Each round bisects the worst panels until the summed error falls
+    below rel_tol times the largest column integral; a column whose integral
+    vanishes by cancellation counts as 1e-8 of its summed |K15|. Raises
+    NumericsError on a non-finite error estimate, at max_panels panels, or
+    when max_rounds rounds of bisection leave the error above tolerance.
+    """
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    k15, g7 = _panel_sums(f, lo, hi)
+    for rounds in range(max_rounds + 1):
+        err = np.max(np.abs(k15 - g7), axis=1)
+        total = float(np.sum(err))
+        scale = np.maximum(np.abs(np.sum(k15, axis=0)), np.sum(np.abs(k15), axis=0) * 1e-8)
+        tol = rel_tol * max(float(np.max(scale)), 1e-300)
+        if total <= tol:
+            return Quadrature(np.sum(k15, axis=0), lo, hi, total, rounds)
+        if not math.isfinite(total) or lo.size >= max_panels or rounds == max_rounds:
+            worst = int(np.argmax(np.where(np.isfinite(err), err, np.inf)))
+            reason = ("error estimate is not finite" if not math.isfinite(total)
+                      else "failed to converge")
             raise NumericsError(
-                "quadrature failed to converge",
-                diagnostics={"panels": int(lo.size), "total_error": float(np.sum(err)),
-                             "tolerance": float(tol),
+                f"quadrature {reason}",
+                diagnostics={"panels": int(lo.size), "refinement_rounds": rounds,
+                             "total_error": total, "tolerance": float(tol),
                              "worst_panel": (float(lo[worst]), float(hi[worst]),
                                              float(err[worst]))})
         # split every panel contributing more than its fair share of budget
-        bad = err > max(tol / max(lo.size, 1), float(np.max(err)) * 0.25)
+        bad = err > max(tol / lo.size, float(np.max(err)) * 0.25)
         if not np.any(bad):
             bad = err == np.max(err)
         mid = 0.5 * (lo[bad] + hi[bad])
-        nlo = np.concatenate([lo[~bad], lo[bad], mid])
-        nhi = np.concatenate([hi[~bad], mid, hi[bad]])
-        xs, wks, wgs = panel_nodes(np.concatenate([lo[bad], mid]),
-                                   np.concatenate([mid, hi[bad]]))
-        fvs = np.asarray(f(xs.ravel()), dtype=complex).reshape(xs.shape)
-        k15 = np.concatenate([k15[~bad], np.sum(wks * fvs, axis=1)])
-        g7 = np.concatenate([g7[~bad], np.sum(wgs * fvs, axis=1)])
-        err = np.abs(k15 - g7)
-        lo, hi = nlo, nhi
-
-    info = {"panels": int(lo.size), "error_estimate": float(np.sum(err)),
-            "value_scale": float(abs(np.sum(k15)))}
-    return complex(np.sum(k15)), info
+        nk15, ng7 = _panel_sums(f, np.concatenate([lo[bad], mid]),
+                                np.concatenate([mid, hi[bad]]))
+        k15 = np.concatenate([k15[~bad], nk15])
+        g7 = np.concatenate([g7[~bad], ng7])
+        lo, hi = (np.concatenate([lo[~bad], lo[bad], mid]),
+                  np.concatenate([hi[~bad], mid, hi[bad]]))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PhysicsDomainError, warn_regime
-from .kinematics import erfc_complex_array
+from .kinematics import erfc_complex_array, relativistic_kinematics
 from .scattering import (
     PotentialProfile,
     barrier_functions,
@@ -38,10 +38,6 @@ def _wrap_pi(x: float) -> float:
     return (x + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _velocity(p: float, m: float) -> float:
-    return p / math.hypot(p, m)
-
-
 # ---------------------------------------------------------------------------
 # delay and tunneling times
 
@@ -60,7 +56,7 @@ def delay_time(p: float, profile: PotentialProfile | None, mode: str = "auto") -
     if mode not in ("auto", "composite"):
         raise PhysicsDomainError(f"unknown delay mode {mode!r}")
     m = profile.mass
-    v = _velocity(p, m)
+    v = relativistic_kinematics(p, m).velocity
     if mode == "auto":
         dbl = profile.as_symmetric_double()
         if dbl is not None:
@@ -74,7 +70,7 @@ def tunneling_time(p: float, profile: PotentialProfile | None) -> float:
     """tau_p = t_d + d/v_p with d the total barrier extent."""
     if profile is None or not profile.segments:
         return 0.0
-    v = _velocity(p, profile.mass)
+    v = relativistic_kinematics(p, profile.mass).velocity
     return delay_time(p, profile) + profile.width / v
 
 
@@ -186,7 +182,7 @@ def decay_rate(p: float, v0: float, a: float, r: float, m: float) -> float:
                     "derivation of the decay rate is marginal",
                     T0_sq=t0_abs2)
     tau = square_barrier_tunneling_time(p, v0, a, m)
-    v = _velocity(p, m)
+    v = relativistic_kinematics(p, m).velocity
     return t0_abs2 / (r / v + tau)
 
 
@@ -242,7 +238,7 @@ def double_barrier_report(p: float, v0: float, a: float, r: float, m: float,
     """Collect every closed-form double-barrier observable at momentum p."""
     single = square_barrier_amplitudes(p, v0, a, m)
     tau = square_barrier_tunneling_time(p, v0, a, m)
-    v = _velocity(p, m)
+    v = relativistic_kinematics(p, m).velocity
     phi_prime = v * tau - a  # tau = (phi' + a)/v inverted
     dt = 2.0 * (r / v + tau)
     gamma = single.T_abs ** 2 / (r / v + tau)
@@ -288,7 +284,7 @@ def peak_series_density(times, spec: WavePacketSpec, L: float, v0: float,
     times = np.asarray(times, dtype=float)
     report = double_barrier_report(spec.p, v0, a, r, m, L=L, x0=spec.x0,
                                    sigma_p=spec.sigma_p)
-    v = _velocity(spec.p, m)
+    v = relativistic_kinematics(spec.p, m).velocity
     if spec.sigma_x >= v * report.dt / 4.0:
         warn_regime("peak_overlap",
                     f"sigma_x = {spec.sigma_x} >= v_p dt/4 = {v * report.dt / 4.0}: "
@@ -339,7 +335,7 @@ def continuum_density(times, spec: WavePacketSpec, L: float, v0: float,
     times = np.asarray(times, dtype=float)
     report = double_barrier_report(spec.p, v0, a, r, m, L=L, x0=spec.x0,
                                    sigma_p=spec.sigma_p)
-    v = _velocity(spec.p, m)
+    v = relativistic_kinematics(spec.p, m).velocity
     A = spec.sigma_p * v * report.dt
     if A > 3.0:
         warn_regime("continuum_regime",
@@ -399,8 +395,8 @@ def resonance_density(times, spec: WavePacketSpec, L: float, k0: float,
     report = double_barrier_report(spec.p, v0, a, r, m, L=L, x0=spec.x0,
                                    sigma_p=spec.sigma_p)
     gamma_k0 = decay_rate(k0, v0, a, r, m)
-    v = _velocity(spec.p, m)
-    v_k0 = _velocity(k0, m)
+    v = relativistic_kinematics(spec.p, m).velocity
+    v_k0 = relativistic_kinematics(k0, m).velocity
     if abs(k0 - spec.p) > spec.sigma_p:
         warn_regime("resonance_offset",
                     f"|k0 - p| = {abs(k0 - spec.p):.3e} exceeds sigma_p: packet "
@@ -440,15 +436,15 @@ def multi_resonance_density(times, spec: WavePacketSpec, L: float,
     times = np.asarray(times, dtype=float)
     report = double_barrier_report(spec.p, v0, a, r, m, L=L, x0=spec.x0,
                                    sigma_p=spec.sigma_p)
-    v = _velocity(spec.p, m)
+    v = relativistic_kinematics(spec.p, m).velocity
     amp = np.zeros(times.shape, dtype=complex)
     gammas = []
     for k0 in ks:
         gamma_k0 = decay_rate(float(k0), v0, a, r, m)
         gammas.append(gamma_k0)
-        amp += _lorentzian_residue_amplitude(times, spec, v, report.t0,
-                                             float(k0), gamma_k0,
-                                             _velocity(float(k0), m))
+        amp += _lorentzian_residue_amplitude(
+            times, spec, v, report.t0, float(k0), gamma_k0,
+            relativistic_kinematics(float(k0), m).velocity)
     density = v * np.abs(amp) ** 2
     meta = _regime_meta(report, spec, L, "multi-resonance")
     meta["resonance_momenta"] = ks.tolist()

@@ -26,8 +26,10 @@ import numpy as np
 
 from . import __version__, analysis
 from .errors import ConfigError, NumericsError, PhysicsDomainError, RegimeWarning, TunnelKitError
+from .kinematics import relativistic_kinematics
 from .scattering import PotentialProfile, amplitude_scan, piecewise_amplitudes, tunneling_window
-from .wavepacket import DetectorSpec, WavePacketSpec, arrival_density
+from .wavepacket import (DetectorSpec, WavePacketSpec, _json_default, arrival_density,
+                         stationary_phase_time)
 
 TASK_KINDS = ("transmission-scan", "arrival-density", "tunneling-time-scan",
               "resonance-scan", "decay-fit", "regime-compare")
@@ -65,6 +67,11 @@ def _int(value, path: str, minimum: int = 1) -> int:
     _expect(isinstance(value, int) and not isinstance(value, bool),
             path, f"expected an integer, got {value!r}")
     _expect(value >= minimum, path, f"must be >= {minimum}, got {value}")
+    return value
+
+
+def _flag(value, path: str) -> bool:
+    _expect(isinstance(value, bool), path, f"expected true or false, got {value!r}")
     return value
 
 
@@ -131,6 +138,8 @@ class Scenario:
     detector: DetectorSpec | None
     out_dir: Path
     raw: dict
+    # task fields parsed by _validate_task_params, defaults filled in
+    params: dict
 
 
 _TASK_NEEDS = {
@@ -173,58 +182,72 @@ def parse_scenario(config: dict, out_override: str | None = None) -> Scenario:
                 f"requirement L >= 10 d = {10.0 * barrier.width}")
 
     out = out_override or (config.get("output") or {}).get("dir") or "."
-    scenario = Scenario(name=name, task=task, barrier=barrier, packet=packet,
-                        detector=detector, out_dir=Path(out), raw=config)
-    _validate_task_params(scenario)
-    return scenario
+    return Scenario(name=name, task=task, barrier=barrier, packet=packet,
+                    detector=detector, out_dir=Path(out), raw=config,
+                    params=_validate_task_params(task))
 
 
-def _validate_task_params(sc: Scenario) -> None:
-    t = sc.task
+# default rel_tol of the kinds that integrate; the other kinds accept and ignore one
+_REL_TOL = {"arrival-density": 1e-8, "decay-fit": 1e-7, "regime-compare": 1e-7}
+
+
+def _opt(t: dict, key: str, default, parse, **kw):
+    """Optional task field: parsed when present, else its default."""
+    return parse(t[key], f"task.{key}", **kw) if key in t else default
+
+
+def _interval(t: dict, lo: str, hi: str, positive: bool = False) -> tuple[float, float]:
+    a = _num(_get(t, lo, "task"), f"task.{lo}", positive=positive)
+    b = _num(_get(t, hi, "task"), f"task.{hi}", positive=positive)
+    _expect(b > a, f"task.{hi}", f"must exceed task.{lo}")
+    return a, b
+
+
+def _validate_task_params(t: dict) -> dict:
+    """Check the fields of task kind t["kind"]; return them parsed, defaults
+    filled in. The runners read only these values."""
     kind = t["kind"]
+    q = {"rel_tol": _opt(t, "rel_tol", _REL_TOL.get(kind), _num, positive=True)}
     if kind == "transmission-scan":
-        k_min = _num(_get(t, "k_min", "task"), "task.k_min", positive=True)
-        k_max = _num(_get(t, "k_max", "task"), "task.k_max", positive=True)
-        _expect(k_max > k_min, "task.k_max", "must exceed task.k_min")
-        _int(_get(t, "n_k", "task", required=False, default=200), "task.n_k", 2)
+        q["k_min"], q["k_max"] = _interval(t, "k_min", "k_max", positive=True)
+        q["n_k"] = _opt(t, "n_k", 200, _int, minimum=2)
     elif kind == "arrival-density":
         if "t_min" in t or "t_max" in t:
-            t_min = _num(_get(t, "t_min", "task"), "task.t_min")
-            t_max = _num(_get(t, "t_max", "task"), "task.t_max")
-            _expect(t_max > t_min, "task.t_max", "must exceed task.t_min")
+            q["t_min"], q["t_max"] = _interval(t, "t_min", "t_max")
         else:
-            _num(_get(t, "span_sigmas", "task", required=False, default=10.0),
-                 "task.span_sigmas", positive=True)
-        _int(_get(t, "n_t", "task", required=False, default=1000), "task.n_t", 4)
+            q["span_sigmas"] = _opt(t, "span_sigmas", 10.0, _num, positive=True)
+        q["n_t"] = _opt(t, "n_t", 1000, _int, minimum=4)
     elif kind == "tunneling-time-scan":
-        _num(_get(t, "mass", "task", required=False, default=1.0), "task.mass",
-             positive=True)
-        _num(_get(t, "d", "task"), "task.d", positive=True)
+        mass = q["mass"] = _opt(t, "mass", 1.0, _num, positive=True)
+        q["d"] = _num(_get(t, "d", "task"), "task.d", positive=True)
         v0s = _get(t, "v0_values", "task")
         _expect(isinstance(v0s, list) and len(v0s) >= 1, "task.v0_values",
                 "need a non-empty list of barrier heights")
-        mass = float(t.get("mass", 1.0))
+        q["v0_values"] = []
         for i, v0 in enumerate(v0s):
             vv = _num(v0, f"task.v0_values[{i}]", positive=True)
             _expect(vv < mass, f"task.v0_values[{i}]",
                     f"height {vv} must be below the mass {mass}")
-        _int(_get(t, "n_p", "task", required=False, default=200), "task.n_p", 2)
+            q["v0_values"].append(vv)
+        q["n_p"] = _opt(t, "n_p", 200, _int, minimum=2)
     elif kind == "resonance-scan":
-        if "k_min" in t or "k_max" in t:
-            k_min = _num(_get(t, "k_min", "task"), "task.k_min", positive=True)
-            k_max = _num(_get(t, "k_max", "task"), "task.k_max", positive=True)
-            _expect(k_max > k_min, "task.k_max", "must exceed task.k_min")
+        q["k_window"] = (_interval(t, "k_min", "k_max", positive=True)
+                         if "k_min" in t or "k_max" in t else None)
     elif kind == "decay-fit":
-        _int(_get(t, "n_peaks", "task", required=False, default=15), "task.n_peaks", 4)
-        _int(_get(t, "samples_per_peak", "task", required=False, default=12),
-             "task.samples_per_peak", 4)
+        q["n_peaks"] = _opt(t, "n_peaks", 15, _int, minimum=4)
+        q["samples_per_peak"] = _opt(t, "samples_per_peak", 12, _int, minimum=4)
     elif kind == "regime-compare":
-        regime = _get(t, "regime", "task")
+        regime = q["regime"] = _get(t, "regime", "task")
         _expect(regime in ("peaks", "continuum", "resonance"), "task.regime",
                 "must be 'peaks', 'continuum' or 'resonance'")
-        _int(_get(t, "n_t", "task", required=False, default=1500), "task.n_t", 16)
-    if "rel_tol" in t:
-        _num(t["rel_tol"], "task.rel_tol", positive=True)
+        q["n_t"] = _opt(t, "n_t", 1500, _int, minimum=16)
+        q["n_peaks"] = _opt(t, "n_peaks", 10, _int, minimum=1)
+        q["decay_spans"] = _opt(t, "decay_spans",
+                                {"continuum": 3.0, "resonance": 2.5}.get(regime),
+                                _num, positive=True)
+        q["k0"] = _opt(t, "k0", None, _num, positive=True)
+        q["substitute_lorentzian"] = _opt(t, "substitute_lorentzian", True, _flag)
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +295,8 @@ def _auto_double_grid(sc: Scenario, n_peaks: int, samples_per_peak: int):
 
 
 def _run_transmission_scan(sc: Scenario, threads: int) -> tuple[list[Path], dict]:
-    t = sc.task
-    k = np.linspace(t["k_min"], t["k_max"], int(t.get("n_k", 200)))
+    q = sc.params
+    k = np.linspace(q["k_min"], q["k_max"], q["n_k"])
     chunks = np.array_split(k, max(1, min(threads, k.size)))
     parts = _threaded_map(lambda kk: amplitude_scan(sc.barrier, kk), chunks, threads)
     T = np.concatenate([p.T for p in parts])
@@ -286,19 +309,16 @@ def _run_transmission_scan(sc: Scenario, threads: int) -> tuple[list[Path], dict
 
 
 def _run_arrival_density(sc: Scenario, threads: int) -> tuple[list[Path], dict]:
-    t = sc.task
-    n_t = int(t.get("n_t", 1000))
-    if "t_min" in t:
-        times = np.linspace(t["t_min"], t["t_max"], n_t)
+    q = sc.params
+    if "t_min" in q:
+        times = np.linspace(q["t_min"], q["t_max"], q["n_t"])
     else:
-        from .wavepacket import stationary_phase_time
         t_bar = stationary_phase_time(sc.packet, sc.barrier, sc.detector.position)
-        vp = sc.packet.p / math.hypot(sc.packet.p,
-                                      sc.barrier.mass if sc.barrier else 1.0)
-        span = float(t.get("span_sigmas", 10.0)) * sc.packet.sigma_x / vp
-        times = np.linspace(t_bar - span, t_bar + span, n_t)
-    dist = arrival_density(times, sc.packet, sc.barrier, sc.detector,
-                           rel_tol=float(t.get("rel_tol", 1e-8)))
+        vp = relativistic_kinematics(sc.packet.p,
+                                     sc.barrier.mass if sc.barrier else 1.0).velocity
+        span = q["span_sigmas"] * sc.packet.sigma_x / vp
+        times = np.linspace(t_bar - span, t_bar + span, q["n_t"])
+    dist = arrival_density(times, sc.packet, sc.barrier, sc.detector, rel_tol=q["rel_tol"])
     path = sc.out_dir / f"{sc.name}_arrival_density.csv"
     dist.write_csv(path)
     sidecar = sc.out_dir / f"{sc.name}_arrival_density.json"
@@ -309,10 +329,8 @@ def _run_arrival_density(sc: Scenario, threads: int) -> tuple[list[Path], dict]:
 
 
 def _run_tunneling_time_scan(sc: Scenario, threads: int) -> tuple[list[Path], dict]:
-    t = sc.task
-    m = float(t.get("mass", 1.0))
-    d = float(t["d"])
-    n_p = int(t.get("n_p", 200))
+    q = sc.params
+    m, d, n_p = q["mass"], q["d"], q["n_p"]
     paths = []
 
     def scan(v0: float):
@@ -321,9 +339,9 @@ def _run_tunneling_time_scan(sc: Scenario, threads: int) -> tuple[list[Path], di
         taus = [analysis.square_barrier_tunneling_time(p, v0, d, m) for p in ps]
         return ps, np.asarray(taus)
 
-    results = _threaded_map(scan, [float(v) for v in t["v0_values"]], threads)
-    for v0, (ps, taus) in zip(t["v0_values"], results):
-        path = sc.out_dir / f"{sc.name}_tunneling_time_V0_{float(v0)!r}.csv"
+    results = _threaded_map(scan, q["v0_values"], threads)
+    for v0, (ps, taus) in zip(q["v0_values"], results):
+        path = sc.out_dir / f"{sc.name}_tunneling_time_V0_{v0!r}.csv"
         _write_csv(path, ["p", "tau"], zip(ps, taus))
         paths.append(path)
     return paths, {"n_curves": len(paths), "n_p": n_p}
@@ -332,11 +350,7 @@ def _run_tunneling_time_scan(sc: Scenario, threads: int) -> tuple[list[Path], di
 def _run_resonance_scan(sc: Scenario, threads: int) -> tuple[list[Path], dict]:
     v0, a, r = sc.barrier.as_symmetric_double()
     m = sc.barrier.mass
-    t = sc.task
-    window = None
-    if "k_min" in t or "k_max" in t:
-        window = (float(t["k_min"]), float(t["k_max"]))
-    ks = analysis.find_resonances(v0, a, r, m, k_window=window)
+    ks = analysis.find_resonances(v0, a, r, m, k_window=sc.params["k_window"])
     profile = sc.barrier
     absT = [abs(piecewise_amplitudes(profile, float(k)).T) for k in ks]
     path = sc.out_dir / f"{sc.name}_resonance_scan.csv"
@@ -346,13 +360,9 @@ def _run_resonance_scan(sc: Scenario, threads: int) -> tuple[list[Path], dict]:
 
 
 def _run_decay_fit(sc: Scenario, threads: int) -> tuple[list[Path], dict]:
-    t = sc.task
-    v0, a, r = sc.barrier.as_symmetric_double()
-    m = sc.barrier.mass
-    times, rep = _auto_double_grid(sc, int(t.get("n_peaks", 15)),
-                                   int(t.get("samples_per_peak", 12)))
-    dist = arrival_density(times, sc.packet, sc.barrier, sc.detector,
-                           rel_tol=float(t.get("rel_tol", 1e-7)))
+    q = sc.params
+    times, rep = _auto_double_grid(sc, q["n_peaks"], q["samples_per_peak"])
+    dist = arrival_density(times, sc.packet, sc.barrier, sc.detector, rel_tol=q["rel_tol"])
     peaks = analysis.detect_peaks(dist)
     fit = analysis.fit_exponential(dist, (rep.t0 - 0.5 * rep.dt, times[-1]),
                                    on_peaks=True)
@@ -370,54 +380,51 @@ def _run_decay_fit(sc: Scenario, threads: int) -> tuple[list[Path], dict]:
 
 
 def _run_regime_compare(sc: Scenario, threads: int) -> tuple[list[Path], dict]:
-    t = sc.task
-    regime = t["regime"]
+    q = sc.params
+    regime, n_t = q["regime"], q["n_t"]
     v0, a, r = sc.barrier.as_symmetric_double()
     m = sc.barrier.mass
     spec = sc.packet
     L = sc.detector.position
-    n_t = int(t.get("n_t", 1500))
-    rel_tol = float(t.get("rel_tol", 1e-7))
     rep = analysis.double_barrier_report(spec.p, v0, a, r, m, L=L, x0=spec.x0,
                                          sigma_p=spec.sigma_p)
-    vp = spec.p / math.hypot(spec.p, m)
+    vp = relativistic_kinematics(spec.p, m).velocity
     diagnostics: dict = {"regime": regime, "report": rep.to_dict()}
     substitution = None
 
     if regime == "peaks":
-        n_peaks = int(t.get("n_peaks", 10))
+        n_peaks = q["n_peaks"]
         times = np.linspace(rep.t0 - 2.0 * rep.dt, rep.t0 + (n_peaks + 0.5) * rep.dt,
                             max(n_t, (n_peaks + 3) * 12))
         model = analysis.peak_series_density(times, spec, L, v0, a, r, m)
     elif regime == "continuum":
         trans = 1.0 / (spec.sigma_p * vp)
-        t_hi = rep.t0 + float(t.get("decay_spans", 3.0)) / rep.gamma_p
+        t_hi = rep.t0 + q["decay_spans"] / rep.gamma_p
         times = np.linspace(rep.t0 - 4.0 * trans, t_hi, n_t)
         model = analysis.continuum_density(times, spec, L, v0, a, r, m)
     else:
-        k0 = t.get("k0")
+        k0 = q["k0"]
         if k0 is None:
             res = analysis.find_resonances(v0, a, r, m)
             if res.size == 0:
                 raise NumericsError("no resonances inside the tunneling window")
             k0 = float(res[int(np.argmin(np.abs(res - spec.p)))])
-        k0 = float(k0)
         gamma_k0 = analysis.decay_rate(k0, v0, a, r, m)
         trans = 1.0 / (spec.sigma_p * vp)
-        t_hi = rep.t0 + float(t.get("decay_spans", 2.5)) / gamma_k0
+        t_hi = rep.t0 + q["decay_spans"] / gamma_k0
         times = np.linspace(rep.t0 - 3.0 * trans, t_hi, n_t)
         model = analysis.resonance_density(times, spec, L, k0, v0, a, r, m)
         diagnostics["k0"] = k0
         diagnostics["gamma_k0"] = gamma_k0
-        if t.get("substitute_lorentzian", True):
+        if q["substitute_lorentzian"]:
             from .analysis import _single_barrier_phase
-            v_k0 = k0 / math.hypot(k0, m)
+            v_k0 = relativistic_kinematics(k0, m).velocity
 
             def substitution(k, _k0=k0, _g=gamma_k0, _vk0=v_k0):
                 phi = _single_barrier_phase(k, v0, a, m)
                 return np.exp(2j * phi) / (1 - 1j * (2 * _vk0 / _g) * (k - _k0))
 
-    direct = arrival_density(times, spec, sc.barrier, sc.detector, rel_tol=rel_tol,
+    direct = arrival_density(times, spec, sc.barrier, sc.detector, rel_tol=q["rel_tol"],
                              detection_amplitude=substitution)
     peak = float(np.max(direct.density))
     floor = 1e-12 * peak
@@ -498,16 +505,6 @@ def run_scenario(sc: Scenario, threads: int = 1) -> dict:
         json.dump(manifest, f, indent=2, sort_keys=True, default=_json_default)
         f.write("\n")
     return manifest
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, Path):
-        return str(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def _load_config(path: str) -> dict:

@@ -22,17 +22,6 @@ _WEIGHT_TAYLOR_CUT = 1e-6
 
 
 @dataclass(frozen=True)
-class ParticleParams:
-    """Particle of mass m > 0 (energy units)."""
-
-    mass: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mass) and self.mass > 0):
-            raise PhysicsDomainError(f"mass must be finite and positive, got {self.mass}")
-
-
-@dataclass(frozen=True)
 class Kinematics:
     """On-shell data at one momentum: E = sqrt(k^2 + m^2), v = k/E."""
 

@@ -5,8 +5,8 @@ The arrival amplitude is the oscillatory momentum integral
     A(L, t) = int_0^inf dk/(2pi) sqrt(alpha(k) v_k) A_k psi0(k) e^{ikL - iE_k t}
 
 evaluated over the packet window [max(0, p - 8 sigma_p), p + 8 sigma_p] with
-adaptive Gauss-Kronrod panels. A time grid shares one per-k table of the
-detection amplitude A_k across all samples.
+adaptive Gauss-Kronrod panels. A time grid shares one refined panel set, and
+so one evaluation of the detection amplitude A_k per node, across all samples.
 
 Normalization: int |psi0(k)|^2 dk/(2pi) = 1, so the time-integrated density
 is a genuine detection probability (<= 1 for alpha <= 1).
@@ -17,11 +17,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from . import _chebyshev, _quadrature
-from .errors import NumericsError, PhysicsDomainError, warn_regime
+from . import _quadrature
+from .errors import PhysicsDomainError, warn_regime
+from .kinematics import relativistic_kinematics
 from .scattering import PotentialProfile, detection_amplitude_scan, detection_phase_derivative
 
 _KWINDOW_SIGMAS = 8.0
@@ -225,6 +227,8 @@ def _json_default(obj):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
+    if isinstance(obj, Path):
+        return str(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
@@ -232,53 +236,19 @@ def _json_default(obj):
 # the oscillatory integral engine
 
 
-class _IntegrandTable:
-    """Per-k factors of the arrival integrand, shared across the time grid.
-
-    The detection amplitude A_k is tabulated on a verified Chebyshev grid
-    when the window is smooth enough (degree <= 64, error < 1e-9), otherwise
-    evaluated directly per node (narrow resonances defeat interpolation).
-    """
-
-    def __init__(self, spec: WavePacketSpec, profile: PotentialProfile | None,
-                 detector_alpha, mass: float, amplitude_override=None):
-        self.spec = spec
-        self.profile = profile
-        self.alpha = detector_alpha
-        self.mass = mass
-        self.override = amplitude_override
-        lo, hi = spec.k_window
-        self.k_lo, self.k_hi = lo, hi
-        self.table = None
-        if amplitude_override is not None:
-            self.mode = "override"
-        elif profile is not None and profile.segments:
-            self.table = _chebyshev.build_verified(
-                lambda kk: detection_amplitude_scan(profile, kk), lo, hi, tol=1e-9)
-            self.mode = f"chebyshev:{self.table.degree}" if self.table else "direct"
-        else:
-            self.mode = "free"
-
-    def detection_amplitude(self, k: np.ndarray) -> np.ndarray:
-        if self.override is not None:
-            return np.asarray(self.override(k), dtype=complex)
-        if self.profile is None or not self.profile.segments:
-            return np.ones_like(k, dtype=complex)
-        if self.table is not None:
-            return self.table(k)
-        return detection_amplitude_scan(self.profile, k)
-
-    def smooth_part(self, k: np.ndarray) -> np.ndarray:
-        """sqrt(alpha v) A_k psi0(k): everything except e^{ikL - iE_k t}."""
-        E = np.hypot(k, self.mass)
-        v = k / E
-        return (np.sqrt(self.alpha(k) * v) * self.detection_amplitude(k)
-                * self.spec.momentum_amplitude(k))
+def _smooth_part(spec: WavePacketSpec, profile: PotentialProfile | None, alpha,
+                 mass: float, detection_amplitude=None):
+    """k -> sqrt(alpha(k) v_k) A_k psi0(k): the arrival integrand without the
+    phase e^{ikL - iE_k t}. A model ``detection_amplitude`` replaces the
+    profile's A_k."""
+    def smooth(k: np.ndarray) -> np.ndarray:
+        amp = (detection_amplitude_scan(profile, k) if detection_amplitude is None
+               else np.asarray(detection_amplitude(k), dtype=complex))
+        return np.sqrt(alpha(k) * (k / np.hypot(k, mass))) * amp * spec.momentum_amplitude(k)
+    return smooth
 
 
-def _alpha_callable(detector: DetectorSpec | None, alpha):
-    if detector is not None:
-        return detector.absorption_at
+def _alpha_callable(alpha):
     if alpha is None:
         return lambda k: np.ones_like(np.asarray(k, float))
     if callable(alpha):
@@ -309,8 +279,7 @@ def stationary_phase_time(spec: WavePacketSpec, profile: PotentialProfile | None
     derivative, which oscillates through the resonances.
     """
     p = spec.p
-    E = math.hypot(p, resolve_mass(profile, mass))
-    v = p / E
+    v = relativistic_kinematics(p, resolve_mass(profile, mass)).velocity
     dbl = profile.as_symmetric_double() if profile is not None else None
     if dbl is not None:
         v0, a, _ = dbl
@@ -321,9 +290,9 @@ def stationary_phase_time(spec: WavePacketSpec, profile: PotentialProfile | None
     return (spec.x0 + L + theta_prime) / v
 
 
-def _initial_edges(table: _IntegrandTable, X: float, t_lo: float, t_hi: float):
-    lo, hi = table.k_lo, table.k_hi
-    vs = [k / math.hypot(k, table.mass) for k in (lo, hi)]
+def _initial_edges(spec: WavePacketSpec, mass: float, X: float, t_lo: float, t_hi: float):
+    lo, hi = spec.k_window
+    vs = [relativistic_kinematics(k, mass).velocity for k in (lo, hi)]
     rate = max(abs(X - v * t) for v in vs for t in (t_lo, t_hi)) + 1.0
     edges = _quadrature.phase_panels(lo, hi, rate)
     if edges.size - 1 < 32:  # resolve the packet envelope even when slow
@@ -342,77 +311,43 @@ def arrival_amplitude(L: float, t: float, spec: WavePacketSpec,
     approximation; the profile then only supplies geometry.
     """
     mass = resolve_mass(profile, mass)
-    table = _IntegrandTable(spec, profile, _alpha_callable(None, alpha), mass,
-                            amplitude_override=detection_amplitude)
-    edges = _initial_edges(table, L + spec.x0, t, t)
+    smooth = _smooth_part(spec, profile, _alpha_callable(alpha), mass,
+                          detection_amplitude)
 
     def f(k):
         E = np.hypot(k, mass)
-        return table.smooth_part(k) * np.exp(1j * (k * L - E * t))
+        return (smooth(k) * np.exp(1j * (k * L - E * t)))[:, None]
 
-    val, _ = _quadrature.adaptive_complex_quad(f, table.k_lo, table.k_hi,
-                                               rel_tol=rel_tol, initial_edges=edges)
-    return val / (2.0 * math.pi)
+    quad = _quadrature.adaptive_quad(f, _initial_edges(spec, mass, L + spec.x0, t, t),
+                                     rel_tol)
+    return complex(quad.value[0]) / (2.0 * math.pi)
 
 
-def _shared_panel_amplitudes(table: _IntegrandTable, L: float, times: np.ndarray,
-                             rel_tol: float, max_panels: int = 60000):
-    """Amplitudes on a whole time grid from one adaptively refined panel set."""
+def _shared_panel_amplitudes(smooth, spec: WavePacketSpec, mass: float, L: float,
+                             times: np.ndarray, rel_tol: float):
+    """Amplitudes on a whole time grid from one adaptively refined panel set.
+
+    The panels are refined on 24 representative times, then one K15 pass
+    evaluates every time of the grid on the final panels.
+    """
     t_lo, t_hi = float(times[0]), float(times[-1])
-    edges = _initial_edges(table, L + table.spec.x0, t_lo, t_hi)
-    lo = edges[:-1].copy()
-    hi = edges[1:].copy()
+    edges = _initial_edges(spec, mass, L + spec.x0, t_lo, t_hi)
     n_rep = min(24, times.size)
     rep = times[np.unique(np.linspace(0, times.size - 1, n_rep).astype(int))]
 
-    def panel_sums(plo, phi_):
-        x, wk, wg = _quadrature.panel_nodes(plo, phi_)
-        s = table.smooth_part(x.ravel()).reshape(x.shape)
-        E = np.hypot(x, table.mass)
-        base = s * np.exp(1j * x * L)
-        kern = np.exp(-1j * E[:, :, None] * rep[None, None, :])
-        k15 = np.einsum("pn,pnt->pt", wk * base, kern)
-        g7 = np.einsum("pn,pnt->pt", wg * base, kern)
-        return k15, g7
+    def f(k):
+        kern = np.exp(-1j * np.hypot(k, mass)[:, None] * rep[None, :])
+        return (smooth(k) * np.exp(1j * k * L))[:, None] * kern
 
-    k15, g7 = panel_sums(lo, hi)
-    refinements = 0
-    for _ in range(60):
-        err = np.max(np.abs(k15 - g7), axis=1)
-        scale = max(float(np.max(np.abs(np.sum(k15, axis=0)))), 1e-300)
-        if float(np.sum(err)) <= rel_tol * scale:
-            break
-        if lo.size >= max_panels:
-            worst = int(np.argmax(err))
-            raise NumericsError(
-                "time-grid quadrature failed to converge",
-                diagnostics={"panels": int(lo.size),
-                             "total_error": float(np.sum(err)),
-                             "tolerance": float(rel_tol * scale),
-                             "worst_panel": (float(lo[worst]), float(hi[worst]),
-                                             float(err[worst]))})
-        bad = err > max(rel_tol * scale / max(lo.size, 1), float(np.max(err)) * 0.25)
-        if not np.any(bad):
-            bad = err == np.max(err)
-        mid = 0.5 * (lo[bad] + hi[bad])
-        nk15, ng7 = panel_sums(np.concatenate([lo[bad], mid]),
-                               np.concatenate([mid, hi[bad]]))
-        k15 = np.concatenate([k15[~bad], nk15])
-        g7 = np.concatenate([g7[~bad], ng7])
-        lo, hi = (np.concatenate([lo[~bad], lo[bad], mid]),
-                  np.concatenate([hi[~bad], mid, hi[bad]]))
-        refinements += 1
-
-    err = np.max(np.abs(k15 - g7), axis=1)
-    diagnostics = {"panels": int(lo.size), "refinement_rounds": refinements,
-                   "error_estimate": float(np.sum(err)),
-                   "table_mode": table.mode}
+    quad = _quadrature.adaptive_quad(f, edges, rel_tol, max_panels=60000, max_rounds=60)
+    diagnostics = {"panels": int(quad.lo.size), "refinement_rounds": quad.rounds,
+                   "error_estimate": quad.error_estimate}
 
     # final pass over the full grid, chunked to bound memory
-    x, wk, _ = _quadrature.panel_nodes(lo, hi)
-    s = table.smooth_part(x.ravel()).reshape(x.shape)
+    x, wk, _ = _quadrature.panel_nodes(quad.lo, quad.hi)
+    s = smooth(x.ravel()).reshape(x.shape)
     coeff = (wk * s * np.exp(1j * x * L)).ravel()
-    E = np.hypot(x, table.mass).ravel()
+    E = np.hypot(x, mass).ravel()
     amps = np.empty(times.size, dtype=complex)
     chunk = max(1, int(4e6 // max(E.size, 1)))
     for i in range(0, times.size, chunk):
@@ -427,10 +362,10 @@ def arrival_density(times, spec: WavePacketSpec, profile: PotentialProfile | Non
                     detection_amplitude=None) -> ArrivalDistribution:
     """Sample P(L, t) = |A(L, t)|^2 on a uniform time grid.
 
-    One detection-amplitude table and one refined panel set are shared by
-    every grid point; ``detection_amplitude`` substitutes a model A_k as in
-    arrival_amplitude. The grid should span the expected peak by +-10
-    sigma_x/v_p; a narrower grid is accepted with a structured warning.
+    One refined panel set is shared by every grid point; ``detection_amplitude``
+    substitutes a model A_k as in arrival_amplitude. The grid should span the
+    expected peak by +-10 sigma_x/v_p; a narrower grid is accepted with a
+    structured warning.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 4 or np.any(np.diff(times) <= 0):
@@ -439,11 +374,11 @@ def arrival_density(times, spec: WavePacketSpec, profile: PotentialProfile | Non
     mass = resolve_mass(profile, mass)
     L = detector.position
 
+    vp = relativistic_kinematics(spec.p, mass).velocity
     if detection_amplitude is None:
         t_bar = stationary_phase_time(spec, profile, L, mass)
     else:
-        t_bar = (spec.x0 + L) / (spec.p / math.hypot(spec.p, mass))
-    vp = spec.p / math.hypot(spec.p, mass)
+        t_bar = (spec.x0 + L) / vp
     span = 10.0 * spec.sigma_x / vp
     if times[0] > t_bar - span or times[-1] < t_bar + span:
         warn_regime("grid_span",
@@ -451,13 +386,13 @@ def arrival_density(times, spec: WavePacketSpec, profile: PotentialProfile | Non
                     f"recommended window around the expected peak t = {t_bar}",
                     t_peak=t_bar, recommended_halfspan=span)
 
-    table = _IntegrandTable(spec, profile, detector.absorption_at, mass,
-                            amplitude_override=detection_amplitude)
-    if np.all(table.alpha(np.linspace(table.k_lo, table.k_hi, 33)) == 0.0):
+    alpha = detector.absorption_at
+    if np.all(alpha(np.linspace(*spec.k_window, 33)) == 0.0):
         amps = np.zeros(times.size, dtype=complex)
-        diagnostics = {"panels": 0, "table_mode": table.mode, "note": "alpha = 0"}
+        diagnostics = {"panels": 0, "note": "alpha = 0"}
     else:
-        amps, diagnostics = _shared_panel_amplitudes(table, L, times, rel_tol)
+        smooth = _smooth_part(spec, profile, alpha, mass, detection_amplitude)
+        amps, diagnostics = _shared_panel_amplitudes(smooth, spec, mass, L, times, rel_tol)
     density = np.abs(amps) ** 2
     meta = {
         "packet": {"shape": spec.shape, "p": spec.p, "sigma_p": spec.sigma_p,
@@ -475,13 +410,11 @@ def total_transmission(spec: WavePacketSpec, profile: PotentialProfile | None,
                        mass: float | None = None) -> float:
     """int dk/(2pi) alpha(k) |A_k|^2 |u~0(k - p)|^2 (no time integral)."""
     mass = resolve_mass(profile, mass)
-    table = _IntegrandTable(spec, profile, _alpha_callable(None, alpha), mass)
+    smooth = _smooth_part(spec, profile, _alpha_callable(alpha), mass)
 
-    def f(k):
-        amp = table.detection_amplitude(k)
-        return table.alpha(k) * np.abs(amp) ** 2 * table.spec.envelope(k) ** 2
+    def f(k):  # |sqrt(alpha v) A_k psi0|^2 / v = alpha |A_k|^2 |u~0|^2
+        return (np.abs(smooth(k)) ** 2 / (k / np.hypot(k, mass)))[:, None]
 
-    val, _ = _quadrature.adaptive_complex_quad(
-        f, table.k_lo, table.k_hi, rel_tol=rel_tol,
-        initial_edges=np.linspace(table.k_lo, table.k_hi, 65))
-    return float(val.real) / (2.0 * math.pi)
+    lo, hi = spec.k_window
+    quad = _quadrature.adaptive_quad(f, np.linspace(lo, hi, 65), rel_tol)
+    return float(quad.value[0].real) / (2.0 * math.pi)

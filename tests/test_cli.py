@@ -80,6 +80,16 @@ class TestValidate:
         assert main(["validate", cfg]) == 1
         assert "detector.position" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_peaks", "ten"), ("k0", "abc"), ("decay_spans", -2.0)])
+    def test_regime_compare_fields_checked_at_validate(self, tmp_path, capsys, field, value):
+        cfg = _write(tmp_path, "c.json", {
+            "name": "badfield", **_small_double(),
+            "task": {"kind": "regime-compare", "regime": "resonance", field: value},
+        })
+        assert main(["validate", cfg]) == 1
+        assert f"task.{field}" in capsys.readouterr().err
+
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 3
 

@@ -10,6 +10,7 @@ import pytest
 
 from tunnelkit import (
     DetectorSpec,
+    NumericsError,
     PhysicsDomainError,
     PotentialProfile,
     RegimeWarning,
@@ -282,3 +283,26 @@ class TestAsymmetricSuppression:
         got = total_transmission(spec, self.PROF)
         t_only = np.trapezoid(sd.T_abs**2 * spec.envelope(ks) ** 2, ks) / (2 * np.pi)
         assert got < 0.01 * t_only
+
+
+class TestUnconvergedRunsFail:
+    def test_unresolvable_model_amplitude_hits_round_cap(self, narrow_gaussian):
+        # a Lorentzian of width 1e-15 cannot be resolved in 60 rounds; the
+        # run must fail instead of returning an estimate far above tolerance
+        spec = narrow_gaussian
+        det = DetectorSpec(position=500.0)
+        t_bar = (spec.x0 + det.position) / _velocity(spec.p)
+        sig_t = spec.sigma_x / _velocity(spec.p)
+        times = np.linspace(t_bar - 10.5 * sig_t, t_bar + 10.5 * sig_t, 64)
+        with pytest.raises(NumericsError, match="failed to converge") as exc:
+            arrival_density(times, spec, None, det,
+                            detection_amplitude=lambda k: 1.0 / (1.0 - 1j * (k - spec.p) / 1e-15))
+        diag = exc.value.diagnostics
+        assert diag["refinement_rounds"] == 60
+        assert diag["total_error"] > diag["tolerance"]
+
+    def test_non_finite_integrand_raises(self):
+        spec = WavePacketSpec("gaussian", p=0.35, sigma_p=0.004, x0=700.0)
+        prof = PotentialProfile.double(M, 0.4, 2.5, 300.0)
+        with pytest.raises(NumericsError, match="not finite"):
+            total_transmission(spec, prof, alpha=lambda k: np.where(k > 0.35, np.nan, 1.0))
