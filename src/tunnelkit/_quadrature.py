@@ -65,6 +65,9 @@ _WG = np.array([
 _GAUSS_IDX = np.arange(1, 15, 2)
 
 NODES_PER_PANEL = 15
+# pre-panelling of oscillatory integrands: phase per panel, panel count cap
+_MAX_STEP_PHASE = math.pi / 4
+_MAX_PHASE_PANELS = 20000
 
 
 def panel_nodes(a: np.ndarray, b: np.ndarray):
@@ -84,13 +87,13 @@ def panel_nodes(a: np.ndarray, b: np.ndarray):
     return x, wk, wg
 
 
-def phase_panels(a: float, b: float, max_phase_rate: float,
-                 max_step_phase: float = math.pi / 4, cap: int = 20000) -> np.ndarray:
-    """Panel edges on [a, b] so each panel spans < max_step_phase of phase."""
+def phase_panels(a: float, b: float, max_phase_rate: float) -> np.ndarray:
+    """Panel edges on [a, b] so each panel spans < _MAX_STEP_PHASE of phase
+    (at most _MAX_PHASE_PANELS panels)."""
     if b <= a:
         raise NumericsError(f"empty integration interval [{a}, {b}]")
-    n = int(math.ceil(abs(max_phase_rate) * (b - a) / max_step_phase)) + 1
-    n = min(max(n, 1), cap)
+    n = int(math.ceil(abs(max_phase_rate) * (b - a) / _MAX_STEP_PHASE)) + 1
+    n = min(max(n, 1), _MAX_PHASE_PANELS)
     return np.linspace(a, b, n + 1)
 
 

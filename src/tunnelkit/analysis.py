@@ -12,7 +12,7 @@ approximations that the tests hold against direct quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,17 +25,15 @@ from .scattering import (
     piecewise_amplitudes,
     square_barrier_amplitudes,
     tunneling_window,
+    wrap_pi,
     _transfer_TR,
+    _xp,
 )
 from .wavepacket import ArrivalDistribution, WavePacketSpec
 
 _PEAK_FLOOR = 1e-6        # detect_peaks: ignore maxima below this x global max
 _FIT_FLOOR = 1e-12        # fit_exponential: ignore samples below this x peak
 _TAIL_BOUND = 1e-8        # peak series truncation: |R0p|^(2 n_max) < this
-
-
-def _wrap_pi(x: float) -> float:
-    return (x + math.pi) % (2.0 * math.pi) - math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -74,30 +72,27 @@ def tunneling_time(p: float, profile: PotentialProfile | None) -> float:
     return delay_time(p, profile) + profile.width / v
 
 
-def square_barrier_tunneling_time(p: float, v0: float, d: float, m: float) -> float:
+def square_barrier_tunneling_time(p, v0: float, d: float, m: float):
     """Closed-form tau_p for one square barrier (tunneling window only).
 
     tau_p = [-eta (E-V0)/lambda d sech^2 + m rho (1/p^2 + 1/lambda^2) tanh]
             / (1 + eta^2 tanh^2), all at lambda d; written via tanh so opaque
     barriers never overflow. Matches the phase-derivative route to ~1e-12.
+    p is a scalar or a numpy array of momenta.
     """
     bf = barrier_functions(p, v0, m)
-    E = math.hypot(p, m)
-    gap = E - v0
-    lam = math.sqrt(m * m - gap * gap)
-    th = math.tanh(lam * d)
+    th = _xp(p).tanh(bf.lam * d)
     sech2 = 1.0 - th * th
-    num = (-bf.eta * gap / lam * d * sech2
-           + m * bf.rho * (1.0 / (p * p) + 1.0 / (lam * lam)) * th)
+    num = (-bf.eta * (bf.energy - v0) / bf.lam * d * sech2
+           + m * bf.rho * (1.0 / (p * p) + 1.0 / (bf.lam * bf.lam)) * th)
     return num / (1.0 + bf.eta ** 2 * th * th)
 
 
-def opaque_tunneling_time(p: float, v0: float, m: float) -> float:
-    """Opaque-limit tau (independent of d): m rho (1/p^2 + 1/lambda^2)/(1 + eta^2)."""
+def opaque_tunneling_time(p, v0: float, m: float):
+    """Opaque-limit tau (independent of d) at a scalar or numpy-array p:
+    m rho (1/p^2 + 1/lambda^2)/(1 + eta^2)."""
     bf = barrier_functions(p, v0, m)
-    E = math.hypot(p, m)
-    lam = math.sqrt(m * m - (E - v0) ** 2)
-    return m * bf.rho * (1.0 / (p * p) + 1.0 / (lam * lam)) / (1.0 + bf.eta ** 2)
+    return m * bf.rho * (1.0 / (p * p) + 1.0 / (bf.lam * bf.lam)) / (1.0 + bf.eta ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -106,14 +101,8 @@ def opaque_tunneling_time(p: float, v0: float, m: float) -> float:
 
 def _single_barrier_phase(k, v0: float, a: float, m: float):
     """Continuous arg T for one square barrier: -ka + arctan(eta tanh(lambda a))."""
-    k = np.asarray(k, dtype=float)
-    E = np.hypot(k, m)
-    gap = E - v0
-    lam = np.sqrt(np.maximum(m * m - gap * gap, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e = (lam / k) * (E - m) / (m - np.sqrt(m * m - lam * lam))
-        eta = 0.5 * (e - 1.0 / e)
-    return -k * a + np.arctan(eta * np.tanh(lam * a))
+    bf = barrier_functions(k, v0, m)
+    return -np.asarray(k, dtype=float) * a + np.arctan(bf.eta * np.tanh(bf.lam * a))
 
 
 def find_resonances(v0: float, a: float, r: float, m: float,
@@ -131,7 +120,7 @@ def find_resonances(v0: float, a: float, r: float, m: float,
     if k_window is None:
         k_window = (1e-9 * hi_max, hi_max * (1.0 - 1e-12))
     lo, hi = k_window
-    if not (0.0 < lo < hi <= hi_max):
+    if not (0.0 < lo < hi < hi_max):
         raise PhysicsDomainError(
             f"k_window {k_window} must lie inside the tunneling window (0, {hi_max})")
 
@@ -191,8 +180,8 @@ class RegimeReport:
     """Derived temporal observables of one double-barrier configuration.
 
     All quantities in mass units (times in 1/m, rates in m, momenta in m).
-    Fields that need detector geometry (t0) or a packet (mu_p) or a fit are
-    None until supplied.
+    Fields that need detector geometry (t0) or a packet (mu_p) are None
+    until supplied.
     """
 
     p: float
@@ -213,28 +202,14 @@ class RegimeReport:
     t0: float | None = None
     mu_p: float | None = None
     sigma_p: float | None = None
-    resonances: np.ndarray = field(default_factory=lambda: np.array([]))
-    fit: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "units": {"times": "1/m", "rates": "m", "momenta": "m"},
-            "p": self.p, "v0": self.v0, "a": self.a, "r": self.r,
-            "mass": self.mass, "t_d": self.t_d, "tau_p": self.tau_p,
-            "dt": self.dt, "gamma_p": self.gamma_p, "beta_p": self.beta_p,
-            "T0p_abs2": self.T0p_abs2, "R0p_abs2": self.R0p_abs2,
-            "transmission_p": self.transmission_p,
-            "phi_p": self.phi_p, "phi_prime_p": self.phi_prime_p,
-            "t0": self.t0, "mu_p": self.mu_p, "sigma_p": self.sigma_p,
-            "resonances": np.asarray(self.resonances).tolist(),
-            "fit": self.fit,
-        }
+        return {"units": {"times": "1/m", "rates": "m", "momenta": "m"}, **asdict(self)}
 
 
 def double_barrier_report(p: float, v0: float, a: float, r: float, m: float,
                           L: float | None = None, x0: float | None = None,
-                          sigma_p: float | None = None,
-                          with_resonances: bool = False) -> RegimeReport:
+                          sigma_p: float | None = None) -> RegimeReport:
     """Collect every closed-form double-barrier observable at momentum p."""
     single = square_barrier_amplitudes(p, v0, a, m)
     tau = square_barrier_tunneling_time(p, v0, a, m)
@@ -242,7 +217,7 @@ def double_barrier_report(p: float, v0: float, a: float, r: float, m: float,
     phi_prime = v * tau - a  # tau = (phi' + a)/v inverted
     dt = 2.0 * (r / v + tau)
     gamma = single.T_abs ** 2 / (r / v + tau)
-    beta = _wrap_pi(2.0 * p * (r + a) + 2.0 * single.phi + math.pi)
+    beta = wrap_pi(2.0 * p * (r + a) + 2.0 * single.phi + math.pi)
     dbl = piecewise_amplitudes(PotentialProfile.double(m, v0, a, r), p)
     report = RegimeReport(
         p=p, v0=v0, a=a, r=r, mass=m,
@@ -256,8 +231,6 @@ def double_barrier_report(p: float, v0: float, a: float, r: float, m: float,
         report.t0 = (L + x0 + 2.0 * phi_prime) / v
     if sigma_p is not None:
         report.mu_p = beta / (2.0 * sigma_p * v * dt)
-    if with_resonances:
-        report.resonances = find_resonances(v0, a, r, m)
     return report
 
 
@@ -274,8 +247,7 @@ def _regime_meta(report: RegimeReport, spec: WavePacketSpec, L: float,
 
 
 def peak_series_density(times, spec: WavePacketSpec, L: float, v0: float,
-                        a: float, r: float, m: float,
-                        n_max: int | None = None) -> ArrivalDistribution:
+                        a: float, r: float, m: float) -> ArrivalDistribution:
     """Sum-of-reflections P(L, t): peaks at t0 + n dt, suppressed |R0p|^{4n}.
 
     Valid when the peaks do not overlap (sigma_x << v_p dt); violating that
@@ -291,9 +263,8 @@ def peak_series_density(times, spec: WavePacketSpec, L: float, v0: float,
                     "peaks overlap, the non-overlapping-peak picture degrades",
                     sigma_x=spec.sigma_x, v_dt=v * report.dt)
     r0sq = report.R0p_abs2
-    if n_max is None:
-        n_max = int(math.ceil(math.log(_TAIL_BOUND) / math.log(r0sq))) if r0sq > 0 else 1
-        n_max = min(max(n_max, 1), 200000)
+    n_max = int(math.ceil(math.log(_TAIL_BOUND) / math.log(r0sq))) if r0sq > 0 else 1
+    n_max = min(max(n_max, 1), 200000)
     # amplitude argument: v_p (t - t0 - n dt); position envelope is even.
     # Summed in blocks of n so opaque barriers (huge n_max) stay in memory.
     amp = np.zeros(times.size, dtype=complex)
@@ -385,9 +356,10 @@ def resonance_density(times, spec: WavePacketSpec, L: float, k0: float,
                       exact: bool = False) -> ArrivalDistribution:
     """Closed-form P(L, t) for a Lorentzian packet near one resonance k0.
 
-    ``exact=True`` takes the on-resonance simplification (k0 = p assumed),
-    whose late-time tail is a pure exponential at rate Gamma_k0 once
-    t - t0 >> 1/(sigma_p v_p) and Gamma_k0 < 2 sigma_p v_p.
+    ``exact=True`` places the pole on the packet centre (k0 -> p, with
+    Gamma_k0 and v_k0 still taken at k0), so the late-time tail is a pure
+    exponential at rate Gamma_k0 once t - t0 >> 1/(sigma_p v_p) and
+    Gamma_k0 < 2 sigma_p v_p.
     """
     if spec.shape != "lorentzian":
         raise PhysicsDomainError("resonance regime formula requires a Lorentzian packet")
@@ -402,21 +374,8 @@ def resonance_density(times, spec: WavePacketSpec, L: float, k0: float,
                     f"|k0 - p| = {abs(k0 - spec.p):.3e} exceeds sigma_p: packet "
                     "barely overlaps the resonance",
                     k0=k0, p=spec.p, sigma_p=spec.sigma_p)
-    if exact:
-        sig = spec.sigma_p
-        C = 2.0 / math.sqrt(sig)
-        a_lor = 2.0 * v_k0 / gamma_k0
-        tt = v * (times - report.t0)
-        amp = np.empty(tt.shape, dtype=complex)
-        early = tt < 0
-        amp[early] = (C * sig / (2 * a_lor)) / (sig + 1.0 / a_lor) * np.exp(sig * tt[early])
-        late = ~early
-        main = (C * sig ** 2 / a_lor) / (sig * sig - 1.0 / a_lor ** 2) * np.exp(-tt[late] / a_lor)
-        packet = -(C * sig / (2 * a_lor)) / (sig - 1.0 / a_lor) * np.exp(-sig * tt[late])
-        amp[late] = main + packet
-    else:
-        amp = _lorentzian_residue_amplitude(times, spec, v, report.t0, k0,
-                                            gamma_k0, v_k0)
+    amp = _lorentzian_residue_amplitude(times, spec, v, report.t0,
+                                        spec.p if exact else k0, gamma_k0, v_k0)
     density = v * np.abs(amp) ** 2
     meta = _regime_meta(report, spec, L, "resonance")
     meta["k0"] = k0

@@ -1,7 +1,7 @@
 """Scenario-driven command line: parse a JSON config, run one task, emit CSV
 artifacts plus a JSON run manifest.
 
-    tunnelkit run <config.json> [--out DIR] [--threads N]
+    tunnelkit run <config.json> [--out DIR]
     tunnelkit validate <config.json>
 
 Exit codes: 0 success, 1 config error, 2 numeric failure, 3 I/O error.
@@ -18,7 +18,6 @@ import math
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,7 +26,7 @@ import numpy as np
 from . import __version__, analysis
 from .errors import ConfigError, NumericsError, PhysicsDomainError, RegimeWarning, TunnelKitError
 from .kinematics import relativistic_kinematics
-from .scattering import PotentialProfile, amplitude_scan, piecewise_amplitudes, tunneling_window
+from .scattering import PotentialProfile, amplitude_scan, tunneling_window
 from .wavepacket import (DetectorSpec, WavePacketSpec, _json_default, arrival_density,
                          stationary_phase_time)
 
@@ -120,7 +119,9 @@ def _parse_detector(data: dict, path: str = "detector") -> DetectorSpec:
         _expect(isinstance(ks, list) and isinstance(al, list)
                 and len(ks) == len(al) and len(ks) >= 2,
                 f"{path}.absorption", "need parallel lists 'k' and 'alpha' (>= 2 points)")
-        absorption = (np.asarray(ks, float), np.asarray(al, float))
+        absorption = tuple(
+            np.array([_num(x, f"{path}.absorption.{key}[{i}]") for i, x in enumerate(vals)])
+            for key, vals in (("k", ks), ("alpha", al)))
     else:
         absorption = _num(absorption, f"{path}.absorption", nonneg=True)
     try:
@@ -181,10 +182,15 @@ def parse_scenario(config: dict, out_override: str | None = None) -> Scenario:
                 f"detector at {detector.position} violates the far-field "
                 f"requirement L >= 10 d = {10.0 * barrier.width}")
 
+    params = _validate_task_params(task)
+    if kind == "resonance-scan" and params["k_window"] is not None:
+        k_max = tunneling_window(barrier.as_symmetric_double()[0], barrier.mass)[1]
+        _expect(params["k_window"][1] < k_max, "task.k_max",
+                f"must lie below the tunneling-window edge {k_max}")
+
     out = out_override or (config.get("output") or {}).get("dir") or "."
     return Scenario(name=name, task=task, barrier=barrier, packet=packet,
-                    detector=detector, out_dir=Path(out), raw=config,
-                    params=_validate_task_params(task))
+                    detector=detector, out_dir=Path(out), raw=config, params=params)
 
 
 # default rel_tol of the kinds that integrate; the other kinds accept and ignore one
@@ -276,39 +282,17 @@ def _write_kv_csv(path: Path, pairs) -> None:
 # task runners (each returns artifact paths + diagnostics dict)
 
 
-def _threaded_map(func, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [func(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(func, items))
-
-
-def _auto_double_grid(sc: Scenario, n_peaks: int, samples_per_peak: int):
-    v0, a, r = sc.barrier.as_symmetric_double()
-    m = sc.barrier.mass
-    rep = analysis.double_barrier_report(sc.packet.p, v0, a, r, m,
-                                         L=sc.detector.position, x0=sc.packet.x0,
-                                         sigma_p=sc.packet.sigma_p)
-    n_t = max((n_peaks + 3) * samples_per_peak, 64)
-    times = np.linspace(rep.t0 - 2.0 * rep.dt, rep.t0 + (n_peaks + 0.5) * rep.dt, n_t)
-    return times, rep
-
-
-def _run_transmission_scan(sc: Scenario, threads: int) -> tuple[list[Path], dict]:
+def _run_transmission_scan(sc: Scenario) -> tuple[list[Path], dict]:
     q = sc.params
     k = np.linspace(q["k_min"], q["k_max"], q["n_k"])
-    chunks = np.array_split(k, max(1, min(threads, k.size)))
-    parts = _threaded_map(lambda kk: amplitude_scan(sc.barrier, kk), chunks, threads)
-    T = np.concatenate([p.T for p in parts])
-    R = np.concatenate([p.R for p in parts])
-    A = np.concatenate([np.atleast_1d(p.A) for p in parts])
+    s = amplitude_scan(sc.barrier, k)
     path = sc.out_dir / f"{sc.name}_transmission_scan.csv"
     _write_csv(path, ["k", "TkRe", "TkIm", "RkRe", "RkIm", "absA2"],
-               zip(k, T.real, T.imag, R.real, R.imag, np.abs(A) ** 2))
+               zip(k, s.T.real, s.T.imag, s.R.real, s.R.imag, np.abs(s.A) ** 2))
     return [path], {"n_k": int(k.size)}
 
 
-def _run_arrival_density(sc: Scenario, threads: int) -> tuple[list[Path], dict]:
+def _run_arrival_density(sc: Scenario) -> tuple[list[Path], dict]:
     q = sc.params
     if "t_min" in q:
         times = np.linspace(q["t_min"], q["t_max"], q["n_t"])
@@ -328,40 +312,41 @@ def _run_arrival_density(sc: Scenario, threads: int) -> tuple[list[Path], dict]:
                              "total_mass": dist.total_mass()}
 
 
-def _run_tunneling_time_scan(sc: Scenario, threads: int) -> tuple[list[Path], dict]:
+def _run_tunneling_time_scan(sc: Scenario) -> tuple[list[Path], dict]:
     q = sc.params
     m, d, n_p = q["mass"], q["d"], q["n_p"]
     paths = []
-
-    def scan(v0: float):
+    for v0 in q["v0_values"]:
         k_hi = tunneling_window(v0, m)[1]
         ps = np.linspace(k_hi * 1e-3, k_hi * (1.0 - 1e-9), n_p)
-        taus = [analysis.square_barrier_tunneling_time(p, v0, d, m) for p in ps]
-        return ps, np.asarray(taus)
-
-    results = _threaded_map(scan, q["v0_values"], threads)
-    for v0, (ps, taus) in zip(q["v0_values"], results):
+        taus = analysis.square_barrier_tunneling_time(ps, v0, d, m)
         path = sc.out_dir / f"{sc.name}_tunneling_time_V0_{v0!r}.csv"
         _write_csv(path, ["p", "tau"], zip(ps, taus))
         paths.append(path)
     return paths, {"n_curves": len(paths), "n_p": n_p}
 
 
-def _run_resonance_scan(sc: Scenario, threads: int) -> tuple[list[Path], dict]:
+def _run_resonance_scan(sc: Scenario) -> tuple[list[Path], dict]:
     v0, a, r = sc.barrier.as_symmetric_double()
     m = sc.barrier.mass
     ks = analysis.find_resonances(v0, a, r, m, k_window=sc.params["k_window"])
-    profile = sc.barrier
-    absT = [abs(piecewise_amplitudes(profile, float(k)).T) for k in ks]
+    # amplitude_scan checks unitarity with np.max, which an empty scan cannot take
+    absT = amplitude_scan(sc.barrier, ks).T_abs if ks.size else ks
     path = sc.out_dir / f"{sc.name}_resonance_scan.csv"
     _write_csv(path, ["n", "k_n", "absT"],
                ((i, k, t_) for i, (k, t_) in enumerate(zip(ks, absT))))
     return [path], {"n_resonances": int(ks.size)}
 
 
-def _run_decay_fit(sc: Scenario, threads: int) -> tuple[list[Path], dict]:
+def _run_decay_fit(sc: Scenario) -> tuple[list[Path], dict]:
     q = sc.params
-    times, rep = _auto_double_grid(sc, q["n_peaks"], q["samples_per_peak"])
+    n_peaks = q["n_peaks"]
+    v0, a, r = sc.barrier.as_symmetric_double()
+    rep = analysis.double_barrier_report(sc.packet.p, v0, a, r, sc.barrier.mass,
+                                         L=sc.detector.position, x0=sc.packet.x0,
+                                         sigma_p=sc.packet.sigma_p)
+    n_t = max((n_peaks + 3) * q["samples_per_peak"], 64)
+    times = np.linspace(rep.t0 - 2.0 * rep.dt, rep.t0 + (n_peaks + 0.5) * rep.dt, n_t)
     dist = arrival_density(times, sc.packet, sc.barrier, sc.detector, rel_tol=q["rel_tol"])
     peaks = analysis.detect_peaks(dist)
     fit = analysis.fit_exponential(dist, (rep.t0 - 0.5 * rep.dt, times[-1]),
@@ -379,7 +364,7 @@ def _run_decay_fit(sc: Scenario, threads: int) -> tuple[list[Path], dict]:
                                "report": rep.to_dict()}
 
 
-def _run_regime_compare(sc: Scenario, threads: int) -> tuple[list[Path], dict]:
+def _run_regime_compare(sc: Scenario) -> tuple[list[Path], dict]:
     q = sc.params
     regime, n_t = q["regime"], q["n_t"]
     v0, a, r = sc.barrier.as_symmetric_double()
@@ -389,6 +374,7 @@ def _run_regime_compare(sc: Scenario, threads: int) -> tuple[list[Path], dict]:
     rep = analysis.double_barrier_report(spec.p, v0, a, r, m, L=L, x0=spec.x0,
                                          sigma_p=spec.sigma_p)
     vp = relativistic_kinematics(spec.p, m).velocity
+    trans = 1.0 / (spec.sigma_p * vp)  # duration of the packet's arrival transient
     diagnostics: dict = {"regime": regime, "report": rep.to_dict()}
     substitution = None
 
@@ -398,7 +384,6 @@ def _run_regime_compare(sc: Scenario, threads: int) -> tuple[list[Path], dict]:
                             max(n_t, (n_peaks + 3) * 12))
         model = analysis.peak_series_density(times, spec, L, v0, a, r, m)
     elif regime == "continuum":
-        trans = 1.0 / (spec.sigma_p * vp)
         t_hi = rep.t0 + q["decay_spans"] / rep.gamma_p
         times = np.linspace(rep.t0 - 4.0 * trans, t_hi, n_t)
         model = analysis.continuum_density(times, spec, L, v0, a, r, m)
@@ -410,19 +395,17 @@ def _run_regime_compare(sc: Scenario, threads: int) -> tuple[list[Path], dict]:
                 raise NumericsError("no resonances inside the tunneling window")
             k0 = float(res[int(np.argmin(np.abs(res - spec.p)))])
         gamma_k0 = analysis.decay_rate(k0, v0, a, r, m)
-        trans = 1.0 / (spec.sigma_p * vp)
         t_hi = rep.t0 + q["decay_spans"] / gamma_k0
         times = np.linspace(rep.t0 - 3.0 * trans, t_hi, n_t)
         model = analysis.resonance_density(times, spec, L, k0, v0, a, r, m)
         diagnostics["k0"] = k0
         diagnostics["gamma_k0"] = gamma_k0
         if q["substitute_lorentzian"]:
-            from .analysis import _single_barrier_phase
-            v_k0 = relativistic_kinematics(k0, m).velocity
+            a_lor = 2 * relativistic_kinematics(k0, m).velocity / gamma_k0
 
-            def substitution(k, _k0=k0, _g=gamma_k0, _vk0=v_k0):
-                phi = _single_barrier_phase(k, v0, a, m)
-                return np.exp(2j * phi) / (1 - 1j * (2 * _vk0 / _g) * (k - _k0))
+            def substitution(k):
+                phi = analysis._single_barrier_phase(k, v0, a, m)
+                return np.exp(2j * phi) / (1 - 1j * a_lor * (k - k0))
 
     direct = arrival_density(times, spec, sc.barrier, sc.detector, rel_tol=q["rel_tol"],
                              detection_amplitude=substitution)
@@ -447,7 +430,6 @@ def _run_regime_compare(sc: Scenario, threads: int) -> tuple[list[Path], dict]:
                 pairs += [(f"gamma_{label}", fit.rate), (f"r2_{label}", fit.r_squared)]
     else:
         gamma_ref = diagnostics.get("gamma_k0", rep.gamma_p)
-        trans = 1.0 / (spec.sigma_p * vp)
         # past the transient, but leave a usable stretch of tail to fit
         start = rep.t0 + min(8.0 * trans, 0.4 * (float(times[-1]) - rep.t0))
         window = (start, float(times[-1]))
@@ -475,14 +457,14 @@ _RUNNERS = {
 # entry points
 
 
-def run_scenario(sc: Scenario, threads: int = 1) -> dict:
+def run_scenario(sc: Scenario) -> dict:
     """Execute one scenario; returns the manifest dict (also written to disk)."""
     sc.out_dir.mkdir(parents=True, exist_ok=True)
     captured: list[dict] = []
     start = time.perf_counter()
     with warnings.catch_warnings(record=True) as wrec:
         warnings.simplefilter("always")
-        artifacts, diagnostics = _RUNNERS[sc.task["kind"]](sc, threads)
+        artifacts, diagnostics = _RUNNERS[sc.task["kind"]](sc)
         for w in wrec:
             if isinstance(w.message, RegimeWarning):
                 captured.append(w.message.payload())
@@ -524,7 +506,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run = sub.add_parser("run", help="run a scenario config")
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None, help="output directory override")
-    p_run.add_argument("--threads", type=int, default=1)
     p_val = sub.add_parser("validate", help="schema-check a scenario config")
     p_val.add_argument("config")
     args = parser.parse_args(argv)
@@ -545,7 +526,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     try:
-        manifest = run_scenario(scenario, threads=max(1, args.threads))
+        manifest = run_scenario(scenario)
     except (NumericsError, PhysicsDomainError, TunnelKitError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2

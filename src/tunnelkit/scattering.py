@@ -146,7 +146,8 @@ def detection_coefficient(T, R):
     return w, A
 
 
-def _wrap_pi(x):
+def wrap_pi(x):
+    """x mapped to [-pi, pi)."""
     return (x + np.pi) % (2 * np.pi) - np.pi
 
 
@@ -164,7 +165,7 @@ def phase_split(T, R):
     phi = np.angle(T)
     if phi.ndim > 0 and phi.size > 1:
         phi = np.unwrap(phi)
-    chi = np.where(R == 0, 0.0, _wrap_pi(np.pi / 2 + np.angle(R) - np.angle(T)))
+    chi = np.where(R == 0, 0.0, wrap_pi(np.pi / 2 + np.angle(R) - np.angle(T)))
     if np.ndim(T) == 0 and np.ndim(R) == 0:
         return float(absT), float(phi), float(chi)
     return absT, phi, chi
@@ -182,42 +183,63 @@ def _make_data(k, T, R) -> ScatteringData:
 
 @dataclass(frozen=True)
 class BarrierFunctions:
-    """Single-square-barrier auxiliaries; rho^2 - eta^2 = 1 identically."""
+    """Single-square-barrier auxiliaries at momentum k, scalars or arrays
+    aligned with k: E = sqrt(k^2 + m^2), lambda = sqrt(m^2 - (E - V0)^2), and
+    e, eta, rho with rho^2 - eta^2 = 1 identically."""
 
-    e: float
-    eta: float
-    rho: float
+    energy: object
+    lam: object
+    e: object
+    eta: object
+    rho: object
 
 
-def barrier_functions(k: float, v0: float, m: float) -> BarrierFunctions:
+def _xp(k):
+    """math for a scalar k, numpy for an array: scalar results stay those of
+    libm, from which numpy's vectorized exp, tanh and hypot differ in the last bit."""
+    return np if np.ndim(k) else math
+
+
+def barrier_functions(k, v0: float, m: float) -> BarrierFunctions:
     """e_k = (lambda/k) (E - m)/(m - sqrt(m^2 - lambda^2)) and eta, rho.
 
-    Defined for momenta in the tunneling window 0 < k < sqrt(2 m V0 + V0^2).
+    k is a scalar or an array of momenta in the tunneling window
+    0 < k < sqrt(2 m V0 + V0^2). In an array, e = 0 where E - m underflows
+    (k below ~1e-8 m), so eta = -inf and rho = inf there.
     """
+    karr = np.asarray(k, dtype=float)
     lo, hi = tunneling_window(v0, m)
-    if not (lo < k < hi):
+    bad = karr[~((karr > lo) & (karr < hi))]
+    if bad.size:
         raise AboveBarrierError(
-            f"k = {k} outside the tunneling window (0, {hi}): use the "
-            "transfer-matrix path for above-barrier momenta")
-    E = math.hypot(k, m)
+            f"k in [{bad.min()}, {bad.max()}] outside the tunneling window (0, {hi}): "
+            "use the transfer-matrix path for above-barrier momenta")
+    xp = _xp(k)
+    if xp is np:
+        k = karr
+    E = xp.hypot(k, m)
     gap = E - v0
-    lam = math.sqrt(m * m - gap * gap)
-    e = (lam / k) * (E - m) / (m - math.sqrt(m * m - lam * lam))
-    return BarrierFunctions(e=e, eta=0.5 * (e - 1.0 / e), rho=0.5 * (e + 1.0 / e))
+    lam = xp.sqrt(m * m - gap * gap)
+    with np.errstate(divide="ignore"):
+        e = (lam / k) * (E - m) / (m - xp.sqrt(m * m - lam * lam))
+        inv = 1.0 / e
+    return BarrierFunctions(energy=E, lam=lam, e=e, eta=0.5 * (e - inv), rho=0.5 * (e + inv))
 
 
-def _square_TR(k: float, v0: float, d: float, m: float) -> tuple[complex, complex]:
+def _scaled_cosh_sinh(x):
+    """(cosh x, sinh x) times e^{-x}: finite however opaque the barrier."""
+    em = _xp(x).exp(-2.0 * x)
+    return 0.5 * (1.0 + em), 0.5 * (1.0 - em)
+
+
+def _square_TR(k, v0: float, d: float, m: float):
+    xp = _xp(k)
     bf = barrier_functions(k, v0, m)
-    E = math.hypot(k, m)
-    lam = math.sqrt(m * m - (E - v0) ** 2)
-    x = lam * d
-    # scaled by e^{-x} so opaque barriers stay finite: cosh, sinh -> ch, sh
-    em = math.exp(-2.0 * x) if x < 350 else 0.0
-    ch = 0.5 * (1.0 + em)
-    sh = 0.5 * (1.0 - em)
+    x = bf.lam * d
+    ch, sh = _scaled_cosh_sinh(x)
     den = ch - 1j * bf.eta * sh
-    scale = math.exp(-x) if x < 700 else 0.0
-    phase = complex(math.cos(k * d), -math.sin(k * d))
+    scale = xp.exp(-x) * (x < 700)
+    phase = xp.cos(k * d) - 1j * xp.sin(k * d)
     T = phase * scale / den
     R = -1j * phase * bf.rho * sh / den
     return T, R
@@ -251,12 +273,8 @@ def double_barrier_T(k: float, v0: float, a: float, r: float, m: float) -> Scatt
     if r == 0.0:
         return square_barrier_amplitudes(k, v0, 2 * a, m)
     bf = barrier_functions(k, v0, m)
-    E = math.hypot(k, m)
-    lam = math.sqrt(m * m - (E - v0) ** 2)
-    x = lam * a
-    em = math.exp(-2.0 * x) if x < 350 else 0.0
-    ch = 0.5 * (1.0 + em)
-    sh = 0.5 * (1.0 - em)
+    x = bf.lam * a
+    ch, sh = _scaled_cosh_sinh(x)
     eikr = complex(math.cos(k * r), math.sin(k * r))
     den = (ch - 1j * bf.eta * sh) ** 2 / eikr + bf.rho ** 2 * sh * sh * eikr
     scale = math.exp(-2.0 * x) if x < 700 else 0.0

@@ -14,6 +14,7 @@ from tunnelkit import (
     PotentialProfile,
     RegimeWarning,
     WavePacketSpec,
+    barrier_functions,
     causality_mass,
     continuum_density,
     decay_rate,
@@ -54,6 +55,19 @@ class TestDelayTime:
             t_d = delay_time(p, prof)
             ref = -d / _velocity(p) + square_barrier_tunneling_time(p, v0, d, M)
             assert t_d == pytest.approx(ref, rel=1e-6)
+
+    def test_tunneling_times_on_arrays_match_scalars(self):
+        # scalar (libm) and array (numpy) paths differ by the magnified last
+        # bit of E; see TestBarrierFunctions.test_array_matches_scalars
+        v0 = 0.5
+        ps = np.linspace(1e-3, 1.0 - 1e-6, 300) * tunneling_window(v0, M)[1]
+        bf = barrier_functions(ps, v0, M)
+        tol = 4.0 * np.finfo(float).eps * (bf.energy / (bf.energy - M) + M * M / bf.lam ** 2)
+        for d in (5.0, 5000.0):
+            ref = [square_barrier_tunneling_time(float(p), v0, d, M) for p in ps]
+            assert np.all(np.abs(square_barrier_tunneling_time(ps, v0, d, M) / ref - 1.0) <= tol)
+        ref = [opaque_tunneling_time(float(p), v0, M) for p in ps]
+        assert np.all(np.abs(opaque_tunneling_time(ps, v0, M) / ref - 1.0) <= tol)
 
     def test_double_barrier_doubling(self):
         dbl = PotentialProfile.double(M, 0.5, 3.0, 10.0)

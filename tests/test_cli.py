@@ -80,15 +80,31 @@ class TestValidate:
         assert main(["validate", cfg]) == 1
         assert "detector.position" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field, value", [
-        ("n_peaks", "ten"), ("k0", "abc"), ("decay_spans", -2.0)])
-    def test_regime_compare_fields_checked_at_validate(self, tmp_path, capsys, field, value):
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("task, absorption, path", [
+        pytest.param({"regime": "resonance", "n_peaks": "ten"}, None, "task.n_peaks",
+                     id="n_peaks-ten"),
+        pytest.param({"regime": "resonance", "k0": "abc"}, None, "task.k0", id="k0-abc"),
+        pytest.param({"regime": "resonance", "decay_spans": -2.0}, None, "task.decay_spans",
+                     id="decay_spans--2.0"),
+        pytest.param({"regime": "peaks"}, {"k": ["x", 0.5], "alpha": [1.0, 1.0]},
+                     "detector.absorption.k[0]", id="absorption-text"),
+        pytest.param({"regime": "peaks"}, {"k": [0.2, 0.5], "alpha": [1.0, math.nan]},
+                     "detector.absorption.alpha[1]", id="absorption-nan"),
+        pytest.param({"kind": "resonance-scan", "k_min": 0.3, "k_max": 2.0}, None, "task.k_max",
+                     id="resonance-window"),
+    ])
+    def test_config_error_names_field(self, tmp_path, capsys, command, task, absorption, path):
+        base = _small_double()
+        if absorption is not None:
+            base["detector"]["absorption"] = absorption
+        # json.dumps writes math.nan as the NaN literal that json.load accepts
         cfg = _write(tmp_path, "c.json", {
-            "name": "badfield", **_small_double(),
-            "task": {"kind": "regime-compare", "regime": "resonance", field: value},
+            "name": "badfield", **base, "task": {"kind": "regime-compare", **task},
+            "output": {"dir": str(tmp_path / "out")},
         })
-        assert main(["validate", cfg]) == 1
-        assert f"task.{field}" in capsys.readouterr().err
+        assert main([command, cfg]) == 1
+        assert path in capsys.readouterr().err
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 3
@@ -117,7 +133,7 @@ class TestRunTasks:
                      "v0_values": [0.2, 0.5], "n_p": 40},
             "output": {"dir": str(tmp_path / "out")},
         })
-        assert main(["run", cfg, "--threads", "2"]) == 0
+        assert main(["run", cfg]) == 0
         for v0 in ("0.2", "0.5"):
             lines = (tmp_path / "out" / f"fig1_tunneling_time_V0_{v0}.csv")\
                 .read_text().splitlines()
@@ -139,6 +155,15 @@ class TestRunTasks:
         assert len(rows) == find_resonances(0.4, 2.5, 120.0, 1.0,
                                             k_window=(0.3, 0.4)).size
         assert all(float(r[2]) > 1 - 1e-6 for r in rows)
+
+    def test_resonance_scan_without_roots_writes_header(self, tmp_path):
+        cfg = _write(tmp_path, "c.json", {
+            "name": "res", "barrier": _small_double()["barrier"],
+            "task": {"kind": "resonance-scan", "k_min": 0.30001, "k_max": 0.30002},
+            "output": {"dir": str(tmp_path / "out")},
+        })
+        assert main(["run", cfg]) == 0
+        assert (tmp_path / "out" / "res_resonance_scan.csv").read_text() == "n,k_n,absT\n"
 
     def test_arrival_density_with_sidecar(self, tmp_path):
         base = _small_double()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -94,6 +95,26 @@ class TestBarrierFunctions:
             barrier_functions(hi * 1.01, 0.5, 1.0)
         with pytest.raises(AboveBarrierError):
             barrier_functions(0.3, 0.0, 1.0)  # empty window at V0 = 0
+
+    def test_array_matches_scalars(self):
+        # scalars go through libm, arrays through numpy, whose hypot may differ
+        # in the last bit; E - m and lambda^2 = m^2 - (E - V0)^2 magnify that
+        # bit by cond = E/(E - m) + m^2/lambda^2 (about 10 mid-window)
+        rng = np.random.default_rng(5)
+        for v0 in (0.1, 0.5, 0.9):
+            ks = np.sort(rng.uniform(1e-4, 1.0 - 1e-6, 200)) * tunneling_window(v0, 1.0)[1]
+            arr = barrier_functions(ks, v0, 1.0)
+            tol = 4.0 * np.finfo(float).eps * (arr.energy / (arr.energy - 1.0) + 1.0 / arr.lam ** 2)
+            for i, k in enumerate(ks):
+                bf = barrier_functions(float(k), v0, 1.0)
+                for name in ("energy", "lam", "e", "rho"):
+                    assert abs(getattr(arr, name)[i] / getattr(bf, name) - 1.0) <= tol[i]
+                assert abs(arr.eta[i] - bf.eta) <= tol[i] * bf.rho  # eta crosses 0
+
+    def test_array_with_one_momentum_outside_rejected(self):
+        hi = tunneling_window(0.5, 1.0)[1]
+        with pytest.raises(AboveBarrierError, match=re.escape(f"[{1.01 * hi}, {1.01 * hi}]")):
+            barrier_functions(np.array([0.1, 0.2, 1.01 * hi, 0.3]), 0.5, 1.0)
 
 
 class TestSquareBarrier:
