@@ -205,7 +205,8 @@ def barrier_functions(k, v0: float, m: float) -> BarrierFunctions:
 
     k is a scalar or an array of momenta in the tunneling window
     0 < k < sqrt(2 m V0 + V0^2). In an array, e = 0 where E - m underflows
-    (k below ~1e-8 m), so eta = -inf and rho = inf there.
+    (k below ~1e-8 m), so eta = -inf and rho = inf there; a scalar k that
+    low raises PhysicsDomainError.
     """
     karr = np.asarray(k, dtype=float)
     lo, hi = tunneling_window(v0, m)
@@ -222,6 +223,9 @@ def barrier_functions(k, v0: float, m: float) -> BarrierFunctions:
     lam = xp.sqrt(m * m - gap * gap)
     with np.errstate(divide="ignore"):
         e = (lam / k) * (E - m) / (m - xp.sqrt(m * m - lam * lam))
+        if xp is math and e == 0.0:
+            raise PhysicsDomainError(
+                f"k = {k}: E - m underflows to 0, so e_k = 0 and eta, rho are infinite")
         inv = 1.0 / e
     return BarrierFunctions(energy=E, lam=lam, e=e, eta=0.5 * (e - inv), rho=0.5 * (e + inv))
 
@@ -366,9 +370,7 @@ def detection_amplitude_scan(profile: PotentialProfile | None, k_grid) -> np.nda
     k = np.asarray(k_grid, dtype=float)
     if profile is None or not profile.segments:
         return np.ones_like(k, dtype=complex)
-    T, R = _transfer_TR(profile.segments, k, profile.mass)
-    w = np.real(np.conj(T) * R)
-    return (T - w * R) / (1.0 - w * w)
+    return detection_coefficient(*_transfer_TR(profile.segments, k, profile.mass))[1]
 
 
 def detection_phase_derivative(profile: PotentialProfile | None, p: float,

@@ -166,6 +166,10 @@ class TestDecayRate:
         with pytest.warns(RegimeWarning):
             decay_rate(0.3, 0.2, 0.5, 10.0, M)
 
+    def test_report_at_underflowing_momentum_is_domain_error(self):
+        with pytest.raises(PhysicsDomainError, match="E - m underflows"):
+            double_barrier_report(1e-9, 0.5, 3.0, 10.0, M)
+
     def test_report_invariants(self):
         rep = double_barrier_report(0.3, 0.5, 3.0, 10.0, M, L=500.0, x0=100.0)
         v = _velocity(0.3)

@@ -178,6 +178,10 @@ class TestRunTasks:
         assert lines[0] == "t,P"
         sidecar = json.loads((tmp_path / "out" / "arr_arrival_density.json").read_text())
         assert "quadrature" in sidecar and "config" in sidecar
+        # the 128-point linspace grid takes the factored kernel: 11 blocks of 12
+        manifest = json.loads((tmp_path / "out" / "arr_manifest.json").read_text())
+        assert sidecar["quadrature"]["time_blocks"] == [11, 12]
+        assert manifest["diagnostics"]["quadrature"]["time_blocks"] == [11, 12]
 
     def test_decay_fit(self, tmp_path):
         # wider gap keeps wave-packet dispersion from biasing the peak fit
@@ -324,6 +328,20 @@ class TestManifestAndDeterminism:
         })
         assert main(["run", cfg]) == 2
         assert "numeric failure" in capsys.readouterr().err
+
+    def test_underflowing_momentum_exit_code(self, tmp_path, capsys):
+        # at p = 1e-9, E - m underflows in the closed forms: exit 2, no traceback
+        cfg = _write(tmp_path, "c.json", {
+            "name": "tiny",
+            "barrier": _small_double()["barrier"],
+            "packet": {"shape": "gaussian", "p": 1e-9, "sigma_p": 1e-10, "x0": 100.0},
+            "detector": {"position": 2000.0},
+            "task": {"kind": "decay-fit"},
+            "output": {"dir": str(tmp_path / "out")},
+        })
+        assert main(["validate", cfg]) == 0
+        assert main(["run", cfg]) == 2
+        assert "k = 1e-09" in capsys.readouterr().err
 
     def test_unwritable_output_is_io_error(self, tmp_path):
         cfg = _write(tmp_path, "c.json", {

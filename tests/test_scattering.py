@@ -111,6 +111,15 @@ class TestBarrierFunctions:
                     assert abs(getattr(arr, name)[i] / getattr(bf, name) - 1.0) <= tol[i]
                 assert abs(arr.eta[i] - bf.eta) <= tol[i] * bf.rho  # eta crosses 0
 
+    def test_scalar_momentum_where_e_underflows_rejected(self):
+        # E - m underflows below k ~ 1.5e-8 m: the scalar route names k, the
+        # array route keeps e = 0 with eta = -inf, rho = inf
+        with pytest.raises(PhysicsDomainError, match=re.escape("k = 1e-09")):
+            barrier_functions(1e-9, 0.5, 1.0)
+        arr = barrier_functions(np.array([1e-9, 0.3]), 0.5, 1.0)
+        assert arr.e[0] == 0.0 and arr.eta[0] == -np.inf and arr.rho[0] == np.inf
+        assert np.isfinite(arr.rho[1])
+
     def test_array_with_one_momentum_outside_rejected(self):
         hi = tunneling_window(0.5, 1.0)[1]
         with pytest.raises(AboveBarrierError, match=re.escape(f"[{1.01 * hi}, {1.01 * hi}]")):

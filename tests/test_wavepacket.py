@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from tunnelkit import wavepacket
 from tunnelkit import (
     DetectorSpec,
     NumericsError,
@@ -237,6 +238,46 @@ class TestBarrierPipeline:
         short = np.linspace(t_bar - 100.0, t_bar + 100.0, 16)
         with pytest.warns(RegimeWarning):
             arrival_density(short, spec, prof, det)
+
+
+class TestFactoredKernel:
+    """The full-grid pass factors e^{-iE t} over blocks of a uniform grid."""
+
+    @staticmethod
+    def _matches_single_times(unit, barrier_run, rel_tol=1e-8):
+        # unit spans [-1, 1], mapped to +-5 sigma_t around the peak; single-time
+        # amplitudes converge out to about 6 sigma_t
+        spec, prof, det, times, _, t_bar = barrier_run
+        sig_t = (times[-1] - t_bar) / 10.5
+        t = t_bar + 5.0 * sig_t * unit
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)  # narrower than +-10 sigma_t
+            dist = arrival_density(t, spec, prof, det, rel_tol=rel_tol)
+        peak = float(np.max(dist.density))
+        for j in np.unique(np.linspace(0, t.size - 1, 10).astype(int)):
+            amp = arrival_amplitude(det.position, float(t[j]), spec, prof, rel_tol=rel_tol)
+            assert abs(dist.density[j] - abs(amp) ** 2) <= 10 * rel_tol * peak
+        return dist
+
+    @pytest.mark.parametrize("n, blocks", [(784, [28, 28]), (797, [28, 29]), (4, [2, 2])],
+                             ids=["square", "prime", "four"])
+    def test_uniform_grid_matches_amplitude(self, barrier_run, n, blocks):
+        # 797 = 28 * 29 - 15: the last block is padded past the grid
+        dist = self._matches_single_times(np.linspace(-1.0, 1.0, n), barrier_run)
+        assert dist.metadata["quadrature"]["time_blocks"] == blocks
+
+    def test_non_uniform_grid_takes_one_time_per_block(self, barrier_run):
+        dist = self._matches_single_times(np.geomspace(1.0, 3.0, 797) - 2.0, barrier_run)
+        assert dist.metadata["quadrature"]["time_blocks"] == [797, 1]
+
+    def test_node_chunks_sum_to_one_chunk(self, barrier_run, monkeypatch):
+        spec, prof, det, times, *_ = barrier_run
+        grid = np.linspace(times[0], times[-1], 797)
+        monkeypatch.setattr(wavepacket, "_KERNEL_CHUNK", 1e12)
+        whole = arrival_density(grid, spec, prof, det).density
+        monkeypatch.setattr(wavepacket, "_KERNEL_CHUNK", 57 * 100)  # 100 nodes per chunk
+        chunked = arrival_density(grid, spec, prof, det).density
+        assert np.max(np.abs(chunked - whole)) <= 1e-13 * np.max(whole)
 
 
 class TestAsymmetricSuppression:
