@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import PhysicsDomainError, warn_regime
-from .kinematics import erfc_complex_array, relativistic_kinematics
+from .kinematics import _xp, erfc_complex_array, relativistic_kinematics
 from .scattering import (
     PotentialProfile,
     barrier_functions,
@@ -27,9 +27,8 @@ from .scattering import (
     tunneling_window,
     wrap_pi,
     _transfer_TR,
-    _xp,
 )
-from .wavepacket import ArrivalDistribution, WavePacketSpec
+from .wavepacket import ArrivalDistribution, WavePacketSpec, _first_peak_phase_derivative, _mass
 
 _PEAK_FLOOR = 1e-6        # detect_peaks: ignore maxima below this x global max
 _FIT_FLOOR = 1e-12        # fit_exponential: ignore samples below this x peak
@@ -47,29 +46,19 @@ def delay_time(p: float, profile: PotentialProfile | None, mode: str = "auto") -
     the first detected peak: twice the single-barrier delay. The raw phase
     derivative of the composite amplitude (which oscillates through the
     resonances and underlies "generalized Hartmann" claims) is available as
-    mode="composite".
+    mode="composite". Free propagation (profile None or empty) gives 0.
     """
-    if profile is None or not profile.segments:
-        return 0.0
     if mode not in ("auto", "composite"):
         raise PhysicsDomainError(f"unknown delay mode {mode!r}")
-    m = profile.mass
-    v = relativistic_kinematics(p, m).velocity
-    if mode == "auto":
-        dbl = profile.as_symmetric_double()
-        if dbl is not None:
-            v0, a, _ = dbl
-            single = PotentialProfile.square(m, v0, a)
-            return 2.0 * detection_phase_derivative(single, p) / v
-    return detection_phase_derivative(profile, p) / v
+    theta_prime = (_first_peak_phase_derivative(profile, p) if mode == "auto"
+                   else detection_phase_derivative(profile, p))
+    return theta_prime / relativistic_kinematics(p, _mass(profile)).velocity
 
 
 def tunneling_time(p: float, profile: PotentialProfile | None) -> float:
-    """tau_p = t_d + d/v_p with d the total barrier extent."""
-    if profile is None or not profile.segments:
-        return 0.0
-    v = relativistic_kinematics(p, profile.mass).velocity
-    return delay_time(p, profile) + profile.width / v
+    """tau_p = t_d + d/v_p with d the total barrier extent (0 for a free run)."""
+    d = profile.width if profile is not None else 0.0
+    return delay_time(p, profile) + d / relativistic_kinematics(p, _mass(profile)).velocity
 
 
 def square_barrier_tunneling_time(p, v0: float, d: float, m: float):
@@ -238,6 +227,16 @@ def double_barrier_report(p: float, v0: float, a: float, r: float, m: float,
 # regime densities
 
 
+def _regime_setup(times, spec: WavePacketSpec, L: float, v0: float, a: float,
+                  r: float, m: float):
+    """(times as an array, the double-barrier report with t0 and mu_p, v_p):
+    the common prologue of the regime densities."""
+    report = double_barrier_report(spec.p, v0, a, r, m, L=L, x0=spec.x0,
+                                   sigma_p=spec.sigma_p)
+    return (np.asarray(times, dtype=float), report,
+            relativistic_kinematics(spec.p, m).velocity)
+
+
 def _regime_meta(report: RegimeReport, spec: WavePacketSpec, L: float,
                  formula: str) -> dict:
     return {"formula": formula, "report": report.to_dict(),
@@ -253,10 +252,7 @@ def peak_series_density(times, spec: WavePacketSpec, L: float, v0: float,
     Valid when the peaks do not overlap (sigma_x << v_p dt); violating that
     is downgraded to a warning since the sum stays evaluable.
     """
-    times = np.asarray(times, dtype=float)
-    report = double_barrier_report(spec.p, v0, a, r, m, L=L, x0=spec.x0,
-                                   sigma_p=spec.sigma_p)
-    v = relativistic_kinematics(spec.p, m).velocity
+    times, report, v = _regime_setup(times, spec, L, v0, a, r, m)
     if spec.sigma_x >= v * report.dt / 4.0:
         warn_regime("peak_overlap",
                     f"sigma_x = {spec.sigma_x} >= v_p dt/4 = {v * report.dt / 4.0}: "
@@ -303,10 +299,7 @@ def continuum_density(times, spec: WavePacketSpec, L: float, v0: float,
     """
     if spec.shape != "gaussian":
         raise PhysicsDomainError("continuum regime formula requires a Gaussian packet")
-    times = np.asarray(times, dtype=float)
-    report = double_barrier_report(spec.p, v0, a, r, m, L=L, x0=spec.x0,
-                                   sigma_p=spec.sigma_p)
-    v = relativistic_kinematics(spec.p, m).velocity
+    times, report, v = _regime_setup(times, spec, L, v0, a, r, m)
     A = spec.sigma_p * v * report.dt
     if A > 3.0:
         warn_regime("continuum_regime",
@@ -351,6 +344,21 @@ def _lorentzian_residue_amplitude(times, spec: WavePacketSpec, v: float,
     return out
 
 
+def _residue_sum(times, spec: WavePacketSpec, v: float, t0: float, resonances,
+                 poles, v0: float, a: float, r: float, m: float):
+    """Sum of the residue amplitudes of resonances k0, the n-th placing its
+    pole at poles[n], with Gamma_k0 and v_k0 taken at k0; returns the
+    amplitude and the Gamma_k0 list."""
+    amp = np.zeros(times.shape, dtype=complex)
+    gammas = []
+    for k0, pole in zip(resonances, poles):
+        gamma_k0 = decay_rate(k0, v0, a, r, m)
+        gammas.append(gamma_k0)
+        amp += _lorentzian_residue_amplitude(times, spec, v, t0, pole, gamma_k0,
+                                             relativistic_kinematics(k0, m).velocity)
+    return amp, gammas
+
+
 def resonance_density(times, spec: WavePacketSpec, L: float, k0: float,
                       v0: float, a: float, r: float, m: float,
                       exact: bool = False) -> ArrivalDistribution:
@@ -363,19 +371,14 @@ def resonance_density(times, spec: WavePacketSpec, L: float, k0: float,
     """
     if spec.shape != "lorentzian":
         raise PhysicsDomainError("resonance regime formula requires a Lorentzian packet")
-    times = np.asarray(times, dtype=float)
-    report = double_barrier_report(spec.p, v0, a, r, m, L=L, x0=spec.x0,
-                                   sigma_p=spec.sigma_p)
-    gamma_k0 = decay_rate(k0, v0, a, r, m)
-    v = relativistic_kinematics(spec.p, m).velocity
-    v_k0 = relativistic_kinematics(k0, m).velocity
+    times, report, v = _regime_setup(times, spec, L, v0, a, r, m)
+    amp, (gamma_k0,) = _residue_sum(times, spec, v, report.t0, [k0],
+                                    [spec.p if exact else k0], v0, a, r, m)
     if abs(k0 - spec.p) > spec.sigma_p:
         warn_regime("resonance_offset",
                     f"|k0 - p| = {abs(k0 - spec.p):.3e} exceeds sigma_p: packet "
                     "barely overlaps the resonance",
                     k0=k0, p=spec.p, sigma_p=spec.sigma_p)
-    amp = _lorentzian_residue_amplitude(times, spec, v, report.t0,
-                                        spec.p if exact else k0, gamma_k0, v_k0)
     density = v * np.abs(amp) ** 2
     meta = _regime_meta(report, spec, L, "resonance")
     meta["k0"] = k0
@@ -392,21 +395,12 @@ def multi_resonance_density(times, spec: WavePacketSpec, L: float,
     ks = np.atleast_1d(np.asarray(resonance_momenta, dtype=float))
     if ks.size < 1:
         raise PhysicsDomainError("need at least one resonance momentum")
-    times = np.asarray(times, dtype=float)
-    report = double_barrier_report(spec.p, v0, a, r, m, L=L, x0=spec.x0,
-                                   sigma_p=spec.sigma_p)
-    v = relativistic_kinematics(spec.p, m).velocity
-    amp = np.zeros(times.shape, dtype=complex)
-    gammas = []
-    for k0 in ks:
-        gamma_k0 = decay_rate(float(k0), v0, a, r, m)
-        gammas.append(gamma_k0)
-        amp += _lorentzian_residue_amplitude(
-            times, spec, v, report.t0, float(k0), gamma_k0,
-            relativistic_kinematics(float(k0), m).velocity)
+    times, report, v = _regime_setup(times, spec, L, v0, a, r, m)
+    ks = ks.tolist()
+    amp, gammas = _residue_sum(times, spec, v, report.t0, ks, ks, v0, a, r, m)
     density = v * np.abs(amp) ** 2
     meta = _regime_meta(report, spec, L, "multi-resonance")
-    meta["resonance_momenta"] = ks.tolist()
+    meta["resonance_momenta"] = ks
     meta["gammas"] = gammas
     return ArrivalDistribution(times=times, density=density, metadata=meta)
 

@@ -27,7 +27,7 @@ from . import __version__, analysis
 from .errors import ConfigError, NumericsError, PhysicsDomainError, RegimeWarning, TunnelKitError
 from .kinematics import relativistic_kinematics
 from .scattering import PotentialProfile, amplitude_scan, tunneling_window
-from .wavepacket import (DetectorSpec, WavePacketSpec, _json_default, arrival_density,
+from .wavepacket import (DetectorSpec, WavePacketSpec, _json_default, _mass, arrival_density,
                          stationary_phase_time)
 
 TASK_KINDS = ("transmission-scan", "arrival-density", "tunneling-time-scan",
@@ -298,8 +298,7 @@ def _run_arrival_density(sc: Scenario) -> tuple[list[Path], dict]:
         times = np.linspace(q["t_min"], q["t_max"], q["n_t"])
     else:
         t_bar = stationary_phase_time(sc.packet, sc.barrier, sc.detector.position)
-        vp = relativistic_kinematics(sc.packet.p,
-                                     sc.barrier.mass if sc.barrier else 1.0).velocity
+        vp = relativistic_kinematics(sc.packet.p, _mass(sc.barrier)).velocity
         span = q["span_sigmas"] * sc.packet.sigma_x / vp
         times = np.linspace(t_bar - span, t_bar + span, q["n_t"])
     dist = arrival_density(times, sc.packet, sc.barrier, sc.detector, rel_tol=q["rel_tol"])
@@ -330,8 +329,7 @@ def _run_resonance_scan(sc: Scenario) -> tuple[list[Path], dict]:
     v0, a, r = sc.barrier.as_symmetric_double()
     m = sc.barrier.mass
     ks = analysis.find_resonances(v0, a, r, m, k_window=sc.params["k_window"])
-    # amplitude_scan checks unitarity with np.max, which an empty scan cannot take
-    absT = amplitude_scan(sc.barrier, ks).T_abs if ks.size else ks
+    absT = amplitude_scan(sc.barrier, ks).T_abs
     path = sc.out_dir / f"{sc.name}_resonance_scan.csv"
     _write_csv(path, ["n", "k_n", "absT"],
                ((i, k, t_) for i, (k, t_) in enumerate(zip(ks, absT))))

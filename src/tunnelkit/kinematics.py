@@ -23,18 +23,35 @@ _WEIGHT_TAYLOR_CUT = 1e-6
 
 @dataclass(frozen=True)
 class Kinematics:
-    """On-shell data at one momentum: E = sqrt(k^2 + m^2), v = k/E."""
+    """On-shell data E = sqrt(k^2 + m^2), v = k/E at a scalar momentum, or
+    arrays aligned with an array of momenta."""
 
-    k: float
-    energy: float
-    velocity: float
+    k: object
+    energy: object
+    velocity: object
 
 
-def relativistic_kinematics(k: float, m: float) -> Kinematics:
-    """Energy and velocity of a free particle of momentum k (any sign)."""
-    if not (math.isfinite(k) and math.isfinite(m)) or m <= 0:
-        raise PhysicsDomainError(f"need finite k and m > 0, got k={k}, m={m}")
-    energy = math.hypot(k, m)
+def _xp(k):
+    """math for a scalar k, numpy for an array: scalar results stay those of
+    libm, from which numpy's vectorized exp, tanh and hypot differ in the last bit."""
+    return np if np.ndim(k) else math
+
+
+def relativistic_kinematics(k, m: float) -> Kinematics:
+    """Energy and velocity of a free particle of momentum k (any sign), a
+    scalar or a numpy array."""
+    if not (math.isfinite(m) and m > 0):
+        raise PhysicsDomainError(f"mass must be finite and positive, got {m}")
+    xp = _xp(k)
+    if xp is np:
+        k = np.asarray(k, dtype=float)
+        bad = k[~np.isfinite(k)]
+        if bad.size:
+            raise PhysicsDomainError(
+                f"momenta must be finite, got {bad.size} in [{bad.min()}, {bad.max()}]")
+    elif not math.isfinite(k):
+        raise PhysicsDomainError(f"momentum must be finite, got {k}")
+    energy = xp.hypot(k, m)
     return Kinematics(k=k, energy=energy, velocity=k / energy)
 
 

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AboveBarrierError, PhysicsDomainError, TotalReflectionError
-from .kinematics import matching_weight
+from .errors import (AboveBarrierError, DelayUndefinedError, PhysicsDomainError,
+                     TotalReflectionError)
+from .kinematics import _xp, matching_weight
 
 _UNITARITY_TOL = 1e-8
 
@@ -133,12 +134,11 @@ def detection_coefficient(T, R):
     """Overlap w = Re(T* R) and detection amplitude A = (T - wR)/(1 - w^2)."""
     T = np.asarray(T, dtype=complex)
     R = np.asarray(R, dtype=complex)
-    flux = np.abs(T) ** 2 + np.abs(R) ** 2
-    if np.max(np.abs(flux - 1.0)) > _UNITARITY_TOL:
-        raise PhysicsDomainError(
-            f"|T|^2 + |R|^2 deviates from 1 by {np.max(np.abs(flux - 1.0)):.3e}")
+    flux_dev = np.max(np.abs(np.abs(T) ** 2 + np.abs(R) ** 2 - 1.0), initial=0.0)
+    if flux_dev > _UNITARITY_TOL:
+        raise PhysicsDomainError(f"|T|^2 + |R|^2 deviates from 1 by {flux_dev:.3e}")
     w = np.real(np.conj(T) * R)
-    if np.max(np.abs(w)) >= 1.0:
+    if np.max(np.abs(w), initial=0.0) >= 1.0:
         raise PhysicsDomainError("inconsistent amplitudes: |w| >= 1")
     A = (T - w * R) / (1.0 - w * w)
     if np.ndim(T) == 0 and np.ndim(R) == 0:
@@ -192,12 +192,6 @@ class BarrierFunctions:
     e: object
     eta: object
     rho: object
-
-
-def _xp(k):
-    """math for a scalar k, numpy for an array: scalar results stay those of
-    libm, from which numpy's vectorized exp, tanh and hypot differ in the last bit."""
-    return np if np.ndim(k) else math
 
 
 def barrier_functions(k, v0: float, m: float) -> BarrierFunctions:
@@ -341,14 +335,12 @@ def piecewise_amplitudes(profile: PotentialProfile, k: float) -> ScatteringData:
     """T, R, w, A for an arbitrary piecewise-constant profile at momentum k.
 
     Works at any k > 0 (tunneling or above-barrier); the empty profile gives
-    free propagation. Opaque profiles are composed in scaled form, so the
-    result stays finite however large lambda*width gets (T underflows to 0
-    once |T| < ~1e-300).
+    free propagation (R = 0, T = 1 to rounding). Opaque profiles are composed
+    in scaled form, so the result stays finite however large lambda*width gets
+    (T underflows to 0 once |T| < ~1e-300).
     """
     if not (np.ndim(k) == 0 and k > 0 and math.isfinite(float(k))):
         raise PhysicsDomainError(f"need a finite scalar momentum k > 0, got {k}")
-    if not profile.segments:
-        return _make_data(k, complex(1.0), complex(0.0))
     T, R = _transfer_TR(profile.segments, np.array([float(k)]), profile.mass)
     return _make_data(float(k), complex(T[0]), complex(R[0]))
 
@@ -358,17 +350,14 @@ def amplitude_scan(profile: PotentialProfile, k_grid) -> ScatteringData:
     k = np.asarray(k_grid, dtype=float)
     if np.any(k <= 0) or not np.all(np.isfinite(k)):
         raise PhysicsDomainError("momentum scan requires finite k > 0")
-    if not profile.segments:
-        ones = np.ones_like(k, dtype=complex)
-        return _make_data(k, ones, np.zeros_like(k, dtype=complex))
     T, R = _transfer_TR(profile.segments, k, profile.mass)
     return _make_data(k, T, R)
 
 
 def detection_amplitude_scan(profile: PotentialProfile | None, k_grid) -> np.ndarray:
-    """A_k on a grid; profile None (or empty) means free propagation."""
+    """A_k on a grid; profile None means free propagation."""
     k = np.asarray(k_grid, dtype=float)
-    if profile is None or not profile.segments:
+    if profile is None:
         return np.ones_like(k, dtype=complex)
     return detection_coefficient(*_transfer_TR(profile.segments, k, profile.mass))[1]
 
@@ -380,11 +369,8 @@ def detection_phase_derivative(profile: PotentialProfile | None, p: float,
     Step defaults to 1e-5 p (truncation/roundoff balance in doubles). The
     stencil phases are branch-matched; a residual jump above pi/2 means the
     stencil straddles a zero of A and the derivative is reported undefined.
+    Free propagation (profile None or empty) gives exactly 0.
     """
-    from .errors import DelayUndefinedError
-
-    if profile is None or not profile.segments:
-        return 0.0
     if p <= 0:
         raise PhysicsDomainError(f"need p > 0, got {p}")
     if h is None:

@@ -240,15 +240,24 @@ def _json_default(obj):
 # the oscillatory integral engine
 
 
+def _mass(profile: PotentialProfile | None) -> float:
+    """The profile's mass, or 1 (everything in units of the particle mass)
+    for a free run."""
+    return profile.mass if profile is not None else 1.0
+
+
 def _smooth_part(spec: WavePacketSpec, profile: PotentialProfile | None, alpha,
-                 mass: float, detection_amplitude=None):
+                 detection_amplitude=None):
     """k -> sqrt(alpha(k) v_k) A_k psi0(k): the arrival integrand without the
     phase e^{ikL - iE_k t}. A model ``detection_amplitude`` replaces the
     profile's A_k."""
+    mass = _mass(profile)
+
     def smooth(k: np.ndarray) -> np.ndarray:
         amp = (detection_amplitude_scan(profile, k) if detection_amplitude is None
                else np.asarray(detection_amplitude(k), dtype=complex))
-        return np.sqrt(alpha(k) * (k / np.hypot(k, mass))) * amp * spec.momentum_amplitude(k)
+        v = relativistic_kinematics(k, mass).velocity
+        return np.sqrt(alpha(k) * v) * amp * spec.momentum_amplitude(k)
     return smooth
 
 
@@ -263,34 +272,26 @@ def _alpha_callable(alpha):
     return lambda k: np.full(np.asarray(k, float).shape, a)
 
 
-def resolve_mass(profile: PotentialProfile | None, mass: float | None = None) -> float:
-    """Mass from the profile, or the explicit value for free runs (default 1,
-    i.e. everything expressed in units of the particle mass)."""
-    if profile is not None:
-        if mass is not None and mass != profile.mass:
-            raise PhysicsDomainError(
-                f"explicit mass {mass} contradicts profile mass {profile.mass}")
-        return profile.mass
-    return 1.0 if mass is None else float(mass)
+def _first_peak_phase_derivative(profile: PotentialProfile | None, p: float) -> float:
+    """theta'_p of the first detected peak.
+
+    For a symmetric double barrier that is twice the single-barrier phase
+    derivative, not the composite-amplitude derivative, which oscillates
+    through the resonances; any other profile gives its own derivative.
+    """
+    dbl = profile.as_symmetric_double() if profile is not None else None
+    if dbl is None:
+        return detection_phase_derivative(profile, p)
+    v0, a, _ = dbl
+    return 2.0 * detection_phase_derivative(PotentialProfile.square(profile.mass, v0, a), p)
 
 
 def stationary_phase_time(spec: WavePacketSpec, profile: PotentialProfile | None,
-                          L: float, mass: float | None = None) -> float:
-    """Peak-time estimate (x0 + L + theta'_p)/v_p from the stationary phase.
-
-    For a symmetric double barrier the anchor is the first-detection time
-    (twice the single-barrier phase derivative), not the composite-amplitude
-    derivative, which oscillates through the resonances.
-    """
-    p = spec.p
-    v = relativistic_kinematics(p, resolve_mass(profile, mass)).velocity
-    dbl = profile.as_symmetric_double() if profile is not None else None
-    if dbl is not None:
-        v0, a, _ = dbl
-        single = PotentialProfile.square(profile.mass, v0, a)
-        theta_prime = 2.0 * detection_phase_derivative(single, p)
-    else:
-        theta_prime = detection_phase_derivative(profile, p)
+                          L: float) -> float:
+    """Peak-time estimate (x0 + L + theta'_p)/v_p of the first detected peak
+    from the stationary phase."""
+    theta_prime = _first_peak_phase_derivative(profile, spec.p)
+    v = relativistic_kinematics(spec.p, _mass(profile)).velocity
     return (spec.x0 + L + theta_prime) / v
 
 
@@ -306,20 +307,18 @@ def _initial_edges(spec: WavePacketSpec, mass: float, X: float, t_lo: float, t_h
 
 def arrival_amplitude(L: float, t: float, spec: WavePacketSpec,
                       profile: PotentialProfile | None, alpha=None,
-                      rel_tol: float = 1e-8, mass: float | None = None,
-                      detection_amplitude=None) -> complex:
+                      rel_tol: float = 1e-8, detection_amplitude=None) -> complex:
     """Arrival amplitude A(L, t) at a single detection time.
 
     ``detection_amplitude`` substitutes a model A_k (callable of a momentum
     array) for the profile-derived one, e.g. a Lorentzian resonance
     approximation; the profile then only supplies geometry.
     """
-    mass = resolve_mass(profile, mass)
-    smooth = _smooth_part(spec, profile, _alpha_callable(alpha), mass,
-                          detection_amplitude)
+    mass = _mass(profile)
+    smooth = _smooth_part(spec, profile, _alpha_callable(alpha), detection_amplitude)
 
     def f(k):
-        E = np.hypot(k, mass)
+        E = relativistic_kinematics(k, mass).energy
         return (smooth(k) * np.exp(1j * (k * L - E * t)))[:, None]
 
     quad = _quadrature.adaptive_quad(f, _initial_edges(spec, mass, L + spec.x0, t, t),
@@ -360,7 +359,7 @@ def _shared_panel_amplitudes(smooth, spec: WavePacketSpec, mass: float, L: float
     rep = times[np.unique(np.linspace(0, times.size - 1, n_rep).astype(int))]
 
     def f(k):
-        kern = np.exp(-1j * np.hypot(k, mass)[:, None] * rep[None, :])
+        kern = np.exp(-1j * relativistic_kinematics(k, mass).energy[:, None] * rep[None, :])
         return (smooth(k) * np.exp(1j * k * L))[:, None] * kern
 
     quad = _quadrature.adaptive_quad(f, edges, rel_tol, max_panels=60000, max_rounds=60)
@@ -372,7 +371,7 @@ def _shared_panel_amplitudes(smooth, spec: WavePacketSpec, mass: float, L: float
     x, wk, _ = _quadrature.panel_nodes(quad.lo, quad.hi)
     s = smooth(x.ravel()).reshape(x.shape)
     coeff = (wk * s * np.exp(1j * x * L)).ravel()
-    E = np.hypot(x, mass).ravel()
+    E = relativistic_kinematics(x, mass).energy.ravel()
     anchors, steps = times[::B], h * np.arange(B)
     blocks = np.zeros((A, B), dtype=complex)
     chunk = max(1, int(_KERNEL_CHUNK // (A + B)))
@@ -385,7 +384,6 @@ def _shared_panel_amplitudes(smooth, spec: WavePacketSpec, mass: float, L: float
 
 def arrival_density(times, spec: WavePacketSpec, profile: PotentialProfile | None,
                     detector: DetectorSpec, rel_tol: float = 1e-8,
-                    mass: float | None = None,
                     detection_amplitude=None) -> ArrivalDistribution:
     """Sample P(L, t) = |A(L, t)|^2 on a uniform time grid.
 
@@ -398,12 +396,12 @@ def arrival_density(times, spec: WavePacketSpec, profile: PotentialProfile | Non
     if times.ndim != 1 or times.size < 4 or np.any(np.diff(times) <= 0):
         raise PhysicsDomainError("need an increasing time grid with >= 4 points")
     detector.check_far_field(profile)
-    mass = resolve_mass(profile, mass)
+    mass = _mass(profile)
     L = detector.position
 
     vp = relativistic_kinematics(spec.p, mass).velocity
     if detection_amplitude is None:
-        t_bar = stationary_phase_time(spec, profile, L, mass)
+        t_bar = stationary_phase_time(spec, profile, L)
     else:
         t_bar = (spec.x0 + L) / vp
     span = 10.0 * spec.sigma_x / vp
@@ -413,13 +411,8 @@ def arrival_density(times, spec: WavePacketSpec, profile: PotentialProfile | Non
                     f"recommended window around the expected peak t = {t_bar}",
                     t_peak=t_bar, recommended_halfspan=span)
 
-    alpha = detector.absorption_at
-    if np.all(alpha(np.linspace(*spec.k_window, 33)) == 0.0):
-        amps = np.zeros(times.size, dtype=complex)
-        diagnostics = {"panels": 0, "note": "alpha = 0"}
-    else:
-        smooth = _smooth_part(spec, profile, alpha, mass, detection_amplitude)
-        amps, diagnostics = _shared_panel_amplitudes(smooth, spec, mass, L, times, rel_tol)
+    smooth = _smooth_part(spec, profile, detector.absorption_at, detection_amplitude)
+    amps, diagnostics = _shared_panel_amplitudes(smooth, spec, mass, L, times, rel_tol)
     density = np.abs(amps) ** 2
     meta = {
         "packet": {"shape": spec.shape, "p": spec.p, "sigma_p": spec.sigma_p,
@@ -433,14 +426,13 @@ def arrival_density(times, spec: WavePacketSpec, profile: PotentialProfile | Non
 
 
 def total_transmission(spec: WavePacketSpec, profile: PotentialProfile | None,
-                       alpha=None, rel_tol: float = 1e-10,
-                       mass: float | None = None) -> float:
+                       alpha=None, rel_tol: float = 1e-10) -> float:
     """int dk/(2pi) alpha(k) |A_k|^2 |u~0(k - p)|^2 (no time integral)."""
-    mass = resolve_mass(profile, mass)
-    smooth = _smooth_part(spec, profile, _alpha_callable(alpha), mass)
+    mass = _mass(profile)
+    smooth = _smooth_part(spec, profile, _alpha_callable(alpha))
 
     def f(k):  # |sqrt(alpha v) A_k psi0|^2 / v = alpha |A_k|^2 |u~0|^2
-        return (np.abs(smooth(k)) ** 2 / (k / np.hypot(k, mass)))[:, None]
+        return (np.abs(smooth(k)) ** 2 / relativistic_kinematics(k, mass).velocity)[:, None]
 
     lo, hi = spec.k_window
     quad = _quadrature.adaptive_quad(f, np.linspace(lo, hi, 65), rel_tol)

@@ -46,6 +46,15 @@ class TestDelayTime:
         assert delay_time(0.3, None) == 0.0
         assert delay_time(0.3, PotentialProfile(M, ())) == 0.0
 
+    def test_free_checks_mode_and_momentum(self):
+        empty = PotentialProfile(M, ())
+        assert tunneling_time(0.3, empty) == 0.0
+        assert tunneling_time(0.3, None) == 0.0
+        with pytest.raises(PhysicsDomainError, match="unknown delay mode"):
+            delay_time(0.3, empty, mode="bogus")
+        with pytest.raises(PhysicsDomainError, match="p > 0"):
+            delay_time(-0.3, None)
+
     def test_square_matches_closed_form_across_window(self):
         v0, d = 0.5, 5.0
         prof = PotentialProfile.square(M, v0, d)

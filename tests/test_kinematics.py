@@ -53,6 +53,20 @@ class TestRelativisticKinematics:
         with pytest.raises(PhysicsDomainError):
             relativistic_kinematics(1.0, 0.0)
 
+    def test_arrays_match_numpy_and_scalars_match_libm(self):
+        ks = np.linspace(-2.0, 3.0, 120).reshape(8, 15)
+        kin = relativistic_kinematics(ks, 0.7)
+        E = np.hypot(ks, 0.7)
+        assert np.array_equal(kin.energy, E)
+        assert np.array_equal(kin.velocity, ks / E)
+        one = relativistic_kinematics(0.3, 0.7)
+        assert one.energy == math.hypot(0.3, 0.7)
+        assert one.velocity == 0.3 / math.hypot(0.3, 0.7)
+
+    def test_array_error_names_offending_range(self):
+        with pytest.raises(PhysicsDomainError, match=r"got 2 in \[-inf, inf\]"):
+            relativistic_kinematics(np.array([0.1, np.inf, 0.2, -np.inf]), 1.0)
+
     def test_mass_shell_invariant(self):
         # E^2 - k^2 = m^2 to 1e-12 relative, k log-uniform over 12 decades
         rng = np.random.default_rng(11)

@@ -25,6 +25,7 @@ from tunnelkit import (
     tunneling_window,
     unwrapped_transmission_phase,
 )
+from tunnelkit.scattering import detection_amplitude_scan
 
 
 def _random_tunneling_tuple(rng, m=1.0):
@@ -207,6 +208,22 @@ class TestPiecewise:
     def test_empty_profile(self):
         sd = piecewise_amplitudes(PotentialProfile(1.0, ()), 0.4)
         assert sd.T == 1.0 and sd.R == 0.0
+
+    def test_empty_profile_is_free(self):
+        # the transfer-matrix path gives R = 0 and a real T exactly; |T - 1| is
+        # a rounding of 2ic/2ic, which numpy divides by multiplying with 1/(2c)
+        prof = PotentialProfile(1.0, ())
+        sd = amplitude_scan(prof, np.linspace(0.05, 2.0, 40))
+        assert np.all(sd.R == 0.0) and np.all(sd.T.imag == 0.0) and np.all(sd.A == sd.T)
+        assert np.max(np.abs(sd.T - 1.0)) <= np.finfo(float).eps
+        assert detection_phase_derivative(prof, 0.3) == 0.0
+
+    def test_empty_momentum_scan_gives_empty_fields(self):
+        prof = PotentialProfile.square(1.0, 0.5, 2.0)
+        sd = amplitude_scan(prof, [])
+        for name in ("T", "R", "w", "A", "T_abs", "phi", "chi"):
+            assert np.shape(getattr(sd, name)) == (0,), name
+        assert detection_amplitude_scan(prof, []).shape == (0,)
 
     def test_two_equal_segments_merge(self):
         prof = PotentialProfile(1.0, ((0.5, 2.0), (0.5, 2.0)))

@@ -19,9 +19,11 @@ from tunnelkit import (
     arrival_amplitude,
     arrival_density,
     causality_mass,
+    delay_time,
     detect_peaks,
     detection_phase_derivative,
     packet_momentum_amplitude,
+    stationary_phase_time,
     total_transmission,
 )
 
@@ -233,6 +235,25 @@ class TestBarrierPipeline:
         dist = arrival_density(times, spec, prof, dead)
         assert np.all(dist.density == 0.0)
 
+    def test_zero_absorption_reports_its_panels(self, barrier_run):
+        spec, prof, det, times, _, _ = barrier_run
+        dead = DetectorSpec(position=det.position, absorption=0.0)
+        assert arrival_density(times, spec, prof, dead).metadata["quadrature"]["panels"] > 0
+
+    def test_narrow_absorption_band_is_detected(self, barrier_run):
+        # alpha > 0 only on (0.30005, 0.30145), inside one 1.5e-3 step of a
+        # 33-point sampling of the packet window; the arrival is spread over
+        # many sigma_t by the narrow band, hence the +-80 sigma_t grid
+        spec, prof, det, _, _, t_bar = barrier_run
+        band = DetectorSpec(position=det.position,
+                            absorption=([0.299, 0.30005, 0.30075, 0.30145, 0.303],
+                                        [0.0, 0.0, 1.0, 0.0, 0.0]))
+        sig_t = spec.sigma_x / _velocity(spec.p)
+        times = np.linspace(t_bar - 80.0 * sig_t, t_bar + 80.0 * sig_t, 1601)
+        mass = arrival_density(times, spec, prof, band).total_mass()
+        assert mass == pytest.approx(total_transmission(spec, prof, alpha=band.absorption_at),
+                                     rel=0.01)
+
     def test_narrow_grid_warns(self, barrier_run):
         spec, prof, det, times, _, t_bar = barrier_run
         short = np.linspace(t_bar - 100.0, t_bar + 100.0, 16)
@@ -278,6 +299,23 @@ class TestFactoredKernel:
         monkeypatch.setattr(wavepacket, "_KERNEL_CHUNK", 57 * 100)  # 100 nodes per chunk
         chunked = arrival_density(grid, spec, prof, det).density
         assert np.max(np.abs(chunked - whole)) <= 1e-13 * np.max(whole)
+
+
+class TestStationaryPhaseTime:
+    @pytest.mark.parametrize("prof", [None, PotentialProfile.square(M, 0.5, 5.0),
+                                      PotentialProfile.double(M, 0.5, 3.0, 10.0)],
+                             ids=["free", "single", "double"])
+    def test_free_flight_plus_delay(self, narrow_gaussian, prof):
+        spec = narrow_gaussian
+        want = (spec.x0 + 500.0) / _velocity(spec.p) + delay_time(spec.p, prof)
+        assert stationary_phase_time(spec, prof, 500.0) == pytest.approx(want, rel=1e-14)
+
+    def test_double_anchors_on_first_peak(self, narrow_gaussian):
+        # not on the composite-amplitude derivative, which swings through resonances
+        spec = narrow_gaussian
+        dbl = PotentialProfile.double(M, 0.5, 3.0, 10.0)
+        composite = (spec.x0 + 500.0 + detection_phase_derivative(dbl, spec.p)) / _velocity(spec.p)
+        assert abs(stationary_phase_time(spec, dbl, 500.0) / composite - 1.0) > 1e-3
 
 
 class TestAsymmetricSuppression:
