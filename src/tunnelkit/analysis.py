@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import PhysicsDomainError, warn_regime
-from .kinematics import _xp, erfc_complex_array, relativistic_kinematics
+from .kinematics import _xp, faddeeva_w, relativistic_kinematics
 from .scattering import (
     PotentialProfile,
     barrier_functions,
@@ -308,12 +308,18 @@ def continuum_density(times, spec: WavePacketSpec, L: float, v0: float,
                     sigma_v_dt=A)
     b = -math.log(report.R0p_abs2) - 1j * report.beta_p
     c = (times - report.t0) / report.dt
-    with np.errstate(over="ignore"):
-        pref = np.exp(-b * c + b * b / (4.0 * A * A)) * math.sqrt(math.pi) / (2.0 * A)
-        a_int = pref * erfc_complex_array(-A * c + b / (2.0 * A))
-    boundary = 0.5 * np.exp(-(A * c) ** 2)
+    # z^2 = A^2 c^2 - bc + b^2/4A^2, so e^{-bc + b^2/4A^2} erfc(z) is
+    # e^{-A^2 c^2} w(iz) for Re z >= 0, and for Re z < 0, by erfc(z) =
+    # 2 - erfc(-z), 2 e^{-bc + b^2/4A^2} - e^{-A^2 c^2} w(-iz), where the
+    # first real exponent is below -(ln^2|R0p|^2 + beta_p^2)/4A^2 <= 0.
+    z = -A * c + b / (2.0 * A)
+    neg = z.real < 0.0
+    gauss = np.exp(-(A * c) ** 2)
+    lap = gauss * faddeeva_w(1j * np.where(neg, -z, z))
+    reflection = 2.0 * np.exp(np.where(neg, -b * c + b * b / (4.0 * A * A), 0.0))
+    lap = np.where(neg, reflection - lap, lap)
     u0max = (2.0 / math.pi) ** 0.25 * math.sqrt(spec.sigma_p)
-    amp = u0max * (a_int + boundary)
+    amp = u0max * (math.sqrt(math.pi) / (2.0 * A) * lap + 0.5 * gauss)
     density = v * report.T0p_abs2 ** 2 * np.abs(amp) ** 2
     meta = _regime_meta(report, spec, L, "continuum")
     return ArrivalDistribution(times=times, density=density, metadata=meta)

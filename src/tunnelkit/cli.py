@@ -27,8 +27,8 @@ from . import __version__, analysis
 from .errors import ConfigError, NumericsError, PhysicsDomainError, RegimeWarning, TunnelKitError
 from .kinematics import relativistic_kinematics
 from .scattering import PotentialProfile, amplitude_scan, tunneling_window
-from .wavepacket import (DetectorSpec, WavePacketSpec, _json_default, _mass, arrival_density,
-                         stationary_phase_time)
+from .wavepacket import (DetectorSpec, WavePacketSpec, _json_default, _mass, _write_csv,
+                         arrival_density, stationary_phase_time)
 
 TASK_KINDS = ("transmission-scan", "arrival-density", "tunneling-time-scan",
               "resonance-scan", "decay-fit", "regime-compare")
@@ -257,28 +257,6 @@ def _validate_task_params(t: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# CSV helpers
-
-
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(x) for x in row) + "\n")
-
-
-def _write_kv_csv(path: Path, pairs) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write("quantity,value\n")
-        for key, value in pairs:
-            f.write(f"{key},{_fmt(value)}\n")
-
-
-# ---------------------------------------------------------------------------
 # task runners (each returns artifact paths + diagnostics dict)
 
 
@@ -288,7 +266,7 @@ def _run_transmission_scan(sc: Scenario) -> tuple[list[Path], dict]:
     s = amplitude_scan(sc.barrier, k)
     path = sc.out_dir / f"{sc.name}_transmission_scan.csv"
     _write_csv(path, ["k", "TkRe", "TkIm", "RkRe", "RkIm", "absA2"],
-               zip(k, s.T.real, s.T.imag, s.R.real, s.R.imag, np.abs(s.A) ** 2))
+               [k, s.T.real, s.T.imag, s.R.real, s.R.imag, np.abs(s.A) ** 2])
     return [path], {"n_k": int(k.size)}
 
 
@@ -320,7 +298,7 @@ def _run_tunneling_time_scan(sc: Scenario) -> tuple[list[Path], dict]:
         ps = np.linspace(k_hi * 1e-3, k_hi * (1.0 - 1e-9), n_p)
         taus = analysis.square_barrier_tunneling_time(ps, v0, d, m)
         path = sc.out_dir / f"{sc.name}_tunneling_time_V0_{v0!r}.csv"
-        _write_csv(path, ["p", "tau"], zip(ps, taus))
+        _write_csv(path, ["p", "tau"], [ps, taus])
         paths.append(path)
     return paths, {"n_curves": len(paths), "n_p": n_p}
 
@@ -331,8 +309,7 @@ def _run_resonance_scan(sc: Scenario) -> tuple[list[Path], dict]:
     ks = analysis.find_resonances(v0, a, r, m, k_window=sc.params["k_window"])
     absT = amplitude_scan(sc.barrier, ks).T_abs
     path = sc.out_dir / f"{sc.name}_resonance_scan.csv"
-    _write_csv(path, ["n", "k_n", "absT"],
-               ((i, k, t_) for i, (k, t_) in enumerate(zip(ks, absT))))
+    _write_csv(path, ["n", "k_n", "absT"], [np.arange(ks.size), ks, absT])
     return [path], {"n_resonances": int(ks.size)}
 
 
@@ -352,9 +329,9 @@ def _run_decay_fit(sc: Scenario) -> tuple[list[Path], dict]:
     spacing = float(np.mean(np.diff([tp for tp, _ in peaks]))) if len(peaks) > 1 else float("nan")
     first_peak = peaks[0][0] if peaks else float("nan")
     path = sc.out_dir / f"{sc.name}_decay_fit.csv"
-    _write_kv_csv(path, [("t0", first_peak), ("dt", spacing),
-                         ("gamma_fit", fit.rate), ("gamma_formula", rep.gamma_p),
-                         ("r2", fit.r_squared)])
+    _write_csv(path, ["quantity", "value"],
+               [("t0", "dt", "gamma_fit", "gamma_formula", "r2"),
+                (first_peak, spacing, fit.rate, rep.gamma_p, fit.r_squared)])
     dens_path = sc.out_dir / f"{sc.name}_decay_fit_density.csv"
     dist.write_csv(dens_path)
     return [path, dens_path], {"quadrature": dist.metadata["quadrature"],
@@ -412,7 +389,7 @@ def _run_regime_compare(sc: Scenario) -> tuple[list[Path], dict]:
     rel = np.abs(direct.density - model.density) / np.maximum(direct.density, floor)
     ts_path = sc.out_dir / f"{sc.name}_regime_compare.csv"
     _write_csv(ts_path, ["t", "P_direct", "P_model", "rel_diff"],
-               zip(times, direct.density, model.density, rel))
+               [times, direct.density, model.density, rel])
 
     pairs = [("t0_formula", rep.t0), ("dt_formula", rep.dt),
              ("gamma_formula", rep.gamma_p),
@@ -436,7 +413,7 @@ def _run_regime_compare(sc: Scenario) -> tuple[list[Path], dict]:
             pairs += [(f"gamma_{label}", fit.rate), (f"r2_{label}", fit.r_squared)]
         pairs.append(("gamma_reference", gamma_ref))
     sm_path = sc.out_dir / f"{sc.name}_regime_summary.csv"
-    _write_kv_csv(sm_path, pairs)
+    _write_csv(sm_path, ["quantity", "value"], zip(*pairs))
     diagnostics["quadrature"] = direct.metadata["quadrature"]
     return [ts_path, sm_path], diagnostics
 

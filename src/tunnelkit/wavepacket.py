@@ -33,6 +33,7 @@ _KWINDOW_SIGMAS = 8.0
 _MIN_L_OVER_D = 10.0
 _WARN_L_OVER_D = 50.0
 _KERNEL_CHUNK = 4e6  # bound on nodes x (A + B) exp-table entries held at once
+_CSV_BLOCK = 1024  # CSV rows formatted per write
 
 
 # ---------------------------------------------------------------------------
@@ -215,15 +216,26 @@ class ArrivalDistribution:
         return float(np.trapezoid(self.density, self.times))
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write("t,P\n")
-            for t, p in zip(self.times, self.density):
-                f.write(f"{t:.17g},{p:.17g}\n")
+        _write_csv(path, ["t", "P"], [self.times, self.density])
 
     def write_sidecar(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
             json.dump(self.metadata, f, indent=2, sort_keys=True, default=_json_default)
             f.write("\n")
+
+
+def _write_csv(path, header: list[str], columns) -> None:
+    """Write equal-length columns under ``header``, each row by one format
+    string: %.17g for numbers, %s for a column of str. Rows are formatted
+    and written in blocks, so a long scan never holds its whole text."""
+    cols = [np.asarray(c) for c in columns]
+    line = ",".join("%s" if c.dtype.kind == "U" else "%.17g" for c in cols) + "\n"
+    n = cols[0].size if cols else 0
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(",".join(header) + "\n")
+        for i in range(0, n, _CSV_BLOCK):
+            rows = zip(*(c[i:i + _CSV_BLOCK].tolist() for c in cols))
+            f.write("".join([line % row for row in rows]))
 
 
 def _json_default(obj):
@@ -312,14 +324,18 @@ def arrival_amplitude(L: float, t: float, spec: WavePacketSpec,
 
     ``detection_amplitude`` substitutes a model A_k (callable of a momentum
     array) for the profile-derived one, e.g. a Lorentzian resonance
-    approximation; the profile then only supplies geometry.
+    approximation; the profile then only supplies geometry. With g the
+    integrand, the quadrature also integrates |g|: int |g| dk/2pi bounds
+    every |A(L, t)|, and rel_tol is relative to it rather than to the
+    amplitude, which is tiny in the tails.
     """
     mass = _mass(profile)
     smooth = _smooth_part(spec, profile, _alpha_callable(alpha), detection_amplitude)
 
     def f(k):
+        g = smooth(k)
         E = relativistic_kinematics(k, mass).energy
-        return (smooth(k) * np.exp(1j * (k * L - E * t)))[:, None]
+        return np.stack([g * np.exp(1j * (k * L - E * t)), np.abs(g)], axis=1)
 
     quad = _quadrature.adaptive_quad(f, _initial_edges(spec, mass, L + spec.x0, t, t),
                                      rel_tol)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -307,6 +308,61 @@ class TestContinuum:
         times = np.linspace(1e5, 2e5, 64)
         with pytest.warns(RegimeWarning):
             continuum_density(times, spec, 10 * (2 * a + r), v0, a, r, M)
+
+
+def _narrow_continuum(sigma_p=2e-5, r=300.0):
+    """Double barrier V0 0.5, a 1 at sigma_p 2e-5: b/2A has an imaginary part
+    near -70, where e^{-bc + b^2/4A^2} alone overflows."""
+    p, v0, a = 0.3, 0.5, 1.0
+    spec = WavePacketSpec("gaussian", p=p, sigma_p=sigma_p, x0=5.0 / (2 * sigma_p))
+    L = 10.0 * (2 * a + r)
+    rep = double_barrier_report(p, v0, a, r, M, L=L, x0=spec.x0, sigma_p=sigma_p)
+    return spec, L, v0, a, r, rep
+
+
+def _continuum_mpmath(t, spec, rep):
+    """The continuum closed form at 30 digits, erfc and exponentials unsplit."""
+    mp.mp.dps = 30
+    v = mp.mpf(spec.p) / mp.sqrt(mp.mpf(spec.p) ** 2 + 1)
+    A = mp.mpf(spec.sigma_p) * v * mp.mpf(rep.dt)
+    b = -mp.log(mp.mpf(rep.R0p_abs2)) - 1j * mp.mpf(rep.beta_p)
+    c = (mp.mpf(t) - mp.mpf(rep.t0)) / mp.mpf(rep.dt)
+    lap = mp.exp(-b * c + b * b / (4 * A * A)) * mp.erfc(-A * c + b / (2 * A))
+    amp = (2 / mp.pi) ** mp.mpf(0.25) * mp.sqrt(mp.mpf(spec.sigma_p)) * (
+        mp.sqrt(mp.pi) / (2 * A) * lap + mp.exp(-(A * c) ** 2) / 2)
+    return float(v * mp.mpf(rep.T0p_abs2) ** 2 * abs(amp) ** 2)
+
+
+class TestContinuumOverflow:
+    """The closed form through w(z): finite wherever e^{-bc + b^2/4A^2} or
+    erfc alone would overflow."""
+
+    def test_narrow_packet_is_finite(self):
+        spec, L, v0, a, r, rep = _narrow_continuum()
+        trans = 1.0 / (spec.sigma_p * _velocity(spec.p))
+        times = np.linspace(rep.t0 - 4.0 * trans, rep.t0 + 3.0 / rep.gamma_p, 1500)
+        with np.errstate(over="raise", invalid="raise"):
+            dens = continuum_density(times, spec, L, v0, a, r, M).density
+        assert np.all(np.isfinite(dens)) and np.all(dens >= 0.0)
+
+    def test_grid_far_before_t0_is_finite(self):
+        spec, L, v0, a, r, rep = _narrow_continuum(sigma_p=2e-4)
+        times = np.linspace(rep.t0 - 1e5 * rep.dt, rep.t0 + 3.0 / rep.gamma_p, 400)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            with np.errstate(over="raise", invalid="raise"):
+                dens = continuum_density(times, spec, L, v0, a, r, M).density
+        assert np.all(np.isfinite(dens)) and np.all(dens >= 0.0)
+
+    def test_matches_mpmath_closed_form(self):
+        spec, L, v0, a, r, rep = _narrow_continuum()
+        trans = 1.0 / (spec.sigma_p * _velocity(spec.p))
+        times = np.linspace(rep.t0 - 4.0 * trans, rep.t0 + 3.0 / rep.gamma_p, 1500)
+        dens = continuum_density(times, spec, L, v0, a, r, M).density
+        peak = float(np.max(dens))
+        for j in np.linspace(0, times.size - 1, 10).astype(int):
+            ref = _continuum_mpmath(times[j], spec, rep)
+            assert abs(dens[j] - ref) <= 1e-12 * peak
 
 
 @pytest.fixture(scope="module")

@@ -238,6 +238,25 @@ class TestRunTasks:
         manifest = json.loads((tmp_path / "out" / "offreg_manifest.json").read_text())
         assert "continuum_regime" in {w["code"] for w in manifest["warnings"]}
 
+    def test_regime_compare_continuum_narrow_packet(self, tmp_path):
+        # sigma_p v_p dt ~ 0.012: the closed form's exponential factor alone
+        # overflows on this grid; the run must still succeed
+        cfg = _write(tmp_path, "c.json", {
+            "name": "narrow",
+            "barrier": {"mass": 1.0, "segments": [{"v": 0.5, "w": 1.0},
+                                                  {"v": 0.0, "w": 300.0},
+                                                  {"v": 0.5, "w": 1.0}]},
+            "packet": {"shape": "gaussian", "p": 0.3, "sigma_p": 2e-5, "x0": 125000.0},
+            "detector": {"position": 3020.0},
+            "task": {"kind": "regime-compare", "regime": "continuum", "n_t": 1500},
+            "output": {"dir": str(tmp_path / "out")},
+        })
+        assert main(["run", cfg]) == 0
+        data = np.loadtxt(tmp_path / "out" / "narrow_regime_compare.csv",
+                          delimiter=",", skiprows=1)
+        assert data.shape == (1500, 4)
+        assert np.all(np.isfinite(data[:, 2]))
+
     def test_regime_compare_resonance(self, tmp_path):
         v0, a, r, m = 0.4, 2.5, 400.0, 1.0
         res = find_resonances(v0, a, r, m, k_window=(0.3, 0.4))

@@ -300,6 +300,20 @@ class TestFactoredKernel:
         chunked = arrival_density(grid, spec, prof, det).density
         assert np.max(np.abs(chunked - whole)) <= 1e-13 * np.max(whole)
 
+    def test_single_time_amplitude_reaches_the_tails(self, barrier_run):
+        # at +-8 sigma_t the density is about 1e-14 of its peak; the single-time
+        # tolerance is relative to int |g| dk, so the quadrature still converges
+        spec, prof, det, times, dist, t_bar = barrier_run
+        sig_t = (times[-1] - t_bar) / 10.5
+        t = t_bar + sig_t * np.linspace(-8.0, 8.0, 161)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            grid = arrival_density(t, spec, prof, det).density
+        for j in (0, -1):
+            assert grid[j] < 1e-12 * np.max(grid)
+            amp = arrival_amplitude(det.position, float(t[j]), spec, prof)
+            assert abs(amp) ** 2 == pytest.approx(grid[j], rel=1e-4)
+
 
 class TestStationaryPhaseTime:
     @pytest.mark.parametrize("prof", [None, PotentialProfile.square(M, 0.5, 5.0),
