@@ -2,10 +2,12 @@
 
 One routine, :func:`adaptive_quad`, integrates m integrands on a shared
 panel set. The (G7, K15) pair gives an embedded error estimate per panel.
-Oscillatory integrands are pre-panelled so no panel spans more than ~pi/4 of
-phase at the caller-supplied worst-case phase rate; adaptive bisection then
-refines wherever the embedded estimate says the integrand has *amplitude*
-structure (narrow resonances, packet edges) the phase bound cannot see.
+Oscillatory integrands are pre-panelled so no panel spans more than ~pi of
+phase at the caller-supplied worst-case phase rate. On a pure phase e^{iwx}
+over pi the embedded G7 rule errs by 5.7e-13 of the panel's weight, and K15
+only by rounding; adaptive bisection then refines wherever the embedded
+estimate misses the tolerance, which also finds the *amplitude* structure
+(narrow resonances, packet edges) the phase bound cannot see.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ _GAUSS_IDX = np.arange(1, 15, 2)
 
 NODES_PER_PANEL = 15
 # pre-panelling of oscillatory integrands: phase per panel, panel count cap
-_MAX_STEP_PHASE = math.pi / 4
+_MAX_STEP_PHASE = math.pi
 _MAX_PHASE_PANELS = 20000
 
 
@@ -87,13 +89,18 @@ def panel_nodes(a: np.ndarray, b: np.ndarray):
     return x, wk, wg
 
 
+def phase_panel_count(a: float, b: float, max_phase_rate: float) -> float:
+    """Panels on [a, b] that each span < _MAX_STEP_PHASE of phase, before the
+    _MAX_PHASE_PANELS cap; a float, inf when the phase overflows."""
+    return float(np.ceil(abs(max_phase_rate) * (b - a) / _MAX_STEP_PHASE)) + 1.0
+
+
 def phase_panels(a: float, b: float, max_phase_rate: float) -> np.ndarray:
-    """Panel edges on [a, b] so each panel spans < _MAX_STEP_PHASE of phase
-    (at most _MAX_PHASE_PANELS panels)."""
+    """Panel edges on [a, b] so each panel spans < _MAX_STEP_PHASE (~pi) of
+    phase (at most _MAX_PHASE_PANELS panels)."""
     if b <= a:
         raise NumericsError(f"empty integration interval [{a}, {b}]")
-    n = int(math.ceil(abs(max_phase_rate) * (b - a) / _MAX_STEP_PHASE)) + 1
-    n = min(max(n, 1), _MAX_PHASE_PANELS)
+    n = int(min(phase_panel_count(a, b, max_phase_rate), _MAX_PHASE_PANELS))
     return np.linspace(a, b, n + 1)
 
 

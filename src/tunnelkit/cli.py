@@ -27,8 +27,8 @@ from . import __version__, analysis
 from .errors import ConfigError, NumericsError, PhysicsDomainError, RegimeWarning, TunnelKitError
 from .kinematics import relativistic_kinematics
 from .scattering import PotentialProfile, amplitude_scan, tunneling_window
-from .wavepacket import (DetectorSpec, WavePacketSpec, _json_default, _mass, _write_csv,
-                         arrival_density, stationary_phase_time)
+from .wavepacket import (GRID_MAX_PANELS, DetectorSpec, WavePacketSpec, _json_default, _mass,
+                         _write_csv, arrival_density, prepanel_count, stationary_phase_time)
 
 TASK_KINDS = ("transmission-scan", "arrival-density", "tunneling-time-scan",
               "resonance-scan", "decay-fit", "regime-compare")
@@ -187,6 +187,12 @@ def parse_scenario(config: dict, out_override: str | None = None) -> Scenario:
         k_max = tunneling_window(barrier.as_symmetric_double()[0], barrier.mass)[1]
         _expect(params["k_window"][1] < k_max, "task.k_max",
                 f"must lie below the tunneling-window edge {k_max}")
+    if kind == "arrival-density" and "t_min" in params:
+        n = prepanel_count(packet, _mass(barrier), detector.position,
+                           params["t_min"], params["t_max"])
+        _expect(n <= GRID_MAX_PANELS, "task.t_max",
+                f"the time window needs {n:.3g} phase panels, above the panel "
+                f"limit {GRID_MAX_PANELS}")
 
     out = out_override or (config.get("output") or {}).get("dir") or "."
     return Scenario(name=name, task=task, barrier=barrier, packet=packet,
@@ -195,6 +201,8 @@ def parse_scenario(config: dict, out_override: str | None = None) -> Scenario:
 
 # default rel_tol of the kinds that integrate; the other kinds accept and ignore one
 _REL_TOL = {"arrival-density": 1e-8, "decay-fit": 1e-7, "regime-compare": 1e-7}
+# tightest rel_tol they meet: 1e-13 no longer converges on single or double barriers
+_MIN_REL_TOL = 1e-12
 
 
 def _opt(t: dict, key: str, default, parse, **kw):
@@ -214,6 +222,9 @@ def _validate_task_params(t: dict) -> dict:
     filled in. The runners read only these values."""
     kind = t["kind"]
     q = {"rel_tol": _opt(t, "rel_tol", _REL_TOL.get(kind), _num, positive=True)}
+    if kind in _REL_TOL:
+        _expect(q["rel_tol"] >= _MIN_REL_TOL, "task.rel_tol",
+                f"must be >= {_MIN_REL_TOL:g}, got {q['rel_tol']:g}")
     if kind == "transmission-scan":
         q["k_min"], q["k_max"] = _interval(t, "k_min", "k_max", positive=True)
         q["n_k"] = _opt(t, "n_k", 200, _int, minimum=2)

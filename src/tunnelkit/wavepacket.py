@@ -9,7 +9,9 @@ adaptive Gauss-Kronrod panels. A time grid shares one refined panel set, and
 so one evaluation of the detection amplitude A_k per node, across all samples.
 On a uniform grid the kernel e^{-iE_k t} factors over blocks of about sqrt(T)
 times into two thin exp tables, and the T amplitudes are one matrix product
-of them; a non-uniform grid takes the same path with one time per block.
+of them; a non-uniform grid takes the same path with one time per block. The
+product also gives each sample's embedded K15 - G7 error, and the panels are
+refined until every sample, not only the ones refined on, meets rel_tol.
 
 Normalization: int |psi0(k)|^2 dk/(2pi) = 1, so the time-integrated density
 is a genuine detection probability (<= 1 for alpha <= 1).
@@ -25,14 +27,17 @@ from pathlib import Path
 import numpy as np
 
 from . import _quadrature
-from .errors import PhysicsDomainError, warn_regime
+from .errors import NumericsError, PhysicsDomainError, warn_regime
 from .kinematics import relativistic_kinematics
 from .scattering import PotentialProfile, detection_amplitude_scan, detection_phase_derivative
 
 _KWINDOW_SIGMAS = 8.0
 _MIN_L_OVER_D = 10.0
 _WARN_L_OVER_D = 50.0
-_KERNEL_CHUNK = 4e6  # bound on nodes x (A + B) exp-table entries held at once
+_KERNEL_CHUNK = 4e6  # bound on nodes x (A + 2B) exp-table entries held at once
+_N_REP = 24  # representative times a time-grid refinement starts from
+GRID_MAX_PANELS = 60000  # panel limit of a time-grid refinement
+GRID_MAX_ROUNDS = 60  # bisection rounds of a time-grid refinement, resumptions included
 _CSV_BLOCK = 1024  # CSV rows formatted per write
 
 
@@ -307,13 +312,25 @@ def stationary_phase_time(spec: WavePacketSpec, profile: PotentialProfile | None
     return (spec.x0 + L + theta_prime) / v
 
 
-def _initial_edges(spec: WavePacketSpec, mass: float, X: float, t_lo: float, t_hi: float):
-    lo, hi = spec.k_window
-    vs = [relativistic_kinematics(k, mass).velocity for k in (lo, hi)]
-    rate = max(abs(X - v * t) for v in vs for t in (t_lo, t_hi)) + 1.0
-    edges = _quadrature.phase_panels(lo, hi, rate)
+def _phase_rate(spec: WavePacketSpec, mass: float, L: float, t_lo: float, t_hi: float):
+    """Bound on |d/dk (k (x0 + L) - E_k t)| over the packet window and [t_lo, t_hi]."""
+    X = L + spec.x0
+    vs = [relativistic_kinematics(k, mass).velocity for k in spec.k_window]
+    return max(abs(X - v * t) for v in vs for t in (t_lo, t_hi)) + 1.0
+
+
+def prepanel_count(spec: WavePacketSpec, mass: float, L: float, t_lo: float,
+                   t_hi: float) -> float:
+    """Phase pre-panels of the times [t_lo, t_hi] at a detector at L, before
+    any cap. A window above GRID_MAX_PANELS cannot converge."""
+    return _quadrature.phase_panel_count(*spec.k_window,
+                                         _phase_rate(spec, mass, L, t_lo, t_hi))
+
+
+def _initial_edges(spec: WavePacketSpec, mass: float, L: float, t_lo: float, t_hi: float):
+    edges = _quadrature.phase_panels(*spec.k_window, _phase_rate(spec, mass, L, t_lo, t_hi))
     if edges.size - 1 < 32:  # resolve the packet envelope even when slow
-        edges = np.linspace(lo, hi, 33)
+        edges = np.linspace(*spec.k_window, 33)
     return edges
 
 
@@ -337,8 +354,7 @@ def arrival_amplitude(L: float, t: float, spec: WavePacketSpec,
         E = relativistic_kinematics(k, mass).energy
         return np.stack([g * np.exp(1j * (k * L - E * t)), np.abs(g)], axis=1)
 
-    quad = _quadrature.adaptive_quad(f, _initial_edges(spec, mass, L + spec.x0, t, t),
-                                     rel_tol)
+    quad = _quadrature.adaptive_quad(f, _initial_edges(spec, mass, L, t, t), rel_tol)
     return complex(quad.value[0]) / (2.0 * math.pi)
 
 
@@ -357,45 +373,83 @@ def _time_blocks(times: np.ndarray) -> tuple[int, int, float]:
     return -(-n // B), B, h
 
 
+def _grid_pass(smooth, mass: float, L: float, quad, times: np.ndarray):
+    """K15 amplitudes and |K15 - G7| error estimates at every time of the grid.
+
+    The kernel factors over the blocks of ``_time_blocks``: e^{-iE t_{aB+b}} =
+    e^{-iE t_{aB}} e^{-iE b h}, so with U[node, a] = e^{-iE t_{aB}} and
+    V[node, b] = coeff e^{-iE b h} the sums are (U^T V).ravel()[:n], one
+    matrix product costing N (A + B) complex exps instead of N n. V stacks
+    the K15 coefficients beside the (K15 - G7) ones, so the same product
+    gives both, with no extra exp. A grid that is not uniform gets B = 1,
+    where U is the full exp table.
+    """
+    A, B, h = _time_blocks(times)
+    x, wk, wg = _quadrature.panel_nodes(quad.lo, quad.hi)
+    s = smooth(x.ravel()).reshape(x.shape) * np.exp(1j * x * L)
+    coeff = np.stack([(wk * s).ravel(), ((wk - wg) * s).ravel()], axis=1)
+    E = relativistic_kinematics(x, mass).energy.ravel()
+    anchors, steps = times[::B], h * np.arange(B)
+    blocks = np.zeros((A, 2 * B), dtype=complex)
+    chunk = max(1, int(_KERNEL_CHUNK // (A + 2 * B)))
+    for i in range(0, E.size, chunk):
+        e = E[i:i + chunk, None]
+        V = coeff[i:i + chunk, :, None] * np.exp(-1j * e * steps)[:, None, :]
+        blocks += np.exp(-1j * e * anchors).T @ V.reshape(V.shape[0], 2 * B)
+    k15, diff = blocks.reshape(A, 2, B).transpose(1, 0, 2).reshape(2, A * B)[:, :times.size]
+    return k15, np.abs(diff), [A, B]
+
+
 def _shared_panel_amplitudes(smooth, spec: WavePacketSpec, mass: float, L: float,
                              times: np.ndarray, rel_tol: float):
     """Amplitudes on a whole time grid from one adaptively refined panel set.
 
-    The panels are refined on 24 representative times, then one K15 pass
-    evaluates every time of the grid on the final panels. That pass factors
-    the kernel over the blocks of ``_time_blocks``: e^{-iE t_{aB+b}} =
-    e^{-iE t_{aB}} e^{-iE b h}, so with U[node, a] = e^{-iE t_{aB}} and
-    V[node, b] = coeff e^{-iE b h} the amplitudes are (U^T V).ravel()[:n], one
-    matrix product costing N (A + B) complex exps instead of N n. A grid that
-    is not uniform gets B = 1, where U is the full exp table and V = coeff.
+    The panels are refined on 24 representative times, then one pass
+    (``_grid_pass``) evaluates K15 and the embedded |K15 - G7| estimate at
+    every time of the grid on the final panels. Every sample must hold
+    |K15 - G7| <= rel_tol max_t |A|; where any misses, its worst times join
+    the representative set and refinement resumes from the current panels,
+    within GRID_MAX_PANELS panels and GRID_MAX_ROUNDS rounds in all. The
+    reported ``error_estimate`` bounds |A| everywhere: the larger of the
+    refinement's summed estimate and the worst per-sample one, over 2 pi.
     """
-    t_lo, t_hi = float(times[0]), float(times[-1])
-    edges = _initial_edges(spec, mass, L + spec.x0, t_lo, t_hi)
-    n_rep = min(24, times.size)
-    rep = times[np.unique(np.linspace(0, times.size - 1, n_rep).astype(int))]
+    edges = _initial_edges(spec, mass, L, float(times[0]), float(times[-1]))
+    rep = times[np.unique(np.linspace(0, times.size - 1, min(_N_REP, times.size)).astype(int))]
 
-    def f(k):
+    def f(k):  # one column per representative time
         kern = np.exp(-1j * relativistic_kinematics(k, mass).energy[:, None] * rep[None, :])
         return (smooth(k) * np.exp(1j * k * L))[:, None] * kern
 
-    quad = _quadrature.adaptive_quad(f, edges, rel_tol, max_panels=60000, max_rounds=60)
-    A, B, h = _time_blocks(times)
-    diagnostics = {"panels": int(quad.lo.size), "refinement_rounds": quad.rounds,
-                   "error_estimate": quad.error_estimate, "time_blocks": [A, B]}
-
-    # final pass over the full grid, node chunks bounding the exp tables
-    x, wk, _ = _quadrature.panel_nodes(quad.lo, quad.hi)
-    s = smooth(x.ravel()).reshape(x.shape)
-    coeff = (wk * s * np.exp(1j * x * L)).ravel()
-    E = relativistic_kinematics(x, mass).energy.ravel()
-    anchors, steps = times[::B], h * np.arange(B)
-    blocks = np.zeros((A, B), dtype=complex)
-    chunk = max(1, int(_KERNEL_CHUNK // (A + B)))
-    for i in range(0, E.size, chunk):
-        e = E[i:i + chunk, None]
-        V = coeff[i:i + chunk, None] * np.exp(-1j * e * steps)
-        blocks += np.exp(-1j * e * anchors).T @ V
-    return blocks.ravel()[:times.size] / (2.0 * math.pi), diagnostics
+    rounds = rechecks = 0
+    while True:
+        try:
+            quad = _quadrature.adaptive_quad(f, edges, rel_tol, max_panels=GRID_MAX_PANELS,
+                                             max_rounds=GRID_MAX_ROUNDS - rounds)
+        except NumericsError as exc:
+            exc.diagnostics["refinement_rounds"] += rounds
+            raise
+        rounds += quad.rounds
+        amps, err, time_blocks = _grid_pass(smooth, mass, L, quad, times)
+        # an all-zero grid (alpha = 0) has err = tol = 0 and passes
+        tol = rel_tol * float(np.max(np.abs(amps)))
+        miss = np.flatnonzero(err > tol)
+        if miss.size == 0:
+            break
+        worst = times[miss[np.argsort(err[miss])[::-1][:_N_REP]]]
+        if np.all(np.isin(worst, rep)):
+            raise NumericsError(
+                "quadrature failed to converge on the full time grid",
+                diagnostics={"panels": int(quad.lo.size), "refinement_rounds": rounds,
+                             "total_error": float(np.max(err)), "tolerance": tol,
+                             "worst_time": float(worst[0])})
+        rep = np.union1d(rep, worst)
+        edges = np.append(np.sort(quad.lo), np.max(quad.hi))
+        rechecks += 1
+    error = max(quad.error_estimate, float(np.max(err))) / (2.0 * math.pi)
+    diagnostics = {"panels": int(quad.lo.size), "refinement_rounds": rounds,
+                   "error_estimate": error, "grid_rechecks": rechecks,
+                   "time_blocks": time_blocks}
+    return amps / (2.0 * math.pi), diagnostics
 
 
 def arrival_density(times, spec: WavePacketSpec, profile: PotentialProfile | None,

@@ -290,6 +290,13 @@ def test_criterion_07_double_barrier_structure(item7):
                f"{fit.rate / rep.gamma_p:.4f} (R2 = {fit.r_squared:.5f})")
 
 
+def test_item7_panel_work_is_pinned(item7):
+    # pi pre-panels: 362 panels in 5 rounds (1358 in 0 at pi/4), and the
+    # full-grid check passes on the first pass
+    quad = item7["dist"].metadata["quadrature"]
+    assert (quad["panels"], quad["refinement_rounds"], quad["grid_rechecks"]) == (362, 5, 0)
+
+
 def test_criterion_08_resonance_suite():
     v0, a, r = 0.5, 3.0, 40.0
     ks = find_resonances(v0, a, r, M)

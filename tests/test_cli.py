@@ -93,6 +93,14 @@ class TestValidate:
                      "detector.absorption.alpha[1]", id="absorption-nan"),
         pytest.param({"kind": "resonance-scan", "k_min": 0.3, "k_max": 2.0}, None, "task.k_max",
                      id="resonance-window"),
+        pytest.param({"regime": "peaks", "rel_tol": 1e-30}, None, "task.rel_tol",
+                     id="rel_tol-1e-30"),
+        pytest.param({"kind": "decay-fit", "rel_tol": 1e-16}, None, "task.rel_tol",
+                     id="rel_tol-1e-16"),
+        pytest.param({"kind": "arrival-density", "t_min": 0.0, "t_max": 1e300}, None,
+                     "task.t_max", id="window-1e300"),
+        pytest.param({"kind": "arrival-density", "t_min": 0.0, "t_max": 1e9}, None,
+                     "task.t_max", id="window-1e9"),
     ])
     def test_config_error_names_field(self, tmp_path, capsys, command, task, absorption, path):
         base = _small_double()
@@ -182,6 +190,23 @@ class TestRunTasks:
         manifest = json.loads((tmp_path / "out" / "arr_manifest.json").read_text())
         assert sidecar["quadrature"]["time_blocks"] == [11, 12]
         assert manifest["diagnostics"]["quadrature"]["time_blocks"] == [11, 12]
+
+    def test_readme_quickstart_panel_work_is_pinned(self, tmp_path):
+        # pi pre-panels: 73 panels in 12 rounds (157 in 7 at pi/4)
+        cfg = _write(tmp_path, "c.json", {
+            "name": "quickstart",
+            "barrier": {"mass": 1.0, "segments": [{"v": 0.4, "w": 2.5},
+                                                  {"v": 0.0, "w": 300.0},
+                                                  {"v": 0.4, "w": 2.5}]},
+            "packet": {"shape": "gaussian", "p": 0.35, "sigma_p": 0.004, "x0": 700.0},
+            "detector": {"position": 3050.0},
+            "task": {"kind": "arrival-density", "n_t": 1500, "span_sigmas": 10.0},
+            "output": {"dir": str(tmp_path / "out")},
+        })
+        assert main(["run", cfg]) == 0
+        manifest = json.loads((tmp_path / "out" / "quickstart_manifest.json").read_text())
+        quad = manifest["diagnostics"]["quadrature"]
+        assert (quad["panels"], quad["refinement_rounds"], quad["grid_rechecks"]) == (73, 12, 0)
 
     def test_decay_fit(self, tmp_path):
         # wider gap keeps wave-packet dispersion from biasing the peak fit

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -30,10 +32,16 @@ def test_oscillatory_integral_holds_to_rel_tol(omega, rel_tol):
     assert quad.error_estimate <= rel_tol * abs(quad.value[0])
 
 
-def test_phase_panels_need_no_refinement():
-    quad = adaptive_quad(_wave([1e3]), phase_panels(0.0, 1.0, 1e3), 1e-10)
-    assert quad.rounds == 0
+def test_phase_panels_hold_rel_tol_with_few_panels():
+    # pi of phase per pre-panel gives a quarter of the pi/4 panels; on a pure
+    # phase the one refinement round at 1e-10 bisects them all (640 of 1275)
+    edges = phase_panels(0.0, 1.0, 1e3)
+    quad = adaptive_quad(_wave([1e3]), edges, 1e-10)
     assert abs(quad.value[0] - _exact(1e3)) <= 1e-10 * abs(_exact(1e3))
+    assert quad.error_estimate <= 1e-10 * abs(quad.value[0])
+    quarter_pi_panels = math.ceil(1e3 / (math.pi / 4)) + 1
+    assert edges.size - 1 < quarter_pi_panels / 3
+    assert quad.lo.size < quarter_pi_panels
 
 
 def test_columns_match_separate_runs():

@@ -21,6 +21,7 @@ from tunnelkit import (
     causality_mass,
     delay_time,
     detect_peaks,
+    double_barrier_report,
     detection_phase_derivative,
     packet_momentum_amplitude,
     stationary_phase_time,
@@ -296,7 +297,8 @@ class TestFactoredKernel:
         grid = np.linspace(times[0], times[-1], 797)
         monkeypatch.setattr(wavepacket, "_KERNEL_CHUNK", 1e12)
         whole = arrival_density(grid, spec, prof, det).density
-        monkeypatch.setattr(wavepacket, "_KERNEL_CHUNK", 57 * 100)  # 100 nodes per chunk
+        # A + 2B = 28 + 2 * 29: 100 nodes per chunk
+        monkeypatch.setattr(wavepacket, "_KERNEL_CHUNK", 86 * 100)
         chunked = arrival_density(grid, spec, prof, det).density
         assert np.max(np.abs(chunked - whole)) <= 1e-13 * np.max(whole)
 
@@ -313,6 +315,86 @@ class TestFactoredKernel:
             assert grid[j] < 1e-12 * np.max(grid)
             amp = arrival_amplitude(det.position, float(t[j]), spec, prof)
             assert abs(amp) ** 2 == pytest.approx(grid[j], rel=1e-4)
+
+
+class TestFullGridErrorControl:
+    """Every sample of the grid, not only the representative times, holds rel_tol."""
+
+    @pytest.fixture(scope="class")
+    def trough_grid(self):
+        # a well-separated peak train; 23 blocks of a trough and a peak sample,
+        # then a last trough: the 24 representative times (every other index)
+        # are the troughs, and every peak sample falls between two of them
+        v0, a, r = 0.4, 2.5, 120.0
+        sigma_x = _velocity(0.35) * double_barrier_report(0.35, v0, a, r, M).dt / 8.0
+        spec = WavePacketSpec("gaussian", p=0.35, sigma_p=1.0 / (2 * sigma_x),
+                              x0=5 * sigma_x)
+        prof = PotentialProfile.double(M, v0, a, r)
+        det = DetectorSpec(position=11.0 * prof.width)
+        rep = double_barrier_report(0.35, v0, a, r, M, L=det.position, x0=spec.x0,
+                                    sigma_p=spec.sigma_p)
+        times = rep.t0 + rep.dt * np.append(np.arange(23)[:, None] + [-0.5, 0.0], 22.5)
+        return spec, prof, det, times
+
+    @staticmethod
+    def _first_refinement_stops_at_pre_panels(monkeypatch):
+        calls = []
+        real = wavepacket._quadrature.adaptive_quad
+
+        def adaptive_quad(f, edges, rel_tol, **kw):
+            calls.append(rel_tol)
+            return real(f, edges, 1.0 if len(calls) == 1 else rel_tol, **kw)
+
+        monkeypatch.setattr(wavepacket._quadrature, "adaptive_quad", adaptive_quad)
+        return calls
+
+    def test_grid_check_re_refines_what_the_representative_times_missed(
+            self, trough_grid, monkeypatch):
+        # the first refinement sees nothing to refine; only the full-grid
+        # check can find that the pre-panels miss rel_tol at the peaks
+        spec, prof, det, times = trough_grid
+        rel_tol = 1e-8
+        calls = self._first_refinement_stops_at_pre_panels(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            dist = arrival_density(times, spec, prof, det, rel_tol=rel_tol)
+        monkeypatch.undo()
+        quad = dist.metadata["quadrature"]
+        assert quad["grid_rechecks"] >= 1 and len(calls) == quad["grid_rechecks"] + 1
+        assert quad["refinement_rounds"] > 0
+        ref = np.array([abs(arrival_amplitude(det.position, float(t), spec, prof,
+                                              rel_tol=1e-11)) for t in times])
+        assert np.argmax(ref) % 2 == 1  # the highest sample is a peak sample
+        dev = np.abs(np.sqrt(dist.density) - ref)
+        assert np.max(dev) <= rel_tol * np.max(ref)
+        assert np.max(dev) <= quad["error_estimate"]
+
+    def test_grid_miss_that_refinement_cannot_fix_raises(self, trough_grid, monkeypatch):
+        spec, prof, det, times = trough_grid
+        real = wavepacket._quadrature.adaptive_quad
+        monkeypatch.setattr(wavepacket._quadrature, "adaptive_quad",
+                            lambda f, edges, rel_tol, **kw: real(f, edges, 1.0, **kw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            with pytest.raises(NumericsError, match="full time grid") as exc:
+                arrival_density(times, spec, prof, det, rel_tol=1e-8)
+        diag = exc.value.diagnostics
+        assert diag["total_error"] > diag["tolerance"] > 0.0
+        assert diag["worst_time"] in times
+
+    def test_error_estimate_covers_every_sample(self):
+        # single barrier, a packet wide enough for 185 phase panels
+        spec = WavePacketSpec("gaussian", p=0.3, sigma_p=0.03, x0=900.0)
+        prof = PotentialProfile.square(M, 0.5, 5.0)
+        det = DetectorSpec(position=500.0)
+        t_bar = stationary_phase_time(spec, prof, det.position)
+        sig_t = spec.sigma_x / _velocity(spec.p)
+        times = np.linspace(t_bar - 10.5 * sig_t, t_bar + 10.5 * sig_t, 201)
+        dist = arrival_density(times, spec, prof, det)
+        ref = np.array([abs(arrival_amplitude(det.position, float(t), spec, prof,
+                                              rel_tol=1e-12)) for t in times])
+        dev = np.abs(np.sqrt(dist.density) - ref)
+        assert np.max(dev) <= dist.metadata["quadrature"]["error_estimate"]
 
 
 class TestStationaryPhaseTime:
