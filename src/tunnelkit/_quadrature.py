@@ -131,8 +131,9 @@ def adaptive_quad(f, edges: np.ndarray, rel_tol: float, max_panels: int = 20000,
     columns. Each round bisects the worst panels until the summed error falls
     below rel_tol times the largest column integral; a column whose integral
     vanishes by cancellation counts as 1e-8 of its summed |K15|. Raises
-    NumericsError on a non-finite error estimate, at max_panels panels, or
-    when max_rounds rounds of bisection leave the error above tolerance.
+    NumericsError on a non-finite error estimate, before a round whose
+    bisections would exceed max_panels panels, or when max_rounds rounds of
+    bisection leave the error above tolerance.
     """
     edges = np.asarray(edges, dtype=float)
     lo, hi = edges[:-1], edges[1:]
@@ -144,7 +145,11 @@ def adaptive_quad(f, edges: np.ndarray, rel_tol: float, max_panels: int = 20000,
         tol = rel_tol * max(float(np.max(scale)), 1e-300)
         if total <= tol:
             return Quadrature(np.sum(k15, axis=0), lo, hi, total, rounds)
-        if not math.isfinite(total) or lo.size >= max_panels or rounds == max_rounds:
+        # split every panel contributing more than its fair share of budget
+        bad = err > max(tol / lo.size, float(np.max(err)) * 0.25)
+        if not np.any(bad):
+            bad = err == np.max(err)
+        if not math.isfinite(total) or lo.size + np.sum(bad) > max_panels or rounds == max_rounds:
             worst = int(np.argmax(np.where(np.isfinite(err), err, np.inf)))
             reason = ("error estimate is not finite" if not math.isfinite(total)
                       else "failed to converge")
@@ -154,10 +159,6 @@ def adaptive_quad(f, edges: np.ndarray, rel_tol: float, max_panels: int = 20000,
                              "total_error": total, "tolerance": float(tol),
                              "worst_panel": (float(lo[worst]), float(hi[worst]),
                                              float(err[worst]))})
-        # split every panel contributing more than its fair share of budget
-        bad = err > max(tol / lo.size, float(np.max(err)) * 0.25)
-        if not np.any(bad):
-            bad = err == np.max(err)
         mid = 0.5 * (lo[bad] + hi[bad])
         nk15, ng7 = _panel_sums(f, np.concatenate([lo[bad], mid]),
                                 np.concatenate([mid, hi[bad]]))

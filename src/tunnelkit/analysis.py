@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import PhysicsDomainError, warn_regime
-from .kinematics import _xp, faddeeva_w, relativistic_kinematics
+from .kinematics import faddeeva_w, relativistic_kinematics
 from .scattering import (
     PotentialProfile,
     barrier_functions,
@@ -70,7 +70,7 @@ def square_barrier_tunneling_time(p, v0: float, d: float, m: float):
     p is a scalar or a numpy array of momenta.
     """
     bf = barrier_functions(p, v0, m)
-    th = _xp(p).tanh(bf.lam * d)
+    th = np.tanh(bf.lam * d)
     sech2 = 1.0 - th * th
     num = (-bf.eta * (bf.energy - v0) / bf.lam * d * sech2
            + m * bf.rho * (1.0 / (p * p) + 1.0 / (bf.lam * bf.lam)) * th)
@@ -114,8 +114,7 @@ def find_resonances(v0: float, a: float, r: float, m: float,
             f"k_window {k_window} must lie inside the tunneling window (0, {hi_max})")
 
     def psi(k):
-        return 2.0 * np.asarray(k, float) * r + 2.0 * (
-            _single_barrier_phase(k, v0, a, m) + np.asarray(k, float) * a)
+        return 2.0 * k * r + 2.0 * (_single_barrier_phase(k, v0, a, m) + k * a)
 
     step = math.pi / (8.0 * (r + a))
     n_pts = int(math.ceil((hi - lo) / step)) + 2
@@ -284,7 +283,7 @@ def envelope_density(t, report: RegimeReport):
     out = np.where(t < report.t0, 0.0,
                    report.transmission_p * report.gamma_p
                    * np.exp(-report.gamma_p * np.maximum(t - report.t0, 0.0)))
-    return float(out) if out.ndim == 0 else out
+    return out[()]
 
 
 def continuum_density(times, spec: WavePacketSpec, L: float, v0: float,

@@ -27,8 +27,9 @@ from . import __version__, analysis
 from .errors import ConfigError, NumericsError, PhysicsDomainError, RegimeWarning, TunnelKitError
 from .kinematics import relativistic_kinematics
 from .scattering import PotentialProfile, amplitude_scan, tunneling_window
-from .wavepacket import (GRID_MAX_PANELS, DetectorSpec, WavePacketSpec, _json_default, _mass,
-                         _write_csv, arrival_density, prepanel_count, stationary_phase_time)
+from .wavepacket import (DENSITY_REL_TOL, GRID_MAX_PANELS, GRID_SPAN_SIGMAS, MIN_L_OVER_D,
+                         DetectorSpec, WavePacketSpec, _json_default, _mass, _write_csv,
+                         arrival_density, prepanel_count, stationary_phase_time)
 
 TASK_KINDS = ("transmission-scan", "arrival-density", "tunneling-time-scan",
               "resonance-scan", "decay-fit", "regime-compare")
@@ -178,9 +179,9 @@ def parse_scenario(config: dict, out_override: str | None = None) -> Scenario:
                 f"task {kind!r} requires a symmetric double barrier "
                 "(segments [barrier, gap, barrier])")
     if barrier is not None and detector is not None and barrier.segments:
-        _expect(detector.position >= 10.0 * barrier.width, "detector.position",
+        _expect(detector.position >= MIN_L_OVER_D * barrier.width, "detector.position",
                 f"detector at {detector.position} violates the far-field "
-                f"requirement L >= 10 d = {10.0 * barrier.width}")
+                f"requirement L >= {MIN_L_OVER_D:g} d = {MIN_L_OVER_D * barrier.width}")
 
     params = _validate_task_params(task)
     if kind == "resonance-scan" and params["k_window"] is not None:
@@ -200,9 +201,10 @@ def parse_scenario(config: dict, out_override: str | None = None) -> Scenario:
 
 
 # default rel_tol of the kinds that integrate; the other kinds accept and ignore one
-_REL_TOL = {"arrival-density": 1e-8, "decay-fit": 1e-7, "regime-compare": 1e-7}
+_REL_TOL = {"arrival-density": DENSITY_REL_TOL, "decay-fit": 1e-7, "regime-compare": 1e-7}
 # tightest rel_tol they meet: 1e-13 no longer converges on single or double barriers
 _MIN_REL_TOL = 1e-12
+_SAMPLES_PER_PEAK = 12  # default time samples per peak spacing of peak-train grids
 
 
 def _opt(t: dict, key: str, default, parse, **kw):
@@ -232,7 +234,7 @@ def _validate_task_params(t: dict) -> dict:
         if "t_min" in t or "t_max" in t:
             q["t_min"], q["t_max"] = _interval(t, "t_min", "t_max")
         else:
-            q["span_sigmas"] = _opt(t, "span_sigmas", 10.0, _num, positive=True)
+            q["span_sigmas"] = _opt(t, "span_sigmas", GRID_SPAN_SIGMAS, _num, positive=True)
         q["n_t"] = _opt(t, "n_t", 1000, _int, minimum=4)
     elif kind == "tunneling-time-scan":
         mass = q["mass"] = _opt(t, "mass", 1.0, _num, positive=True)
@@ -252,7 +254,7 @@ def _validate_task_params(t: dict) -> dict:
                          if "k_min" in t or "k_max" in t else None)
     elif kind == "decay-fit":
         q["n_peaks"] = _opt(t, "n_peaks", 15, _int, minimum=4)
-        q["samples_per_peak"] = _opt(t, "samples_per_peak", 12, _int, minimum=4)
+        q["samples_per_peak"] = _opt(t, "samples_per_peak", _SAMPLES_PER_PEAK, _int, minimum=4)
     elif kind == "regime-compare":
         regime = q["regime"] = _get(t, "regime", "task")
         _expect(regime in ("peaks", "continuum", "resonance"), "task.regime",
@@ -367,7 +369,7 @@ def _run_regime_compare(sc: Scenario) -> tuple[list[Path], dict]:
     if regime == "peaks":
         n_peaks = q["n_peaks"]
         times = np.linspace(rep.t0 - 2.0 * rep.dt, rep.t0 + (n_peaks + 0.5) * rep.dt,
-                            max(n_t, (n_peaks + 3) * 12))
+                            max(n_t, (n_peaks + 3) * _SAMPLES_PER_PEAK))
         model = analysis.peak_series_density(times, spec, L, v0, a, r, m)
     elif regime == "continuum":
         t_hi = rep.t0 + q["decay_spans"] / rep.gamma_p

@@ -1,6 +1,10 @@
 """Relativistic dispersion, evanescent scales, junction weights, and the
 Faddeeva function w(z) with the complex erfc built on it.
 
+Scalars and arrays take one numpy route: a scalar is read as a 0-d array and
+the result unboxed with ``[()]`` to a numpy scalar (np.float64, np.complex128:
+subclasses of float and complex); a real one equals its array element bit for bit.
+
 Units: natural units hbar = c = 1 throughout; momenta and energies in units
 of the particle mass m, lengths and times in 1/m.
 """
@@ -16,25 +20,15 @@ from .errors import PhysicsDomainError, PropagatingSegmentError
 
 _SQRT_PI = math.sqrt(math.pi)
 
-# Relative half-width of the Taylor branch of the junction weight around
-# kappa_sq = 0 (in units of m^2); avoids the 0/0 at the tunneling threshold.
-_WEIGHT_TAYLOR_CUT = 1e-6
-
 
 @dataclass(frozen=True)
 class Kinematics:
-    """On-shell data E = sqrt(k^2 + m^2), v = k/E at a scalar momentum, or
-    arrays aligned with an array of momenta."""
+    """On-shell data E = sqrt(k^2 + m^2), v = k/E at a scalar momentum (numpy
+    scalars), or arrays aligned with an array of momenta."""
 
     k: object
     energy: object
     velocity: object
-
-
-def _xp(k):
-    """math for a scalar k, numpy for an array: scalar results stay those of
-    libm, from which numpy's vectorized exp, tanh and hypot differ in the last bit."""
-    return np if np.ndim(k) else math
 
 
 def relativistic_kinematics(k, m: float) -> Kinematics:
@@ -42,17 +36,13 @@ def relativistic_kinematics(k, m: float) -> Kinematics:
     scalar or a numpy array."""
     if not (math.isfinite(m) and m > 0):
         raise PhysicsDomainError(f"mass must be finite and positive, got {m}")
-    xp = _xp(k)
-    if xp is np:
-        k = np.asarray(k, dtype=float)
-        bad = k[~np.isfinite(k)]
-        if bad.size:
-            raise PhysicsDomainError(
-                f"momenta must be finite, got {bad.size} in [{bad.min()}, {bad.max()}]")
-    elif not math.isfinite(k):
-        raise PhysicsDomainError(f"momentum must be finite, got {k}")
-    energy = xp.hypot(k, m)
-    return Kinematics(k=k, energy=energy, velocity=k / energy)
+    k = np.asarray(k, dtype=float)
+    bad = k[~np.isfinite(k)]
+    if bad.size:
+        raise PhysicsDomainError(
+            f"momenta must be finite, got {bad.size} in [{bad.min()}, {bad.max()}]")
+    energy = np.hypot(k, m)
+    return Kinematics(k=k[()], energy=energy[()], velocity=(k / energy)[()])
 
 
 def evanescent_scale(E: float, V0: float, m: float) -> float:
@@ -75,28 +65,20 @@ def evanescent_scale(E: float, V0: float, m: float) -> float:
 
 
 def matching_weight(kappa_sq, m: float):
-    """Junction weight F = (sqrt(m^2 + kappa_sq) - m) / kappa_sq.
+    """Junction weight F = (sqrt(m^2 + kappa_sq) - m)/kappa_sq = 1/(sqrt(m^2 + kappa_sq) + m).
 
     ``kappa_sq`` is the signed squared local wavenumber: positive in
-    propagating segments, -lambda^2 in evanescent ones. One analytic formula
-    covers both; a 2-term Taylor branch keeps it smooth through kappa_sq = 0
-    (limit 1/(2m)). Accepts scalars or arrays. kappa_sq < -m^2 has no real
-    energy branch and is rejected.
+    propagating segments, -lambda^2 in evanescent ones. The second form has
+    no cancellation and no 0/0, so it holds to rounding through kappa_sq = 0
+    (limit 1/(2m)) and up to kappa_sq = -m^2. Accepts scalars or arrays.
+    kappa_sq < -m^2 has no real energy branch and is rejected.
     """
     x = np.asarray(kappa_sq, dtype=float)
     if not math.isfinite(m) or m <= 0:
         raise PhysicsDomainError(f"mass must be finite and positive, got {m}")
     if np.any(x < -m * m):
         raise PhysicsDomainError("kappa_sq < -m^2: no real energy branch (lambda^2 > m^2)")
-    msq = m * m
-    small = np.abs(x) < _WEIGHT_TAYLOR_CUT * msq
-    safe = np.where(small, msq, x)  # dummy where the Taylor branch is used
-    out = np.where(small,
-                   1.0 / (2.0 * m) - x / (8.0 * m ** 3),
-                   (np.sqrt(msq + safe) - m) / safe)
-    if np.ndim(kappa_sq) == 0:
-        return float(out)
-    return out
+    return (1.0 / (np.sqrt(m * m + x) + m))[()]
 
 
 def _weideman_coefficients(n: int, scale: float) -> np.ndarray:
@@ -129,8 +111,8 @@ def faddeeva_w(z) -> np.ndarray:
     return 2.0 * np.polyval(_W_COEFFS, (_W_SCALE + 1j * z) / d) / (d * d) + 1.0 / (_SQRT_PI * d)
 
 
-def erfc_complex_array(z) -> np.ndarray:
-    """Complementary error function of a complex array.
+def erfc_complex(z):
+    """Complementary error function of a finite complex scalar or array.
 
     erfc(z) = e^{-z^2} w(iz) for Re z >= 0 and 2 - erfc(-z) otherwise. The
     rounding of e^{-z^2} dominates the error: at most 5.6e-14 relative to
@@ -138,16 +120,14 @@ def erfc_complex_array(z) -> np.ndarray:
     against math.erfc on the real axis.
     """
     z = np.asarray(z, dtype=complex)
+    bad = z[~np.isfinite(z)]
+    if bad.size:
+        raise PhysicsDomainError(
+            f"erfc_complex needs finite arguments, got {bad.size} non-finite, first {bad[0]}")
     neg = z.real < 0.0
     zr = np.where(neg, -z, z)
     right = np.exp(-zr * zr) * faddeeva_w(1j * zr)  # erfc(zr), Re zr >= 0
-    return np.where(neg, 2.0 - right, right)
+    return np.where(neg, 2.0 - right, right)[()]
 
 
-def erfc_complex(z) -> complex:
-    """Complementary error function of one finite complex argument; see
-    erfc_complex_array for the method and its accuracy."""
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise PhysicsDomainError(f"erfc_complex needs a finite argument, got {z}")
-    return complex(erfc_complex_array(z))
+erfc_complex_array = erfc_complex

@@ -1,9 +1,12 @@
 """Scattering amplitudes for piecewise-constant barriers.
 
-Transfer matrices carry the pair (g, F g') with F the junction weight, so the
-relativistic matching condition at every potential step is plain continuity
-of the carried vector. Closed forms for the single and double square barrier
-are provided alongside and cross-checked by the generic path in the tests.
+Transfer matrices carry the pair (g, F g') with F = 1/(sqrt(m^2 + kappa^2) + m)
+the junction weight, so the relativistic matching condition at every
+potential step is plain continuity of the carried vector. Closed forms for
+the single and double square barrier are provided alongside and
+cross-checked by the generic path in the tests. Every function takes a
+scalar momentum or an array through the same numpy code, a scalar giving
+numpy scalars (see kinematics).
 
 Conventions: the profile occupies [-d/2, d/2] (d = total width), incidence
 from the left, T multiplies e^{ikx} on the right, R multiplies e^{-ikx} on
@@ -20,7 +23,7 @@ import numpy as np
 
 from .errors import (AboveBarrierError, DelayUndefinedError, PhysicsDomainError,
                      TotalReflectionError)
-from .kinematics import _xp, matching_weight
+from .kinematics import matching_weight
 
 _UNITARITY_TOL = 1e-8
 
@@ -140,10 +143,7 @@ def detection_coefficient(T, R):
     w = np.real(np.conj(T) * R)
     if np.max(np.abs(w), initial=0.0) >= 1.0:
         raise PhysicsDomainError("inconsistent amplitudes: |w| >= 1")
-    A = (T - w * R) / (1.0 - w * w)
-    if np.ndim(T) == 0 and np.ndim(R) == 0:
-        return float(w), complex(A)
-    return w, A
+    return w[()], ((T - w * R) / (1.0 - w * w))[()]
 
 
 def wrap_pi(x):
@@ -161,20 +161,17 @@ def phase_split(T, R):
     R = np.asarray(R, dtype=complex)
     if np.any(T == 0):
         raise TotalReflectionError("T = 0: transmission phase undefined")
-    absT = np.abs(T)
     phi = np.angle(T)
-    if phi.ndim > 0 and phi.size > 1:
+    if phi.size > 1:
         phi = np.unwrap(phi)
     chi = np.where(R == 0, 0.0, wrap_pi(np.pi / 2 + np.angle(R) - np.angle(T)))
-    if np.ndim(T) == 0 and np.ndim(R) == 0:
-        return float(absT), float(phi), float(chi)
-    return absT, phi, chi
+    return np.abs(T)[()], phi[()], chi[()]
 
 
 def _make_data(k, T, R) -> ScatteringData:
-    w, A = detection_coefficient(T, R)
-    absT, phi, chi = phase_split(T, R)
-    return ScatteringData(k=k, T=T, R=R, w=w, A=A, T_abs=absT, phi=phi, chi=chi)
+    T, R = np.asarray(T, dtype=complex), np.asarray(R, dtype=complex)
+    return ScatteringData(np.asarray(k, dtype=float)[()], T[()], R[()],
+                          *detection_coefficient(T, R), *phase_split(T, R))
 
 
 # ---------------------------------------------------------------------------
@@ -202,49 +199,34 @@ def barrier_functions(k, v0: float, m: float) -> BarrierFunctions:
     (k below ~1e-8 m), so eta = -inf and rho = inf there; a scalar k that
     low raises PhysicsDomainError.
     """
-    karr = np.asarray(k, dtype=float)
+    k = np.asarray(k, dtype=float)
     lo, hi = tunneling_window(v0, m)
-    bad = karr[~((karr > lo) & (karr < hi))]
+    bad = k[~((k > lo) & (k < hi))]
     if bad.size:
         raise AboveBarrierError(
             f"k in [{bad.min()}, {bad.max()}] outside the tunneling window (0, {hi}): "
             "use the transfer-matrix path for above-barrier momenta")
-    xp = _xp(k)
-    if xp is np:
-        k = karr
-    E = xp.hypot(k, m)
+    E = np.hypot(k, m)
     gap = E - v0
-    lam = xp.sqrt(m * m - gap * gap)
+    lam = np.sqrt(m * m - gap * gap)
     with np.errstate(divide="ignore"):
-        e = (lam / k) * (E - m) / (m - xp.sqrt(m * m - lam * lam))
-        if xp is math and e == 0.0:
+        e = (lam / k) * (E - m) / (m - np.sqrt(m * m - lam * lam))
+        if e.ndim == 0 and e == 0.0:
             raise PhysicsDomainError(
                 f"k = {k}: E - m underflows to 0, so e_k = 0 and eta, rho are infinite")
         inv = 1.0 / e
-    return BarrierFunctions(energy=E, lam=lam, e=e, eta=0.5 * (e - inv), rho=0.5 * (e + inv))
+    return BarrierFunctions(*(q[()] for q in (E, lam, e, 0.5 * (e - inv), 0.5 * (e + inv))))
 
 
 def _scaled_cosh_sinh(x):
     """(cosh x, sinh x) times e^{-x}: finite however opaque the barrier."""
-    em = _xp(x).exp(-2.0 * x)
+    em = np.exp(-2.0 * x)
     return 0.5 * (1.0 + em), 0.5 * (1.0 - em)
 
 
-def _square_TR(k, v0: float, d: float, m: float):
-    xp = _xp(k)
-    bf = barrier_functions(k, v0, m)
-    x = bf.lam * d
-    ch, sh = _scaled_cosh_sinh(x)
-    den = ch - 1j * bf.eta * sh
-    scale = xp.exp(-x) * (x < 700)
-    phase = xp.cos(k * d) - 1j * xp.sin(k * d)
-    T = phase * scale / den
-    R = -1j * phase * bf.rho * sh / den
-    return T, R
-
-
-def square_barrier_amplitudes(k: float, v0: float, d: float, m: float) -> ScatteringData:
-    """Closed-form T, R for one square barrier of height V0 < m, width d.
+def square_barrier_amplitudes(k, v0: float, d: float, m: float) -> ScatteringData:
+    """Closed-form T, R for one square barrier of height V0 < m, width d, at
+    a scalar or an array of momenta k.
 
     V0 = 0 degenerates to free propagation (T = 1, R = 0). Momenta above the
     tunneling window raise AboveBarrierError; use piecewise_amplitudes there.
@@ -252,13 +234,18 @@ def square_barrier_amplitudes(k: float, v0: float, d: float, m: float) -> Scatte
     if d <= 0:
         raise PhysicsDomainError(f"width must be positive, got {d}")
     if v0 == 0.0:
-        return _make_data(k, complex(1.0), complex(0.0))
-    T, R = _square_TR(k, v0, d, m)
-    return _make_data(k, T, R)
+        return _make_data(k, 1.0, 0.0)
+    bf = barrier_functions(k, v0, m)
+    x = bf.lam * d
+    ch, sh = _scaled_cosh_sinh(x)
+    den = ch - 1j * bf.eta * sh
+    phase = np.cos(k * d) - 1j * np.sin(k * d)
+    return _make_data(k, phase * (np.exp(-x) * (x < 700)) / den, -1j * phase * bf.rho * sh / den)
 
 
-def double_barrier_T(k: float, v0: float, a: float, r: float, m: float) -> ScatteringData:
-    """Closed-form amplitudes for two width-a barriers separated by r.
+def double_barrier_T(k, v0: float, a: float, r: float, m: float) -> ScatteringData:
+    """Closed-form amplitudes for two width-a barriers separated by r, at a
+    scalar or an array of momenta k.
 
     T comes from the double-barrier closed form (scaled against overflow);
     R from the transfer-matrix path, which the tests hold to unitarity
@@ -266,29 +253,30 @@ def double_barrier_T(k: float, v0: float, a: float, r: float, m: float) -> Scatt
     """
     if a <= 0 or r < 0:
         raise PhysicsDomainError(f"need a > 0 and r >= 0, got a={a}, r={r}")
-    if v0 == 0.0:
-        return _make_data(k, complex(1.0), complex(0.0))
-    if r == 0.0:
+    if v0 == 0.0 or r == 0.0:
         return square_barrier_amplitudes(k, v0, 2 * a, m)
     bf = barrier_functions(k, v0, m)
     x = bf.lam * a
     ch, sh = _scaled_cosh_sinh(x)
-    eikr = complex(math.cos(k * r), math.sin(k * r))
-    den = (ch - 1j * bf.eta * sh) ** 2 / eikr + bf.rho ** 2 * sh * sh * eikr
-    scale = math.exp(-2.0 * x) if x < 700 else 0.0
+    eikr = np.cos(k * r) + 1j * np.sin(k * r)
+    # (ch - i eta sh)^2 in real arithmetic: numpy's complex multiply rounds
+    # differently on scalars and arrays, and den cancels near resonances
+    esh = bf.eta * sh
+    den = ((ch - esh) * (ch + esh) - 2j * ch * esh) / eikr + bf.rho ** 2 * sh * sh * eikr
+    scale = np.exp(-2.0 * x) * (x < 700)
     kd = k * (r + 2 * a)
-    T = complex(math.cos(kd), -math.sin(kd)) * scale / den
-    profile = PotentialProfile.double(m, v0, a, r)
-    _, R = _transfer_TR(profile.segments, np.array([float(k)]), m)
-    return _make_data(k, T, complex(R[0]))
+    T = (np.cos(kd) - 1j * np.sin(kd)) * scale / den
+    _, R = _transfer_TR(PotentialProfile.double(m, v0, a, r).segments, k, m)
+    return _make_data(k, T, R)
 
 
 # ---------------------------------------------------------------------------
 # generic transfer-matrix path
 
 
-def _transfer_TR(segments, k: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized T(k), R(k) for any segment list, incidence from the left."""
+def _transfer_TR(segments, k, m: float) -> tuple[np.ndarray, np.ndarray]:
+    """T(k), R(k) for any segment list, incidence from the left, at a scalar
+    (0-d results) or an array of momenta."""
     k = np.asarray(k, dtype=float)
     E = np.hypot(k, m)
     c = k * matching_weight(k * k, m)
@@ -303,15 +291,13 @@ def _transfer_TR(segments, k: np.ndarray, m: float) -> tuple[np.ndarray, np.ndar
         kap = np.sqrt(np.abs(ksq))
         phase = kap * w
         prop = ksq >= 0
-        tinyp = phase < 1e-8
-        with np.errstate(divide="ignore", invalid="ignore"):
-            snw_p = np.where(tinyp, w * (1.0 - phase * phase / 6.0),
-                             np.sin(phase) / np.where(kap == 0, 1.0, kap))
-            em = np.exp(-2.0 * np.minimum(phase, 400.0))
-            snw_e = np.where(tinyp, w * (1.0 - phase),
-                             -np.expm1(-2.0 * phase) / np.where(kap == 0, 1.0, 2.0 * kap))
+        em = np.exp(-2.0 * np.minimum(phase, 400.0))
         cs = np.where(prop, np.cos(phase), 0.5 * (1.0 + em))
-        snw = np.where(prop, snw_p, snw_e)
+        # sin(w kap)/kap, or sinh(w kap)/kap scaled by e^{-w kap}: sin and expm1
+        # hold full relative accuracy at tiny phases; 0/0 only at kap = 0 (prop)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            snw = np.where(prop, np.where(kap == 0, w, np.sin(phase) / kap),
+                           -np.expm1(-2.0 * phase) / (2.0 * kap))
         a12 = snw / F
         a21 = -ksq * F * snw
         n11 = cs * m11 + a12 * m21
@@ -331,27 +317,24 @@ def _transfer_TR(segments, k: np.ndarray, m: float) -> tuple[np.ndarray, np.ndar
     return T, R
 
 
-def piecewise_amplitudes(profile: PotentialProfile, k: float) -> ScatteringData:
-    """T, R, w, A for an arbitrary piecewise-constant profile at momentum k.
+def piecewise_amplitudes(profile: PotentialProfile, k) -> ScatteringData:
+    """T, R, w, A for an arbitrary piecewise-constant profile at a momentum
+    k > 0 or along an array of them.
 
     Works at any k > 0 (tunneling or above-barrier); the empty profile gives
     free propagation (R = 0, T = 1 to rounding). Opaque profiles are composed
     in scaled form, so the result stays finite however large lambda*width gets
     (T underflows to 0 once |T| < ~1e-300).
     """
-    if not (np.ndim(k) == 0 and k > 0 and math.isfinite(float(k))):
-        raise PhysicsDomainError(f"need a finite scalar momentum k > 0, got {k}")
-    T, R = _transfer_TR(profile.segments, np.array([float(k)]), profile.mass)
-    return _make_data(float(k), complex(T[0]), complex(R[0]))
-
-
-def amplitude_scan(profile: PotentialProfile, k_grid) -> ScatteringData:
-    """Vectorized piecewise_amplitudes over a momentum grid (k > 0)."""
-    k = np.asarray(k_grid, dtype=float)
-    if np.any(k <= 0) or not np.all(np.isfinite(k)):
-        raise PhysicsDomainError("momentum scan requires finite k > 0")
+    k = np.asarray(k, dtype=float)
+    bad = k[~((k > 0) & np.isfinite(k))]
+    if bad.size:
+        raise PhysicsDomainError(f"need finite k > 0, got {bad.size} momenta such as {bad[0]}")
     T, R = _transfer_TR(profile.segments, k, profile.mass)
     return _make_data(k, T, R)
+
+
+amplitude_scan = piecewise_amplitudes
 
 
 def detection_amplitude_scan(profile: PotentialProfile | None, k_grid) -> np.ndarray:
@@ -401,8 +384,7 @@ def unwrapped_transmission_phase(profile: PotentialProfile, k_grid,
         raise PhysicsDomainError("need a strictly increasing 1-d momentum grid")
 
     def principal(kk: float) -> float:
-        T, _ = _transfer_TR(profile.segments, np.array([kk]), profile.mass)
-        return float(np.angle(T[0]))
+        return float(np.angle(_transfer_TR(profile.segments, kk, profile.mass)[0]))
 
     def continue_branch(k0, phi0, k1, phi1_pr, depth):
         cand = phi1_pr + 2 * np.pi * round((phi0 - phi1_pr) / (2 * np.pi))

@@ -32,7 +32,9 @@ from .kinematics import relativistic_kinematics
 from .scattering import PotentialProfile, detection_amplitude_scan, detection_phase_derivative
 
 _KWINDOW_SIGMAS = 8.0
-_MIN_L_OVER_D = 10.0
+MIN_L_OVER_D = 10.0  # far-field bound: a detector at L >= 10 d
+GRID_SPAN_SIGMAS = 10.0  # recommended half-span of a time grid, in sigma_x/v_p
+DENSITY_REL_TOL = 1e-8  # default rel_tol of the arrival amplitude and density
 _WARN_L_OVER_D = 50.0
 _KERNEL_CHUNK = 4e6  # bound on nodes x (A + 2B) exp-table entries held at once
 _N_REP = 24  # representative times a time-grid refinement starts from
@@ -110,11 +112,11 @@ class WavePacketSpec:
 
 def packet_momentum_amplitude(spec: WavePacketSpec, k):
     """Momentum-space amplitude of the initial packet at k (scalar or array)."""
-    if np.ndim(k) == 0:
-        if not math.isfinite(float(k)):
-            raise PhysicsDomainError(f"momentum must be finite, got {k}")
-        return complex(spec.momentum_amplitude(float(k)))
-    return spec.momentum_amplitude(k)
+    k = np.asarray(k, dtype=float)
+    bad = k[~np.isfinite(k)]
+    if bad.size:
+        raise PhysicsDomainError(f"momenta must be finite, got {bad.size} such as {bad[0]}")
+    return spec.momentum_amplitude(k)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +196,10 @@ class DetectorSpec:
         d = profile.width if profile is not None else 0.0
         if d == 0.0:
             return
-        if self.position < _MIN_L_OVER_D * d:
+        if self.position < MIN_L_OVER_D * d:
             raise PhysicsDomainError(
                 f"detector at L = {self.position} violates the far-field "
-                f"requirement L >= {_MIN_L_OVER_D} d = {_MIN_L_OVER_D * d}")
+                f"requirement L >= {MIN_L_OVER_D} d = {MIN_L_OVER_D * d}")
         if self.position < _WARN_L_OVER_D * d:
             warn_regime("far_field_marginal",
                         f"L = {self.position} below {_WARN_L_OVER_D} d: "
@@ -336,7 +338,7 @@ def _initial_edges(spec: WavePacketSpec, mass: float, L: float, t_lo: float, t_h
 
 def arrival_amplitude(L: float, t: float, spec: WavePacketSpec,
                       profile: PotentialProfile | None, alpha=None,
-                      rel_tol: float = 1e-8, detection_amplitude=None) -> complex:
+                      rel_tol: float = DENSITY_REL_TOL, detection_amplitude=None) -> complex:
     """Arrival amplitude A(L, t) at a single detection time.
 
     ``detection_amplitude`` substitutes a model A_k (callable of a momentum
@@ -404,10 +406,12 @@ def _shared_panel_amplitudes(smooth, spec: WavePacketSpec, mass: float, L: float
                              times: np.ndarray, rel_tol: float):
     """Amplitudes on a whole time grid from one adaptively refined panel set.
 
-    The panels are refined on 24 representative times, then one pass
-    (``_grid_pass``) evaluates K15 and the embedded |K15 - G7| estimate at
-    every time of the grid on the final panels. Every sample must hold
-    |K15 - G7| <= rel_tol max_t |A|; where any misses, its worst times join
+    The panels are refined on 24 representative times and on |g|, the
+    integrand without its phase: int |g| dk bounds every |A|, and rel_tol is
+    relative to it, as in arrival_amplitude. Then one pass (``_grid_pass``)
+    evaluates K15 and the embedded |K15 - G7| estimate at every time of the
+    grid on the final panels. Every sample must hold
+    |K15 - G7| <= rel_tol int |g| dk; where any misses, its worst times join
     the representative set and refinement resumes from the current panels,
     within GRID_MAX_PANELS panels and GRID_MAX_ROUNDS rounds in all. The
     reported ``error_estimate`` bounds |A| everywhere: the larger of the
@@ -416,9 +420,10 @@ def _shared_panel_amplitudes(smooth, spec: WavePacketSpec, mass: float, L: float
     edges = _initial_edges(spec, mass, L, float(times[0]), float(times[-1]))
     rep = times[np.unique(np.linspace(0, times.size - 1, min(_N_REP, times.size)).astype(int))]
 
-    def f(k):  # one column per representative time
+    def f(k):  # one column per representative time, then |g|
+        g = smooth(k)
         kern = np.exp(-1j * relativistic_kinematics(k, mass).energy[:, None] * rep[None, :])
-        return (smooth(k) * np.exp(1j * k * L))[:, None] * kern
+        return np.column_stack([(g * np.exp(1j * k * L))[:, None] * kern, np.abs(g)])
 
     rounds = rechecks = 0
     while True:
@@ -431,7 +436,7 @@ def _shared_panel_amplitudes(smooth, spec: WavePacketSpec, mass: float, L: float
         rounds += quad.rounds
         amps, err, time_blocks = _grid_pass(smooth, mass, L, quad, times)
         # an all-zero grid (alpha = 0) has err = tol = 0 and passes
-        tol = rel_tol * float(np.max(np.abs(amps)))
+        tol = rel_tol * float(quad.value[-1].real)
         miss = np.flatnonzero(err > tol)
         if miss.size == 0:
             break
@@ -453,7 +458,7 @@ def _shared_panel_amplitudes(smooth, spec: WavePacketSpec, mass: float, L: float
 
 
 def arrival_density(times, spec: WavePacketSpec, profile: PotentialProfile | None,
-                    detector: DetectorSpec, rel_tol: float = 1e-8,
+                    detector: DetectorSpec, rel_tol: float = DENSITY_REL_TOL,
                     detection_amplitude=None) -> ArrivalDistribution:
     """Sample P(L, t) = |A(L, t)|^2 on a uniform time grid.
 
@@ -474,7 +479,7 @@ def arrival_density(times, spec: WavePacketSpec, profile: PotentialProfile | Non
         t_bar = stationary_phase_time(spec, profile, L)
     else:
         t_bar = (spec.x0 + L) / vp
-    span = 10.0 * spec.sigma_x / vp
+    span = GRID_SPAN_SIGMAS * spec.sigma_x / vp
     if times[0] > t_bar - span or times[-1] < t_bar + span:
         warn_regime("grid_span",
                     f"time grid [{times[0]}, {times[-1]}] does not cover the "

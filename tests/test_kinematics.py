@@ -53,15 +53,21 @@ class TestRelativisticKinematics:
         with pytest.raises(PhysicsDomainError):
             relativistic_kinematics(1.0, 0.0)
 
-    def test_arrays_match_numpy_and_scalars_match_libm(self):
+    def test_arrays_match_numpy_and_scalars_match_array_elements(self):
+        # scalars and arrays take one numpy route, so they agree bit for bit
         ks = np.linspace(-2.0, 3.0, 120).reshape(8, 15)
         kin = relativistic_kinematics(ks, 0.7)
         E = np.hypot(ks, 0.7)
         assert np.array_equal(kin.energy, E)
         assert np.array_equal(kin.velocity, ks / E)
-        one = relativistic_kinematics(0.3, 0.7)
-        assert one.energy == math.hypot(0.3, 0.7)
-        assert one.velocity == 0.3 / math.hypot(0.3, 0.7)
+        for k, e, v in zip(ks.ravel(), kin.energy.ravel(), kin.velocity.ravel()):
+            one = relativistic_kinematics(float(k), 0.7)
+            assert isinstance(one.energy, float) and isinstance(one.velocity, float)
+            assert one.energy == e and one.velocity == v
+
+    def test_scalar_error_names_the_momentum(self):
+        with pytest.raises(PhysicsDomainError, match=r"got 1 in \[nan, nan\]"):
+            relativistic_kinematics(float("nan"), 1.0)
 
     def test_array_error_names_offending_range(self):
         with pytest.raises(PhysicsDomainError, match=r"got 2 in \[-inf, inf\]"):
@@ -116,7 +122,17 @@ class TestMatchingWeight:
         xs = np.array([-0.9, -1e-10, 0.0, 1e-10, 0.5, 4.0])
         arr = matching_weight(xs, 1.0)
         for x, got in zip(xs, arr):
-            assert got == pytest.approx(matching_weight(float(x), 1.0), rel=1e-14)
+            assert got == matching_weight(float(x), 1.0)
+
+    def test_against_mpmath_near_and_far_from_zero(self):
+        # (sqrt(1 + x) - 1)/x at 40 digits (m = 1, so m^2 is exact); the
+        # cancellation-free form 1/(sqrt(1 + x) + 1) holds to rounding on
+        # both sides of x = 0, where the subtraction lost up to 1e-10
+        mp.mp.dps = 40
+        xs = np.concatenate([s * np.geomspace(1e-12, 1.0 - 1e-9, 200) for s in (1.0, -1.0)])
+        for x, got in zip(xs, matching_weight(xs, 1.0)):
+            ref = (mp.sqrt(1 + mp.mpf(float(x))) - 1) / mp.mpf(float(x))
+            assert abs(got - ref) <= 1e-15 * ref
 
 
 class TestErfcComplex:

@@ -81,9 +81,18 @@ def test_panel_cap_raises_with_diagnostics():
         adaptive_quad(_wave([1e3]), np.linspace(0.0, 1.0, 9), 1e-10, max_panels=16)
     diag = exc.value.diagnostics
     assert diag["panels"] >= 16
+    assert diag["panels"] <= 16  # never above the cap
     assert diag["total_error"] > diag["tolerance"]
     lo, hi, err = diag["worst_panel"]
     assert 0.0 <= lo < hi <= 1.0 and err > 0.0
+
+
+def test_panel_cap_is_not_overshot():
+    # the cap is checked before each round: a round that would bisect the
+    # 64 panels to 128 is not run, so the failing run reports 64, not 128
+    with pytest.raises(NumericsError, match="failed to converge") as exc:
+        adaptive_quad(_wave([1e3]), np.linspace(0.0, 1.0, 9), 1e-10, max_panels=100)
+    assert 50 < exc.value.diagnostics["panels"] <= 100
 
 
 def test_round_cap_raises():

@@ -25,7 +25,7 @@ from tunnelkit import (
     tunneling_window,
     unwrapped_transmission_phase,
 )
-from tunnelkit.scattering import detection_amplitude_scan
+from tunnelkit.scattering import _transfer_TR, detection_amplitude_scan
 
 
 def _random_tunneling_tuple(rng, m=1.0):
@@ -98,19 +98,16 @@ class TestBarrierFunctions:
             barrier_functions(0.3, 0.0, 1.0)  # empty window at V0 = 0
 
     def test_array_matches_scalars(self):
-        # scalars go through libm, arrays through numpy, whose hypot may differ
-        # in the last bit; E - m and lambda^2 = m^2 - (E - V0)^2 magnify that
-        # bit by cond = E/(E - m) + m^2/lambda^2 (about 10 mid-window)
+        # scalars and arrays take one numpy route, so a scalar call equals
+        # the matching array element bit for bit
         rng = np.random.default_rng(5)
         for v0 in (0.1, 0.5, 0.9):
             ks = np.sort(rng.uniform(1e-4, 1.0 - 1e-6, 200)) * tunneling_window(v0, 1.0)[1]
             arr = barrier_functions(ks, v0, 1.0)
-            tol = 4.0 * np.finfo(float).eps * (arr.energy / (arr.energy - 1.0) + 1.0 / arr.lam ** 2)
             for i, k in enumerate(ks):
                 bf = barrier_functions(float(k), v0, 1.0)
-                for name in ("energy", "lam", "e", "rho"):
-                    assert abs(getattr(arr, name)[i] / getattr(bf, name) - 1.0) <= tol[i]
-                assert abs(arr.eta[i] - bf.eta) <= tol[i] * bf.rho  # eta crosses 0
+                for name in ("energy", "lam", "e", "eta", "rho"):
+                    assert getattr(bf, name) == getattr(arr, name)[i], name
 
     def test_scalar_momentum_where_e_underflows_rejected(self):
         # E - m underflows below k ~ 1.5e-8 m: the scalar route names k, the
@@ -195,6 +192,21 @@ class TestDoubleBarrier:
         with pytest.raises(AboveBarrierError):
             double_barrier_T(hi * 1.05, 0.5, 3.0, 10.0, 1.0)
 
+    def test_array_matches_scalars(self):
+        # numpy's complex multiply rounds differently on scalars and arrays,
+        # so the complex closed forms agree to rounding, not bit for bit
+        rng = np.random.default_rng(5)
+        for v0 in (0.1, 0.5, 0.9):
+            ks = np.sort(rng.uniform(1e-4, 1.0 - 1e-6, 200)) * tunneling_window(v0, 1.0)[1]
+            for amplitudes in (lambda k: square_barrier_amplitudes(k, v0, 5.0, 1.0),
+                               lambda k: double_barrier_T(k, v0, 3.0, 10.0, 1.0)):
+                arr = amplitudes(ks)
+                for i, k in enumerate(ks):
+                    one = amplitudes(float(k))
+                    for name in ("T", "R", "A"):
+                        ref = getattr(arr, name)[i]
+                        assert abs(getattr(one, name) - ref) <= 1e-15 * abs(ref), name
+
     def test_unitarity(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
@@ -265,6 +277,11 @@ class TestPiecewise:
         prof = PotentialProfile.square(1.0, 0.5, 2.0)
         with pytest.raises(PhysicsDomainError):
             piecewise_amplitudes(prof, 0.0)
+        with pytest.raises(PhysicsDomainError, match="got 2 momenta"):
+            piecewise_amplitudes(prof, np.array([0.3, np.inf, 0.4, -0.1]))
+
+    def test_scan_is_the_same_function(self):
+        assert amplitude_scan is piecewise_amplitudes
 
     def test_scan_matches_scalar(self):
         prof = PotentialProfile(1.0, ((0.6, 4.0), (0.2, 3.0)))
@@ -274,6 +291,47 @@ class TestPiecewise:
             one = piecewise_amplitudes(prof, float(k))
             assert abs(scan.T[i] - one.T) < 1e-14
             assert abs(scan.A[i] - one.A) < 1e-14
+
+
+def _transfer_oracle(segments, k, m):
+    """T, R of the carried vector (g, F g') at 50 digits. A complex kappa
+    covers propagating and evanescent segments with one formula."""
+    mp.mp.dps = 50
+    k, m = mp.mpf(k), mp.mpf(m)
+    E = mp.sqrt(k * k + m * m)
+
+    def weight(x):
+        return 1 / (mp.sqrt(m * m + x) + m)
+
+    M = mp.eye(2)
+    for v, w in segments:
+        ksq = (E - v) ** 2 - m * m
+        kap, w = mp.sqrt(mp.mpc(ksq)), mp.mpf(w)
+        snw = mp.sin(kap * w) / kap if ksq != 0 else w
+        M = mp.matrix([[mp.cos(kap * w), snw / weight(ksq)],
+                       [-ksq * weight(ksq) * snw, mp.cos(kap * w)]]) * M
+    c = k * weight(k * k)
+    out = mp.exp(-1j * k * sum(mp.mpf(w) for _, w in segments))
+    D = c * c * M[0, 1] - M[1, 0] + 1j * c * (M[0, 0] + M[1, 1])
+    NR = M[1, 0] + c * c * M[0, 1] + 1j * c * (M[1, 1] - M[0, 0])
+    return complex(2j * c * out / D), complex(out * NR / D)
+
+
+@pytest.mark.parametrize("segments", [((0.5, 3.0), (0.2, 2.0)),
+                                      ((0.3, 1e-6), (0.6, 4.0), (0.3, 1e-6))],
+                         ids=["two", "thin-edges"])
+def test_transfer_matches_mpmath_at_segment_thresholds(segments):
+    # at E - V = m a segment turns from evanescent to propagating: kappa -> 0,
+    # where sin(phase)/kappa and -expm1(-2 phase)/(2 kappa) stay exact to
+    # rounding; 1e-9 off the threshold the thin segments' phase is ~1e-11
+    for v, _ in segments:
+        kth = tunneling_window(v, 1.0)[1]
+        ks = kth * np.array([1.0 - 1e-9, 1.0, 1.0 + 1e-9])
+        T, R = _transfer_TR(segments, ks, 1.0)
+        for k, t, r in zip(ks, T, R):
+            t_ref, r_ref = _transfer_oracle(segments, float(k), 1.0)
+            assert abs(t - t_ref) <= 1e-12 * abs(t_ref)
+            assert abs(r - r_ref) <= 1e-12 * abs(r_ref)
 
 
 class TestDetectionCoefficient:

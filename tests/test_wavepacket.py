@@ -382,6 +382,22 @@ class TestFullGridErrorControl:
         assert diag["total_error"] > diag["tolerance"] > 0.0
         assert diag["worst_time"] in times
 
+    def test_grid_wholly_in_the_tails_converges(self, barrier_run):
+        # t_bar + sigma_t [-8, -7, 7, 8]: every amplitude is tiny. Relative to
+        # max |A| the refinement failed after 60492 panels; relative to
+        # int |g| dk, as in arrival_amplitude, it converges on a few dozen
+        spec, prof, det, times, _, t_bar = barrier_run
+        sig_t = (times[-1] - t_bar) / 10.5
+        t = t_bar + sig_t * np.array([-8.0, -7.0, 7.0, 8.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            dist = arrival_density(t, spec, prof, det)
+        quad = dist.metadata["quadrature"]
+        assert quad["panels"] < 100
+        ref = np.array([abs(arrival_amplitude(det.position, float(tj), spec, prof,
+                                              rel_tol=1e-12)) for tj in t])
+        assert np.max(np.abs(np.sqrt(dist.density) - ref)) <= quad["error_estimate"]
+
     def test_error_estimate_covers_every_sample(self):
         # single barrier, a packet wide enough for 185 phase panels
         spec = WavePacketSpec("gaussian", p=0.3, sigma_p=0.03, x0=900.0)
