@@ -13,7 +13,6 @@ from .errors import (
     DelayUndefinedError,
     NumericsError,
     PhysicsDomainError,
-    PropagatingSegmentError,
     RegimeWarning,
     TotalReflectionError,
     TunnelKitError,
@@ -21,7 +20,6 @@ from .errors import (
 from .kinematics import (
     Kinematics,
     erfc_complex,
-    evanescent_scale,
     matching_weight,
     relativistic_kinematics,
 )

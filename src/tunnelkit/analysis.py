@@ -39,8 +39,9 @@ _TAIL_BOUND = 1e-8        # peak series truncation: |R0p|^(2 n_max) < this
 # delay and tunneling times
 
 
-def delay_time(p: float, profile: PotentialProfile | None, mode: str = "auto") -> float:
-    """Arrival delay relative to free propagation at mean momentum p.
+def delay_time(p, profile: PotentialProfile | None, mode: str = "auto"):
+    """Arrival delay theta'_p/v_p relative to free propagation at mean
+    momentum p, a scalar or a numpy array.
 
     For a symmetric double barrier the physically meaningful delay is that of
     the first detected peak: twice the single-barrier delay. The raw phase
@@ -55,8 +56,9 @@ def delay_time(p: float, profile: PotentialProfile | None, mode: str = "auto") -
     return theta_prime / relativistic_kinematics(p, _mass(profile)).velocity
 
 
-def tunneling_time(p: float, profile: PotentialProfile | None) -> float:
-    """tau_p = t_d + d/v_p with d the total barrier extent (0 for a free run)."""
+def tunneling_time(p, profile: PotentialProfile | None):
+    """tau_p = t_d + d/v_p with d the total barrier extent (0 for a free run),
+    at a scalar or a numpy array of momenta p."""
     d = profile.width if profile is not None else 0.0
     return delay_time(p, profile) + d / relativistic_kinematics(p, _mass(profile)).velocity
 
@@ -66,7 +68,7 @@ def square_barrier_tunneling_time(p, v0: float, d: float, m: float):
 
     tau_p = [-eta (E-V0)/lambda d sech^2 + m rho (1/p^2 + 1/lambda^2) tanh]
             / (1 + eta^2 tanh^2), all at lambda d; written via tanh so opaque
-    barriers never overflow. Matches the phase-derivative route to ~1e-12.
+    barriers never overflow. Matches the phase-derivative route to ~1e-13.
     p is a scalar or a numpy array of momenta.
     """
     bf = barrier_functions(p, v0, m)

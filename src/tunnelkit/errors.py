@@ -13,17 +13,6 @@ class PhysicsDomainError(TunnelKitError, ValueError):
     """An operation was called outside its physical domain of validity."""
 
 
-class PropagatingSegmentError(PhysicsDomainError):
-    """|E - V0| > m inside a segment: the wave oscillates instead of decaying.
-
-    Carries the local wavenumber sqrt((E - V0)^2 - m^2) the caller should use.
-    """
-
-    def __init__(self, message: str, local_wavenumber: float):
-        super().__init__(message)
-        self.local_wavenumber = local_wavenumber
-
-
 class AboveBarrierError(PhysicsDomainError):
     """Momentum outside the tunneling window of a closed-form amplitude."""
 

@@ -1,5 +1,5 @@
-"""Relativistic dispersion, evanescent scales, junction weights, and the
-Faddeeva function w(z) with the complex erfc built on it.
+"""Relativistic dispersion, junction weights, and the Faddeeva function w(z)
+with the complex erfc built on it.
 
 Scalars and arrays take one numpy route: a scalar is read as a 0-d array and
 the result unboxed with ``[()]`` to a numpy scalar (np.float64, np.complex128:
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PhysicsDomainError, PropagatingSegmentError
+from .errors import PhysicsDomainError
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -45,38 +45,20 @@ def relativistic_kinematics(k, m: float) -> Kinematics:
     return Kinematics(k=k[()], energy=energy[()], velocity=(k / energy)[()])
 
 
-def evanescent_scale(E: float, V0: float, m: float) -> float:
-    """Decay constant lambda = sqrt(m^2 - (E - V0)^2) inside a segment.
-
-    Valid only while |E - V0| <= m; otherwise the in-segment solution is
-    oscillatory and a PropagatingSegmentError carries the local wavenumber.
-    """
-    if not all(math.isfinite(x) for x in (E, V0, m)) or m <= 0:
-        raise PhysicsDomainError(f"need finite inputs and m > 0, got E={E}, V0={V0}, m={m}")
-    gap = E - V0
-    if abs(gap) > m:
-        local_k = math.sqrt(gap * gap - m * m)
-        raise PropagatingSegmentError(
-            f"|E - V0| = {abs(gap)} exceeds m = {m}: propagating segment, "
-            f"local wavenumber {local_k}",
-            local_wavenumber=local_k,
-        )
-    return math.sqrt(max(m * m - gap * gap, 0.0))
-
-
 def matching_weight(kappa_sq, m: float):
     """Junction weight F = (sqrt(m^2 + kappa_sq) - m)/kappa_sq = 1/(sqrt(m^2 + kappa_sq) + m).
 
     ``kappa_sq`` is the signed squared local wavenumber: positive in
     propagating segments, -lambda^2 in evanescent ones. The second form has
     no cancellation and no 0/0, so it holds to rounding through kappa_sq = 0
-    (limit 1/(2m)) and up to kappa_sq = -m^2. Accepts scalars or arrays.
-    kappa_sq < -m^2 has no real energy branch and is rejected.
+    (limit 1/(2m)) and up to kappa_sq = -m^2. Accepts scalars or arrays, real
+    or complex (a complex step); Re kappa_sq < -m^2 has no real energy branch
+    and is rejected.
     """
-    x = np.asarray(kappa_sq, dtype=float)
+    x = np.asarray(kappa_sq)
     if not math.isfinite(m) or m <= 0:
         raise PhysicsDomainError(f"mass must be finite and positive, got {m}")
-    if np.any(x < -m * m):
+    if np.any(x.real < -m * m):
         raise PhysicsDomainError("kappa_sq < -m^2: no real energy branch (lambda^2 > m^2)")
     return (1.0 / (np.sqrt(m * m + x) + m))[()]
 

@@ -11,7 +11,8 @@ numpy scalars (see kinematics).
 Conventions: the profile occupies [-d/2, d/2] (d = total width), incidence
 from the left, T multiplies e^{ikx} on the right, R multiplies e^{-ikx} on
 the left. Evanescent segments are composed in scaled form (e^{lambda w}
-factored out per segment) so opaque profiles never overflow.
+factored out per segment) so opaque profiles never overflow; the phase
+derivative of A_k is exact, by one complex step through the same product.
 """
 
 from __future__ import annotations
@@ -274,11 +275,10 @@ def double_barrier_T(k, v0: float, a: float, r: float, m: float) -> ScatteringDa
 # generic transfer-matrix path
 
 
-def _transfer_TR(segments, k, m: float) -> tuple[np.ndarray, np.ndarray]:
-    """T(k), R(k) for any segment list, incidence from the left, at a scalar
-    (0-d results) or an array of momenta."""
-    k = np.asarray(k, dtype=float)
-    E = np.hypot(k, m)
+def _segment_product(segments, k, E, m: float):
+    """(c, m11, m12, m21, m22, logscale) of the scaled segment product at k and
+    E, c = k F(k^2). Real at real (k, E) and analytic in both, so a complex
+    step carries the derivatives in the imaginary parts."""
     c = k * matching_weight(k * k, m)
     m11 = np.ones_like(k)
     m12 = np.zeros_like(k)
@@ -288,9 +288,9 @@ def _transfer_TR(segments, k, m: float) -> tuple[np.ndarray, np.ndarray]:
     for v, w in segments:
         ksq = (E - v) ** 2 - m * m
         F = matching_weight(ksq, m)
-        kap = np.sqrt(np.abs(ksq))
+        prop = ksq.real >= 0
+        kap = np.sqrt(np.where(prop, ksq, -ksq))
         phase = kap * w
-        prop = ksq >= 0
         em = np.exp(-2.0 * np.minimum(phase, 400.0))
         cs = np.where(prop, np.cos(phase), 0.5 * (1.0 + em))
         # sin(w kap)/kap, or sinh(w kap)/kap scaled by e^{-w kap}: sin and expm1
@@ -306,6 +306,14 @@ def _transfer_TR(segments, k, m: float) -> tuple[np.ndarray, np.ndarray]:
         n22 = a21 * m12 + cs * m22
         m11, m12, m21, m22 = n11, n12, n21, n22
         logscale = logscale + np.where(prop, 0.0, phase)
+    return c, m11, m12, m21, m22, logscale
+
+
+def _transfer_TR(segments, k, m: float) -> tuple[np.ndarray, np.ndarray]:
+    """T(k), R(k) for any segment list, incidence from the left, at a scalar
+    (0-d results) or an array of momenta."""
+    k = np.asarray(k, dtype=float)
+    c, m11, m12, m21, m22, logscale = _segment_product(segments, k, np.hypot(k, m), m)
     d = float(sum(w for _, w in segments))
     D = c * c * m12 - m21 + 1j * c * (m11 + m22)
     NR = m21 + c * c * m12 + 1j * c * (m22 - m11)
@@ -345,31 +353,35 @@ def detection_amplitude_scan(profile: PotentialProfile | None, k_grid) -> np.nda
     return detection_coefficient(*_transfer_TR(profile.segments, k, profile.mass))[1]
 
 
-def detection_phase_derivative(profile: PotentialProfile | None, p: float,
-                               h: float | None = None) -> float:
-    """d(Im log A_k)/dk at k = p by Richardson-extrapolated central differences.
+def detection_phase_derivative(profile: PotentialProfile | None, p):
+    """theta'_p = d(arg A_k)/dk at k = p (a scalar or an array), exactly.
 
-    Step defaults to 1e-5 p (truncation/roundoff balance in doubles). The
-    stencil phases are branch-matched; a residual jump above pi/2 means the
-    stencil straddles a zero of A and the derivative is reported undefined.
-    Free propagation (profile None or empty) gives exactly 0.
-    """
-    if p <= 0:
+    A e^{ikd} is a positive real factor times P + iQ, P and Q real arithmetic
+    on the segment product; one evaluation at p + i s (energy E + i s v) puts
+    s P', s Q' in the imaginary parts, so theta' = (P Q' - Q P')/(P^2 + Q^2) - d.
+    The real e^{-lambda w} scale drops out: opaque profiles give finite values.
+    Free propagation (profile None) gives exactly 0."""
+    k = np.asarray(p, dtype=float)
+    if np.any(~(k > 0)):
         raise PhysicsDomainError(f"need p > 0, got {p}")
-    if h is None:
-        h = 1e-5 * p
-    ks = p + h * np.array([-1.0, -0.5, 0.5, 1.0])
-    A = detection_amplitude_scan(profile, ks)
-    if np.any(np.abs(A) < 1e-300):
+    if profile is None:
+        return np.zeros_like(k)[()]
+    s, kv = 1e-150, k.reshape(-1)  # 1-d: numpy rounds complex scalars differently
+    E = np.hypot(kv, profile.mass)
+    c, m11, m12, m21, m22, _ = _segment_product(
+        profile.segments, kv + 1j * s, E + 1j * s * kv / E, profile.mass)
+    Dr, Di = c * c * m12 - m21, c * (m11 + m22)
+    NRr, NRi = m21 + c * c * m12, c * (m22 - m11)
+    D2 = Dr * Dr + Di * Di
+    X, Y = 2.0 * c * Di / D2, 2.0 * c * Dr / D2  # T e^{ikd} without its scale
+    U, W = (NRr * Dr + NRi * Di) / D2, (NRi * Dr - NRr * Di) / D2  # R e^{ikd}
+    wt = X * U + Y * W
+    P, Q = X - wt * U, Y - wt * W
+    norm = P.real ** 2 + Q.real ** 2
+    if np.any(norm == 0):
         raise DelayUndefinedError("delay undefined at zero of A")
-    th = np.angle(A)
-    for i in range(1, 4):
-        th[i] += 2 * np.pi * round((th[i - 1] - th[i]) / (2 * np.pi))
-        if abs(th[i] - th[i - 1]) > np.pi / 2:
-            raise DelayUndefinedError("delay undefined at zero of A")
-    d_h = (th[3] - th[0]) / (2 * h)
-    d_h2 = (th[2] - th[1]) / h
-    return float((4.0 * d_h2 - d_h) / 3.0)
+    theta = (P.real * Q.imag - Q.real * P.imag) / (s * norm) - profile.width
+    return theta.reshape(k.shape)[()]
 
 
 def unwrapped_transmission_phase(profile: PotentialProfile, k_grid,

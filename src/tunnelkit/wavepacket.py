@@ -291,8 +291,8 @@ def _alpha_callable(alpha):
     return lambda k: np.full(np.asarray(k, float).shape, a)
 
 
-def _first_peak_phase_derivative(profile: PotentialProfile | None, p: float) -> float:
-    """theta'_p of the first detected peak.
+def _first_peak_phase_derivative(profile: PotentialProfile | None, p):
+    """theta'_p of the first detected peak, at a scalar or an array p.
 
     For a symmetric double barrier that is twice the single-barrier phase
     derivative, not the composite-amplitude derivative, which oscillates
@@ -308,7 +308,8 @@ def _first_peak_phase_derivative(profile: PotentialProfile | None, p: float) -> 
 def stationary_phase_time(spec: WavePacketSpec, profile: PotentialProfile | None,
                           L: float) -> float:
     """Peak-time estimate (x0 + L + theta'_p)/v_p of the first detected peak
-    from the stationary phase."""
+    from the stationary phase, at a detector position L or a numpy array of
+    them."""
     theta_prime = _first_peak_phase_derivative(profile, spec.p)
     v = relativistic_kinematics(spec.p, _mass(profile)).velocity
     return (spec.x0 + L + theta_prime) / v
@@ -416,6 +417,7 @@ def _shared_panel_amplitudes(smooth, spec: WavePacketSpec, mass: float, L: float
     within GRID_MAX_PANELS panels and GRID_MAX_ROUNDS rounds in all. The
     reported ``error_estimate`` bounds |A| everywhere: the larger of the
     refinement's summed estimate and the worst per-sample one, over 2 pi.
+    int |g| dk = 0 gives an exactly zero grid and a ``no_signal`` warning.
     """
     edges = _initial_edges(spec, mass, L, float(times[0]), float(times[-1]))
     rep = times[np.unique(np.linspace(0, times.size - 1, min(_N_REP, times.size)).astype(int))]
@@ -450,6 +452,9 @@ def _shared_panel_amplitudes(smooth, spec: WavePacketSpec, mass: float, L: float
         rep = np.union1d(rep, worst)
         edges = np.append(np.sort(quad.lo), np.max(quad.hi))
         rechecks += 1
+    if quad.value[-1].real == 0.0:
+        warn_regime("no_signal", "int |g| dk = 0 on the packet window (|A_k| underflows "
+                    "or alpha = 0 there): the density is exactly 0")
     error = max(quad.error_estimate, float(np.max(err))) / (2.0 * math.pi)
     diagnostics = {"panels": int(quad.lo.size), "refinement_rounds": rounds,
                    "error_estimate": error, "grid_rechecks": rechecks,

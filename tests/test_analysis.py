@@ -30,6 +30,7 @@ from tunnelkit import (
     piecewise_amplitudes,
     resonance_density,
     square_barrier_tunneling_time,
+    stationary_phase_time,
     tunneling_time,
     tunneling_window,
 )
@@ -80,6 +81,18 @@ class TestDelayTime:
         single = PotentialProfile.square(M, 0.5, 3.0)
         assert delay_time(0.3, dbl) == pytest.approx(
             2.0 * delay_time(0.3, single), abs=1e-8)
+
+    def test_report_matches_phase_time(self):
+        # closed form (report) against the transfer-matrix phase derivative,
+        # away from small p, where the closed form loses digits to E - m
+        v0, a, r, L, x0 = 0.4, 2.5, 300.0, 3050.0, 700.0
+        dbl = PotentialProfile.double(M, v0, a, r)
+        for p in (0.3, 0.35, 0.45):
+            rep = double_barrier_report(p, v0, a, r, M, L=L, x0=x0)
+            assert rep.t_d == pytest.approx(delay_time(p, dbl), rel=1e-14, abs=0.0)
+            spec = WavePacketSpec("gaussian", p, 0.004, x0)
+            assert rep.t0 == pytest.approx(stationary_phase_time(spec, dbl, L),
+                                           rel=1e-14, abs=0.0)
 
     def test_composite_mode_differs(self):
         dbl = PotentialProfile.double(M, 0.5, 3.0, 10.0)

@@ -248,6 +248,45 @@ class TestRunTasks:
         manifest = json.loads((tmp_path / "out" / "free_manifest.json").read_text())
         assert manifest["diagnostics"]["total_mass"] == pytest.approx(1.0, abs=1e-4)
 
+    def test_asymmetric_double_on_resonance(self, tmp_path):
+        # the packet sits on a resonance 5.6e-7 wide in k, and the grid is
+        # centred by theta' there
+        cfg = _write(tmp_path, "c.json", {
+            "name": "asym",
+            "barrier": {"mass": 1.0, "segments": [{"v": 0.5, "w": 3.0},
+                                                  {"v": 0.0, "w": 6000.0},
+                                                  {"v": 0.5, "w": 3.1}]},
+            "packet": {"shape": "gaussian", "p": 0.300457, "sigma_p": 1e-5,
+                       "x0": 250000.0},
+            "detector": {"position": 70000.0},
+            "task": {"kind": "arrival-density", "n_t": 64, "span_sigmas": 10.0,
+                     "rel_tol": 1e-6},
+            "output": {"dir": str(tmp_path / "out")},
+        })
+        assert main(["run", cfg]) == 0
+        data = np.loadtxt(tmp_path / "out" / "asym_arrival_density.csv",
+                          delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(data)) and np.max(data[:, 1]) > 0.0
+
+    def test_opaque_barrier_has_no_signal(self, tmp_path):
+        # |A_k| underflows on the whole packet window: an exact zero density,
+        # said in the manifest
+        cfg = _write(tmp_path, "c.json", {
+            "name": "opaque",
+            "barrier": {"mass": 1.0, "segments": [{"v": 0.9, "w": 2000.0}]},
+            "packet": {"shape": "gaussian", "p": 0.3, "sigma_p": 0.004, "x0": 700.0},
+            "detector": {"position": 20000.0},
+            "task": {"kind": "arrival-density", "n_t": 64, "span_sigmas": 10.0,
+                     "rel_tol": 1e-6},
+            "output": {"dir": str(tmp_path / "out")},
+        })
+        assert main(["run", cfg]) == 0
+        data = np.loadtxt(tmp_path / "out" / "opaque_arrival_density.csv",
+                          delimiter=",", skiprows=1)
+        assert data.shape == (64, 2) and np.all(data[:, 1] == 0.0)
+        manifest = json.loads((tmp_path / "out" / "opaque_manifest.json").read_text())
+        assert "no_signal" in {w["code"] for w in manifest["warnings"]}
+
     def test_regime_compare_continuum_offregime_warns(self, tmp_path):
         # sigma_p v_p dt ~ 4 is outside the continuum regime: the comparison
         # must still be emitted and the warning must land in the manifest

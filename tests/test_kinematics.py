@@ -10,9 +10,7 @@ import pytest
 
 from tunnelkit import (
     PhysicsDomainError,
-    PropagatingSegmentError,
     erfc_complex,
-    evanescent_scale,
     matching_weight,
     relativistic_kinematics,
 )
@@ -82,25 +80,6 @@ class TestRelativisticKinematics:
                 kin = relativistic_kinematics(float(k), m)
                 lhs = kin.energy**2 - k**2
                 assert abs(lhs - m * m) <= 1e-12 * max(kin.energy**2, m * m)
-
-
-class TestEvanescentScale:
-    def test_gap_zero(self):
-        assert evanescent_scale(1.0, 1.0, 1.0) == 1.0
-
-    def test_boundary(self):
-        assert evanescent_scale(2.0, 1.0, 1.0) == 0.0
-
-    def test_generic_value(self):
-        # sqrt(1 - 0.49), checked against independent evaluation
-        assert evanescent_scale(1.2, 0.5, 1.0) == pytest.approx(
-            0.7141428428542850, rel=1e-15)
-
-    def test_propagating_error_carries_wavenumber(self):
-        with pytest.raises(PropagatingSegmentError) as exc:
-            evanescent_scale(3.0, 0.5, 1.0)
-        assert exc.value.local_wavenumber == pytest.approx(
-            math.sqrt(2.5**2 - 1.0), rel=1e-15)
 
 
 class TestMatchingWeight:

@@ -19,6 +19,7 @@ from tunnelkit import (
     detection_coefficient,
     detection_phase_derivative,
     double_barrier_T,
+    find_resonances,
     phase_split,
     piecewise_amplitudes,
     square_barrier_amplitudes,
@@ -296,6 +297,10 @@ class TestPiecewise:
 def _transfer_oracle(segments, k, m):
     """T, R of the carried vector (g, F g') at 50 digits. A complex kappa
     covers propagating and evanescent segments with one formula."""
+    return tuple(complex(x) for x in _transfer_oracle_mp(segments, k, m))
+
+
+def _transfer_oracle_mp(segments, k, m):
     mp.mp.dps = 50
     k, m = mp.mpf(k), mp.mpf(m)
     E = mp.sqrt(k * k + m * m)
@@ -314,7 +319,19 @@ def _transfer_oracle(segments, k, m):
     out = mp.exp(-1j * k * sum(mp.mpf(w) for _, w in segments))
     D = c * c * M[0, 1] - M[1, 0] + 1j * c * (M[0, 0] + M[1, 1])
     NR = M[1, 0] + c * c * M[0, 1] + 1j * c * (M[1, 1] - M[0, 0])
-    return complex(2j * c * out / D), complex(out * NR / D)
+    return 2j * c * out / D, out * NR / D
+
+
+def _phase_derivative_oracle(segments, k, m, h="1e-22"):
+    """d(arg A_k)/dk by a central difference of the 50-digit transfer matrix."""
+    def amplitude(kk):
+        T, R = _transfer_oracle_mp(segments, kk, m)
+        w = mp.re(mp.conj(T) * R)
+        return (T - w * R) / (1 - w * w)
+
+    mp.mp.dps = 50
+    k, h = mp.mpf(k), mp.mpf(h)
+    return float(mp.im(mp.log(amplitude(k + h) / amplitude(k - h))) / (2 * h))
 
 
 @pytest.mark.parametrize("segments", [((0.5, 3.0), (0.2, 2.0)),
@@ -412,4 +429,37 @@ class TestPhaseDerivative:
         for p in (0.1, 0.3, 0.55):
             v = p / math.hypot(p, 1.0)
             ref = v * square_barrier_tunneling_time(p, 0.5, 5.0, 1.0) - 5.0
-            assert detection_phase_derivative(prof, p) == pytest.approx(ref, rel=1e-6)
+            assert detection_phase_derivative(prof, p) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    def test_opaque_matches_closed_form(self):
+        # |T| ~ e^{-1700} underflows, but the scale drops out of theta'
+        from tunnelkit import square_barrier_tunneling_time
+        prof = PotentialProfile.square(1.0, 0.9, 2000.0)
+        p = 0.3
+        ref = p / math.hypot(p, 1.0) * square_barrier_tunneling_time(p, 0.9, 2000.0, 1.0) - 2000.0
+        assert detection_phase_derivative(prof, p) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("half_widths", [0.0, 0.5, 2.0, 10.0])
+    def test_narrow_resonance_matches_mpmath(self, half_widths):
+        # r = 6000: the resonance near k = 0.300457 has half-width 5.6e-7 in k,
+        # and theta' swings from 1.8e6 on it to 1.2e4 ten half-widths away
+        prof = PotentialProfile.double(1.0, 0.5, 3.0, 6000.0)
+        k0 = float(find_resonances(0.5, 3.0, 6000.0, 1.0, k_window=(0.3004, 0.3005))[0])
+        k = k0 + half_widths * 5.6e-7
+        ref = _phase_derivative_oracle(prof.segments, k, 1.0)
+        assert detection_phase_derivative(prof, k) == pytest.approx(ref, rel=1e-9)
+
+    def test_arrays_match_scalars_bit_for_bit(self):
+        for prof in (PotentialProfile.square(1.0, 0.5, 5.0),
+                     PotentialProfile.double(1.0, 0.5, 3.0, 6000.0),
+                     PotentialProfile(1.0, ((0.5, 3.0), (0.0, 6000.0), (0.5, 3.1)))):
+            ks = np.concatenate([np.linspace(0.05, 1.2, 40), 0.300457 + 1e-7 * np.arange(-5, 6)])
+            got = detection_phase_derivative(prof, ks)
+            ref = [detection_phase_derivative(prof, float(k)) for k in ks]
+            assert np.array_equal(got, ref)
+        assert np.array_equal(detection_phase_derivative(None, ks), np.zeros_like(ks))
+
+    def test_rejects_nonpositive_momentum(self):
+        with pytest.raises(PhysicsDomainError, match="p > 0"):
+            detection_phase_derivative(PotentialProfile.square(1.0, 0.5, 5.0),
+                                       np.array([0.3, 0.0]))

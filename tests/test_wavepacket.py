@@ -233,7 +233,8 @@ class TestBarrierPipeline:
     def test_zero_absorption_gives_zero(self, barrier_run):
         spec, prof, det, times, _, _ = barrier_run
         dead = DetectorSpec(position=det.position, absorption=0.0)
-        dist = arrival_density(times, spec, prof, dead)
+        with pytest.warns(RegimeWarning, match="density is exactly 0"):
+            dist = arrival_density(times, spec, prof, dead)
         assert np.all(dist.density == 0.0)
 
     def test_zero_absorption_reports_its_panels(self, barrier_run):
