@@ -33,6 +33,7 @@ from .wavepacket import ArrivalDistribution, WavePacketSpec, _first_peak_phase_d
 _PEAK_FLOOR = 1e-6        # detect_peaks: ignore maxima below this x global max
 _FIT_FLOOR = 1e-12        # fit_exponential: ignore samples below this x peak
 _TAIL_BOUND = 1e-8        # peak series truncation: |R0p|^(2 n_max) < this
+_SERIES_CHUNK = 1 << 18   # peak series: times x offsets entries held at once
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +247,45 @@ def _regime_meta(report: RegimeReport, spec: WavePacketSpec, L: float,
             "detector": {"position": L}}
 
 
+def _reflection_sum(times: np.ndarray, spec: WavePacketSpec, report: RegimeReport,
+                    v: float, n_max: float) -> np.ndarray:
+    """sum_{n <= n_max} |R0p|^{2n} e^{i n beta_p} u0(v (t - t0 - n dt)) at each t.
+
+    A time t sees only the n with |v (t - t0 - n dt)| <= spec.reach, about
+    c +- w with c = (t - t0)/dt, so each sample sums those few terms, never
+    all n_max. The offsets from the first visible n go in blocks of
+    _SERIES_CHUNK times x offsets entries, which bounds the memory when
+    overlapping peaks widen the window. The block temporaries end with this
+    frame, before the caller allocates its output.
+    """
+    r0sq = report.R0p_abs2
+    c = (times - report.t0) / report.dt
+    w = spec.reach / (v * report.dt)
+    n_lo = np.maximum(np.ceil(c - w), 0.0)
+    counts = np.minimum(np.floor(c + w), n_max) - n_lo + 1.0  # terms per sample
+    # |R0p|^{2n} e^{i n beta_p} = (that at n_lo) x (that at the offset)
+    base = r0sq ** n_lo * np.exp(1j * report.beta_p * n_lo)
+    amp = np.zeros(times.size, dtype=complex)
+    width = int(max(np.max(counts), 0.0))
+    block = max(1, _SERIES_CHUNK // times.size)
+    for start in range(0, width, block):
+        j = np.arange(start, min(start + block, width), dtype=float)
+        n = n_lo[:, None] + j
+        env = spec.position_envelope(v * (times[:, None] - report.t0 - n * report.dt))
+        step = r0sq ** j * np.exp(1j * report.beta_p * j)
+        amp += base * ((env * (j < counts[:, None])) @ step)
+    return amp
+
+
 def peak_series_density(times, spec: WavePacketSpec, L: float, v0: float,
                         a: float, r: float, m: float) -> ArrivalDistribution:
     """Sum-of-reflections P(L, t): peaks at t0 + n dt, suppressed |R0p|^{4n}.
 
     Valid when the peaks do not overlap (sigma_x << v_p dt); violating that
-    is downgraded to a warning since the sum stays evaluable.
+    is downgraded to a warning since the sum stays evaluable. The series is
+    truncated at n_max, where |R0p|^(2 n_max) < 1e-8 (inf where |R0p|^2
+    rounds to 1), and each time sums only the peaks the packet envelope
+    reaches (``_reflection_sum``).
     """
     times, report, v = _regime_setup(times, spec, L, v0, a, r, m)
     if spec.sigma_x >= v * report.dt / 4.0:
@@ -259,21 +293,13 @@ def peak_series_density(times, spec: WavePacketSpec, L: float, v0: float,
                     f"sigma_x = {spec.sigma_x} >= v_p dt/4 = {v * report.dt / 4.0}: "
                     "peaks overlap, the non-overlapping-peak picture degrades",
                     sigma_x=spec.sigma_x, v_dt=v * report.dt)
-    r0sq = report.R0p_abs2
-    n_max = int(math.ceil(math.log(_TAIL_BOUND) / math.log(r0sq))) if r0sq > 0 else 1
-    n_max = min(max(n_max, 1), 200000)
-    # amplitude argument: v_p (t - t0 - n dt); position envelope is even.
-    # Summed in blocks of n so opaque barriers (huge n_max) stay in memory.
-    amp = np.zeros(times.size, dtype=complex)
-    log_r = math.log(r0sq)
-    for start in range(0, n_max + 1, 2048):
-        n = np.arange(start, min(start + 2048, n_max + 1))
-        coeff = np.exp(n * (1j * report.beta_p + log_r))
-        args = v * (times[:, None] - report.t0 - n[None, :] * report.dt)
-        amp += (coeff[None, :] * spec.position_envelope(args)).sum(axis=1)
+    with np.errstate(divide="ignore"):  # -inf at |R0p| = 0, 0 where |R0p|^2 rounds to 1
+        log_r = np.log(min(report.R0p_abs2, 1.0))
+    n_max = float(math.ceil(math.log(_TAIL_BOUND) / log_r)) if log_r < 0.0 else math.inf
+    amp = _reflection_sum(times, spec, report, v, n_max)
     density = v * report.T0p_abs2 ** 2 * np.abs(amp) ** 2
     meta = _regime_meta(report, spec, L, "peak-series")
-    meta["n_max"] = int(n_max)
+    meta["n_max"] = n_max
     return ArrivalDistribution(times=times, density=density, metadata=meta)
 
 

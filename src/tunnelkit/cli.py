@@ -184,6 +184,10 @@ def parse_scenario(config: dict, out_override: str | None = None) -> Scenario:
                 f"requirement L >= {MIN_L_OVER_D:g} d = {MIN_L_OVER_D * barrier.width}")
 
     params = _validate_task_params(task)
+    if kind == "regime-compare":
+        shape = _REGIME_SHAPE.get(params["regime"], packet.shape)
+        _expect(packet.shape == shape, "packet.shape",
+                f"regime {params['regime']!r} requires a {shape} packet, got {packet.shape!r}")
     if kind == "resonance-scan" and params["k_window"] is not None:
         k_max = tunneling_window(barrier.as_symmetric_double()[0], barrier.mass)[1]
         _expect(params["k_window"][1] < k_max, "task.k_max",
@@ -205,6 +209,7 @@ _REL_TOL = {"arrival-density": DENSITY_REL_TOL, "decay-fit": 1e-7, "regime-compa
 # tightest rel_tol they meet: 1e-13 no longer converges on single or double barriers
 _MIN_REL_TOL = 1e-12
 _SAMPLES_PER_PEAK = 12  # default time samples per peak spacing of peak-train grids
+_REGIME_SHAPE = {"continuum": "gaussian", "resonance": "lorentzian"}  # closed forms' packets
 
 
 def _opt(t: dict, key: str, default, parse, **kw):

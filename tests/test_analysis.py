@@ -240,6 +240,52 @@ class TestPeakSeries:
         with pytest.warns(RegimeWarning):
             peak_series_density(times, spec, 10.0 * (2 * a + r), v0, a, r, M)
 
+    @staticmethod
+    def _full_sum(times, spec, L, v0, a, r):
+        """Every term n <= n_max, at every time: the sum the window shortens."""
+        rep = double_barrier_report(spec.p, v0, a, r, M, L=L, x0=spec.x0)
+        v = _velocity(spec.p)
+        n = np.arange(math.ceil(math.log(1e-8) / math.log(rep.R0p_abs2)) + 1)
+        coeff = rep.R0p_abs2 ** n * np.exp(1j * rep.beta_p * n)
+        amp = spec.position_envelope(v * (times[:, None] - rep.t0 - n * rep.dt)) @ coeff
+        return v * rep.T0p_abs2 ** 2 * np.abs(amp) ** 2
+
+    @pytest.mark.parametrize("shape, r, spacings", [
+        ("gaussian", 6000.0, 8.0),  # the item-7 train
+        # e^{-sigma_p |x|} reaches 41/sigma_p, 6.4 times the Gaussian reach
+        ("lorentzian", 6000.0, 8.0),
+        ("gaussian", 20.0, 1.0),  # the overlapping peaks of test_overlap_warning
+    ], ids=["item7", "lorentzian", "overlap"])
+    def test_window_matches_full_sum(self, shape, r, spacings):
+        p, v0, a = 0.35, 0.4, 2.5
+        v = _velocity(p)
+        sigma_x = v * double_barrier_report(p, v0, a, r, M).dt / spacings
+        sigma_p = 1.0 / (2 * sigma_x) if shape == "gaussian" else 1.0 / (math.sqrt(2) * sigma_x)
+        spec = WavePacketSpec(shape, p=p, sigma_p=sigma_p, x0=5 * sigma_x)
+        L = 10.0 * (2 * a + r)
+        rep = double_barrier_report(p, v0, a, r, M, L=L, x0=spec.x0)
+        times = np.linspace(rep.t0 - 8.0 * sigma_x / v, rep.t0 + 16.5 * rep.dt, 2800)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            dist = peak_series_density(times, spec, L, v0, a, r, M)
+        full = self._full_sum(times, spec, L, v0, a, r)
+        assert dist.metadata["n_max"] == 445
+        assert np.max(np.abs(dist.density - full)) <= 1e-15 * np.max(full)
+
+    def test_opaque_wall_is_finite(self):
+        # |R0p|^2 rounds to 1.0 at a = 28: the series never decays, n_max is
+        # inf, and each time still sums only the peaks it can see
+        p, v0, a, r, L = 0.35, 0.4, 28.0, 3000.0, 40000.0
+        spec = WavePacketSpec("gaussian", p=p, sigma_p=5e-4, x0=5000.0)
+        rep = double_barrier_report(p, v0, a, r, M, L=L, x0=spec.x0)
+        assert rep.R0p_abs2 == 1.0
+        times = np.linspace(rep.t0 - 2.0 * rep.dt, rep.t0 + 4.5 * rep.dt, 600)
+        dist = peak_series_density(times, spec, L, v0, a, r, M)
+        assert dist.metadata["n_max"] == math.inf
+        assert np.all(np.isfinite(dist.density)) and np.all(dist.density >= 0.0)
+        heights = [h for _, h in detect_peaks(dist)]
+        assert len(heights) == 5 and np.ptp(heights) <= 1e-3 * max(heights)
+
 
 class TestEnvelope:
     def test_integral_and_onset(self, peaks_setup):

@@ -114,6 +114,22 @@ class TestValidate:
         assert main([command, cfg]) == 1
         assert path in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("regime, shape", [("continuum", "lorentzian"),
+                                               ("resonance", "gaussian")])
+    def test_regime_needs_its_packet_shape(self, tmp_path, capsys, command, regime, shape):
+        # each closed form holds for one packet shape only; the pair is
+        # rejected before any run, not by the runner with exit 2
+        base = _small_double()
+        base["packet"]["shape"] = shape
+        cfg = _write(tmp_path, "c.json", {
+            "name": "badpair", **base, "task": {"kind": "regime-compare", "regime": regime},
+            "output": {"dir": str(tmp_path / "out")},
+        })
+        assert main([command, cfg]) == 1
+        assert "packet.shape" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 3
 
@@ -411,6 +427,24 @@ class TestManifestAndDeterminism:
         })
         assert main(["run", cfg]) == 2
         assert "numeric failure" in capsys.readouterr().err
+
+    def test_opaque_wall_peaks_run_is_no_config_error(self, tmp_path, capsys):
+        # |R0p|^2 rounds to 1.0 at a = 28, where the peak-series model died
+        # with a bare ZeroDivisionError. The run now ends as a numeric result:
+        # today exit 2, because the direct density's |T|^2 + |R|^2 misses 1 by
+        # 2.2e-8, above the unitarity tolerance 1e-8
+        cfg = _write(tmp_path, "c.json", {
+            "name": "wall",
+            "barrier": {"mass": 1.0, "segments": [{"v": 0.4, "w": 28.0},
+                                                  {"v": 0.0, "w": 3000.0},
+                                                  {"v": 0.4, "w": 28.0}]},
+            "packet": {"shape": "gaussian", "p": 0.35, "sigma_p": 5e-4, "x0": 5000.0},
+            "detector": {"position": 40000.0},
+            "task": {"kind": "regime-compare", "regime": "peaks", "n_peaks": 4, "n_t": 600},
+            "output": {"dir": str(tmp_path / "out")},
+        })
+        assert main(["run", cfg]) in (0, 2)
+        assert "config error" not in capsys.readouterr().err
 
     def test_underflowing_momentum_exit_code(self, tmp_path, capsys):
         # at p = 1e-9, E - m underflows in the closed forms: exit 2, no traceback

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from tunnelkit import (
 )
 
 M = 1.0
+_Panels = namedtuple("_Panels", "lo hi")
 
 
 def _velocity(p):
@@ -302,6 +305,36 @@ class TestFactoredKernel:
         monkeypatch.setattr(wavepacket, "_KERNEL_CHUNK", 86 * 100)
         chunked = arrival_density(grid, spec, prof, det).density
         assert np.max(np.abs(chunked - whole)) <= 1e-13 * np.max(whole)
+
+    def test_long_train_phase_matches_extended_precision(self):
+        # the 2800-time item-7 grid, where E t reaches 8.5e5 rad: against the
+        # same nodes and coefficients with E t formed and reduced mod 2 pi in
+        # 30 digits, the K15 density holds 1e-13 of its peak. Direct tables
+        # e^{-iE t} read 1.7e-12 of the peak here, and powers of e^{-iE h}
+        # without the shift to E - E_c 3.9e-13
+        p, v0, a, r = 0.35, 0.4, 2.5, 6000.0
+        sigma_x = _velocity(p) * double_barrier_report(p, v0, a, r, M).dt / 8.0
+        spec = WavePacketSpec("gaussian", p=p, sigma_p=1.0 / (2 * sigma_x), x0=5 * sigma_x)
+        prof = PotentialProfile.double(M, v0, a, r)
+        L = 10.0 * prof.width
+        rep = double_barrier_report(p, v0, a, r, M, L=L, x0=spec.x0)
+        times = np.linspace(L + spec.x0 - 8.0 * sigma_x, rep.t0 + 16.5 * rep.dt, 2800)
+        edges = wavepacket._initial_edges(spec, M, L, times[0], times[-1])
+        quad = _Panels(edges[:-1], edges[1:])
+        smooth = wavepacket._smooth_part(spec, prof, wavepacket._alpha_callable(None))
+        k15, _, blocks = wavepacket._grid_pass(smooth, M, L, quad, times)
+        assert blocks == [53, 53]
+        density = np.abs(k15) ** 2
+        x, wk, _ = wavepacket._quadrature.panel_nodes(quad.lo, quad.hi)
+        coeff = (wk * smooth(x.ravel()).reshape(x.shape) * np.exp(1j * x * L)).ravel()
+        E = wavepacket.relativistic_kinematics(x, M).energy.ravel()
+        with mp.workdps(30):
+            two_pi = 2 * mp.pi
+            for j in np.linspace(0, times.size - 1, 8).astype(int):
+                t = mp.mpf(float(times[j]))
+                phase = np.array([float(mp.fmod(mp.mpf(float(e)) * t, two_pi)) for e in E])
+                ref = abs(np.sum(coeff * np.exp(-1j * phase))) ** 2
+                assert abs(density[j] - ref) <= 1e-13 * np.max(density)
 
     def test_single_time_amplitude_reaches_the_tails(self, barrier_run):
         # at +-8 sigma_t the density is about 1e-14 of its peak; the single-time
