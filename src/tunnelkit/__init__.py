@@ -27,7 +27,6 @@ from .scattering import (
     BarrierFunctions,
     PotentialProfile,
     ScatteringData,
-    amplitude_scan,
     barrier_functions,
     detection_coefficient,
     detection_phase_derivative,
@@ -60,6 +59,7 @@ from .analysis import (
     envelope_density,
     find_resonances,
     fit_exponential,
+    lorentzian_detection_amplitude,
     multi_resonance_density,
     opaque_tunneling_time,
     peak_series_density,

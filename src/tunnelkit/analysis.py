@@ -30,6 +30,8 @@ from .scattering import (
 )
 from .wavepacket import ArrivalDistribution, WavePacketSpec, _first_peak_phase_derivative, _mass
 
+# the packet shape each closed form assumes; the peak series takes either
+REGIME_SHAPES = {"continuum": "gaussian", "resonance": "lorentzian"}
 _PEAK_FLOOR = 1e-6        # detect_peaks: ignore maxima below this x global max
 _FIT_FLOOR = 1e-12        # fit_exponential: ignore samples below this x peak
 _TAIL_BOUND = 1e-8        # peak series truncation: |R0p|^(2 n_max) < this
@@ -40,21 +42,18 @@ _SERIES_CHUNK = 1 << 18   # peak series: times x offsets entries held at once
 # delay and tunneling times
 
 
-def delay_time(p, profile: PotentialProfile | None, mode: str = "auto"):
+def delay_time(p, profile: PotentialProfile | None):
     """Arrival delay theta'_p/v_p relative to free propagation at mean
     momentum p, a scalar or a numpy array.
 
     For a symmetric double barrier the physically meaningful delay is that of
-    the first detected peak: twice the single-barrier delay. The raw phase
-    derivative of the composite amplitude (which oscillates through the
-    resonances and underlies "generalized Hartmann" claims) is available as
-    mode="composite". Free propagation (profile None or empty) gives 0.
+    the first detected peak: twice the single-barrier delay. The composite
+    amplitude's delay, which oscillates through the resonances and underlies
+    "generalized Hartmann" claims, is detection_phase_derivative(profile, p)/v_p.
+    Free propagation (profile None or empty) gives 0.
     """
-    if mode not in ("auto", "composite"):
-        raise PhysicsDomainError(f"unknown delay mode {mode!r}")
-    theta_prime = (_first_peak_phase_derivative(profile, p) if mode == "auto"
-                   else detection_phase_derivative(profile, p))
-    return theta_prime / relativistic_kinematics(p, _mass(profile)).velocity
+    return (_first_peak_phase_derivative(profile, p)
+            / relativistic_kinematics(p, _mass(profile)).velocity)
 
 
 def tunneling_time(p, profile: PotentialProfile | None):
@@ -95,6 +94,15 @@ def _single_barrier_phase(k, v0: float, a: float, m: float):
     """Continuous arg T for one square barrier: -ka + arctan(eta tanh(lambda a))."""
     bf = barrier_functions(k, v0, m)
     return -np.asarray(k, dtype=float) * a + np.arctan(bf.eta * np.tanh(bf.lam * a))
+
+
+def lorentzian_detection_amplitude(k, k0: float, gamma_k0: float, v0: float, a: float,
+                                   m: float):
+    """Single-resonance model e^{2i phi_k}/(1 - i a_L (k - k0)) of the double
+    barrier's A_k near a resonance k0, phi_k the single-barrier phase and
+    a_L = 2 v_k0/Gamma_k0, Gamma_k0 = decay_rate at k0; k scalar or array."""
+    a_lor = 2 * relativistic_kinematics(k0, m).velocity / gamma_k0
+    return np.exp(2j * _single_barrier_phase(k, v0, a, m)) / (1 - 1j * a_lor * (k - k0))
 
 
 def find_resonances(v0: float, a: float, r: float, m: float,
@@ -324,7 +332,7 @@ def continuum_density(times, spec: WavePacketSpec, L: float, v0: float,
     peak-envelope rate (Gamma_p to leading order in |T0p|^2); the regime
     wants sigma_p v_p dt <~ 1.
     """
-    if spec.shape != "gaussian":
+    if spec.shape != REGIME_SHAPES["continuum"]:
         raise PhysicsDomainError("continuum regime formula requires a Gaussian packet")
     times, report, v = _regime_setup(times, spec, L, v0, a, r, m)
     A = spec.sigma_p * v * report.dt
@@ -402,7 +410,7 @@ def resonance_density(times, spec: WavePacketSpec, L: float, k0: float,
     exponential at rate Gamma_k0 once t - t0 >> 1/(sigma_p v_p) and
     Gamma_k0 < 2 sigma_p v_p.
     """
-    if spec.shape != "lorentzian":
+    if spec.shape != REGIME_SHAPES["resonance"]:
         raise PhysicsDomainError("resonance regime formula requires a Lorentzian packet")
     times, report, v = _regime_setup(times, spec, L, v0, a, r, m)
     amp, (gamma_k0,) = _residue_sum(times, spec, v, report.t0, [k0],
@@ -423,7 +431,7 @@ def multi_resonance_density(times, spec: WavePacketSpec, L: float,
                             resonance_momenta, v0: float, a: float, r: float,
                             m: float) -> ArrivalDistribution:
     """Sum of per-resonance amplitudes; late times beat at v_p (k_n - k_m)."""
-    if spec.shape != "lorentzian":
+    if spec.shape != REGIME_SHAPES["resonance"]:
         raise PhysicsDomainError("multi-resonance formula requires a Lorentzian packet")
     ks = np.atleast_1d(np.asarray(resonance_momenta, dtype=float))
     if ks.size < 1:

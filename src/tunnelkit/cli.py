@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, analysis
 from .errors import ConfigError, NumericsError, PhysicsDomainError, RegimeWarning, TunnelKitError
 from .kinematics import relativistic_kinematics
-from .scattering import PotentialProfile, amplitude_scan, tunneling_window
+from .scattering import PotentialProfile, piecewise_amplitudes, tunneling_window
 from .wavepacket import (DENSITY_REL_TOL, GRID_MAX_PANELS, GRID_SPAN_SIGMAS, MIN_L_OVER_D,
                          DetectorSpec, WavePacketSpec, _json_default, _mass, _write_csv,
                          arrival_density, prepanel_count, stationary_phase_time)
@@ -45,21 +45,26 @@ def _expect(cond: bool, path: str, message: str) -> None:
 
 
 def _get(d: dict, key: str, path: str, required: bool = True, default=None):
+    """Take d[key] out of d, a parser's copy of a config object, so that the
+    fields left at the end (``_unread``) are the ones nothing reads."""
     if key not in d:
         _expect(not required, f"{path}.{key}" if path else key, "missing required field")
         return default
-    return d[key]
+    return d.pop(key)
 
 
-def _num(value, path: str, positive: bool = False, nonneg: bool = False) -> float:
+def _unread(d: dict, path: str) -> None:
+    for key in d:
+        raise ConfigError("unknown field", path=f"{path}.{key}" if path else key)
+
+
+def _num(value, path: str, positive: bool = False) -> float:
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
             path, f"expected a number, got {value!r}")
     v = float(value)
     _expect(math.isfinite(v), path, "must be finite")
     if positive:
         _expect(v > 0, path, f"must be positive, got {v}")
-    if nonneg:
-        _expect(v >= 0, path, f"must be >= 0, got {v}")
     return v
 
 
@@ -75,60 +80,60 @@ def _flag(value, path: str) -> bool:
     return value
 
 
-def _parse_barrier(data: dict, path: str = "barrier") -> PotentialProfile:
+def _build(cls, path: str, **fields):
+    """cls(**fields), its domain error a config error at <path>.<field>."""
+    try:
+        return cls(**fields)
+    except PhysicsDomainError as exc:
+        raise ConfigError(str(exc), path=f"{path}.{exc.field}" if exc.field else path) from exc
+
+
+def _object(data, path: str) -> dict:
+    """A copy of the JSON object at path, for _get to take fields out of."""
     _expect(isinstance(data, dict), path, "expected an object")
-    mass = _num(_get(data, "mass", path), f"{path}.mass", positive=True)
+    return dict(data)
+
+
+def _parse_barrier(data: dict, path: str = "barrier") -> PotentialProfile:
+    data = _object(data, path)
+    mass = _num(_get(data, "mass", path), f"{path}.mass")
     segs = _get(data, "segments", path)
+    _unread(data, path)
     _expect(isinstance(segs, list), f"{path}.segments", "expected a list")
     parsed = []
     for i, seg in enumerate(segs):
         spath = f"{path}.segments[{i}]"
-        _expect(isinstance(seg, dict), spath, "expected an object")
-        v = _num(_get(seg, "v", spath), f"{spath}.v", nonneg=True)
-        w = _num(_get(seg, "w", spath), f"{spath}.w")
-        _expect(w > 0, f"{spath}.w", f"width must be positive, got {w}")
-        _expect(v < mass, f"{spath}.v",
-                f"height {v} must be below the mass {mass}")
-        parsed.append((v, w))
-    try:
-        return PotentialProfile(mass, tuple(parsed))
-    except PhysicsDomainError as exc:  # anything the field checks missed
-        raise ConfigError(str(exc), path=path) from exc
+        seg = _object(seg, spath)
+        parsed.append((_num(_get(seg, "v", spath), f"{spath}.v"),
+                       _num(_get(seg, "w", spath), f"{spath}.w")))
+        _unread(seg, spath)
+    return _build(PotentialProfile, path, mass=mass, segments=tuple(parsed))
 
 
 def _parse_packet(data: dict, path: str = "packet") -> WavePacketSpec:
-    _expect(isinstance(data, dict), path, "expected an object")
+    data = _object(data, path)
+    fields = {key: _num(_get(data, key, path), f"{path}.{key}") for key in ("p", "sigma_p", "x0")}
     shape = _get(data, "shape", path, required=False, default="gaussian")
-    _expect(shape in ("gaussian", "lorentzian"), f"{path}.shape",
-            f"must be 'gaussian' or 'lorentzian', got {shape!r}")
-    p = _num(_get(data, "p", path), f"{path}.p", positive=True)
-    sigma_p = _num(_get(data, "sigma_p", path), f"{path}.sigma_p", positive=True)
-    x0 = _num(_get(data, "x0", path), f"{path}.x0", positive=True)
-    try:
-        return WavePacketSpec(shape=shape, p=p, sigma_p=sigma_p, x0=x0)
-    except PhysicsDomainError as exc:
-        raise ConfigError(str(exc), path=path) from exc
+    _unread(data, path)
+    return _build(WavePacketSpec, path, shape=shape, **fields)
 
 
 def _parse_detector(data: dict, path: str = "detector") -> DetectorSpec:
-    _expect(isinstance(data, dict), path, "expected an object")
-    pos = _num(_get(data, "position", path), f"{path}.position", positive=True)
+    data = _object(data, path)
+    pos = _num(_get(data, "position", path), f"{path}.position")
     absorption = _get(data, "absorption", path, required=False, default=1.0)
+    _unread(data, path)
     if isinstance(absorption, dict):
-        ks = _get(absorption, "k", f"{path}.absorption")
-        al = _get(absorption, "alpha", f"{path}.absorption")
-        _expect(isinstance(ks, list) and isinstance(al, list)
-                and len(ks) == len(al) and len(ks) >= 2,
-                f"{path}.absorption", "need parallel lists 'k' and 'alpha' (>= 2 points)")
-        absorption = tuple(
-            np.array([_num(x, f"{path}.absorption.{key}[{i}]") for i, x in enumerate(vals)])
-            for key, vals in (("k", ks), ("alpha", al)))
+        tpath, table = f"{path}.absorption", dict(absorption)
+        cols = {key: _get(table, key, tpath) for key in ("k", "alpha")}
+        _unread(table, tpath)
+        _expect(all(isinstance(x, list) for x in cols.values()), tpath,
+                "need lists 'k' and 'alpha'")
+        absorption = tuple(np.array([_num(x, f"{tpath}.{key}[{i}]") for i, x in enumerate(vals)])
+                           for key, vals in cols.items())
     else:
-        absorption = _num(absorption, f"{path}.absorption", nonneg=True)
-    try:
-        return DetectorSpec(position=pos, absorption=absorption)
-    except PhysicsDomainError as exc:
-        raise ConfigError(str(exc), path=path) from exc
+        absorption = _num(absorption, f"{path}.absorption")
+    return _build(DetectorSpec, path, position=pos, absorption=absorption)
 
 
 @dataclass
@@ -156,24 +161,28 @@ _TASK_NEEDS = {
 
 def parse_scenario(config: dict, out_override: str | None = None) -> Scenario:
     _expect(isinstance(config, dict), "", "config root must be a JSON object")
-    name = _get(config, "name", "")
+    rest = dict(config)
+    name = _get(rest, "name", "")
     _expect(isinstance(name, str) and name != "", "name", "must be a non-empty string")
-    task = _get(config, "task", "")
-    _expect(isinstance(task, dict), "task", "expected an object")
-    kind = _get(task, "kind", "task")
+    task = _get(rest, "task", "")
+    fields = _object(task, "task")
+    kind = _get(fields, "kind", "task")
     _expect(kind in TASK_KINDS, "task.kind",
             f"must be one of {', '.join(TASK_KINDS)}; got {kind!r}")
 
-    barrier = packet = detector = None
-    if "barrier" in config and config["barrier"] is not None:
-        barrier = _parse_barrier(config["barrier"])
-    if "packet" in config and config["packet"] is not None:
-        packet = _parse_packet(config["packet"])
-    if "detector" in config and config["detector"] is not None:
-        detector = _parse_detector(config["detector"])
+    sections = {}
+    for key, parse in (("barrier", _parse_barrier), ("packet", _parse_packet),
+                       ("detector", _parse_detector)):
+        data = _get(rest, key, "", required=False)
+        sections[key] = None if data is None else parse(data)
+    barrier, packet, detector = sections.values()
+    output = _object(_get(rest, "output", "", required=False) or {}, "output")
+    out = _get(output, "dir", "output", required=False)
+    _expect(out is None or isinstance(out, str), "output.dir", "expected a string")
+    _unread(output, "output")
+    _unread(rest, "")
     for need in _TASK_NEEDS[kind]:
-        _expect({"barrier": barrier, "packet": packet, "detector": detector}[need]
-                is not None, need, f"required by task kind {kind!r}")
+        _expect(sections[need] is not None, need, f"required by task kind {kind!r}")
     if kind in ("resonance-scan", "decay-fit", "regime-compare"):
         _expect(barrier.as_symmetric_double() is not None, "barrier",
                 f"task {kind!r} requires a symmetric double barrier "
@@ -183,9 +192,9 @@ def parse_scenario(config: dict, out_override: str | None = None) -> Scenario:
                 f"detector at {detector.position} violates the far-field "
                 f"requirement L >= {MIN_L_OVER_D:g} d = {MIN_L_OVER_D * barrier.width}")
 
-    params = _validate_task_params(task)
+    params = _validate_task_params(kind, fields)
     if kind == "regime-compare":
-        shape = _REGIME_SHAPE.get(params["regime"], packet.shape)
+        shape = analysis.REGIME_SHAPES.get(params["regime"], packet.shape)
         _expect(packet.shape == shape, "packet.shape",
                 f"regime {params['regime']!r} requires a {shape} packet, got {packet.shape!r}")
     if kind == "resonance-scan" and params["k_window"] is not None:
@@ -199,7 +208,7 @@ def parse_scenario(config: dict, out_override: str | None = None) -> Scenario:
                 f"the time window needs {n:.3g} phase panels, above the panel "
                 f"limit {GRID_MAX_PANELS}")
 
-    out = out_override or (config.get("output") or {}).get("dir") or "."
+    out = out_override or out or "."
     return Scenario(name=name, task=task, barrier=barrier, packet=packet,
                     detector=detector, out_dir=Path(out), raw=config, params=params)
 
@@ -209,12 +218,11 @@ _REL_TOL = {"arrival-density": DENSITY_REL_TOL, "decay-fit": 1e-7, "regime-compa
 # tightest rel_tol they meet: 1e-13 no longer converges on single or double barriers
 _MIN_REL_TOL = 1e-12
 _SAMPLES_PER_PEAK = 12  # default time samples per peak spacing of peak-train grids
-_REGIME_SHAPE = {"continuum": "gaussian", "resonance": "lorentzian"}  # closed forms' packets
 
 
 def _opt(t: dict, key: str, default, parse, **kw):
     """Optional task field: parsed when present, else its default."""
-    return parse(t[key], f"task.{key}", **kw) if key in t else default
+    return parse(t.pop(key), f"task.{key}", **kw) if key in t else default
 
 
 def _interval(t: dict, lo: str, hi: str, positive: bool = False) -> tuple[float, float]:
@@ -224,10 +232,10 @@ def _interval(t: dict, lo: str, hi: str, positive: bool = False) -> tuple[float,
     return a, b
 
 
-def _validate_task_params(t: dict) -> dict:
-    """Check the fields of task kind t["kind"]; return them parsed, defaults
-    filled in. The runners read only these values."""
-    kind = t["kind"]
+def _validate_task_params(kind: str, t: dict) -> dict:
+    """Take the fields of task kind ``kind`` out of t, a copy of the task
+    object without its kind, and reject any left over; return them parsed,
+    defaults filled in. The runners read only these values."""
     q = {"rel_tol": _opt(t, "rel_tol", _REL_TOL.get(kind), _num, positive=True)}
     if kind in _REL_TOL:
         _expect(q["rel_tol"] >= _MIN_REL_TOL, "task.rel_tol",
@@ -249,10 +257,10 @@ def _validate_task_params(t: dict) -> dict:
                 "need a non-empty list of barrier heights")
         q["v0_values"] = []
         for i, v0 in enumerate(v0s):
-            vv = _num(v0, f"task.v0_values[{i}]", positive=True)
-            _expect(vv < mass, f"task.v0_values[{i}]",
-                    f"height {vv} must be below the mass {mass}")
-            q["v0_values"].append(vv)
+            v0 = _num(v0, f"task.v0_values[{i}]", positive=True)
+            _expect(v0 < mass, f"task.v0_values[{i}]",
+                    f"height {v0} must be below the mass {mass}")
+            q["v0_values"].append(v0)
         q["n_p"] = _opt(t, "n_p", 200, _int, minimum=2)
     elif kind == "resonance-scan":
         q["k_window"] = (_interval(t, "k_min", "k_max", positive=True)
@@ -271,6 +279,7 @@ def _validate_task_params(t: dict) -> dict:
                                 _num, positive=True)
         q["k0"] = _opt(t, "k0", None, _num, positive=True)
         q["substitute_lorentzian"] = _opt(t, "substitute_lorentzian", True, _flag)
+    _unread(t, "task")
     return q
 
 
@@ -281,7 +290,7 @@ def _validate_task_params(t: dict) -> dict:
 def _run_transmission_scan(sc: Scenario) -> tuple[list[Path], dict]:
     q = sc.params
     k = np.linspace(q["k_min"], q["k_max"], q["n_k"])
-    s = amplitude_scan(sc.barrier, k)
+    s = piecewise_amplitudes(sc.barrier, k)
     path = sc.out_dir / f"{sc.name}_transmission_scan.csv"
     _write_csv(path, ["k", "TkRe", "TkIm", "RkRe", "RkIm", "absA2"],
                [k, s.T.real, s.T.imag, s.R.real, s.R.imag, np.abs(s.A) ** 2])
@@ -325,7 +334,7 @@ def _run_resonance_scan(sc: Scenario) -> tuple[list[Path], dict]:
     v0, a, r = sc.barrier.as_symmetric_double()
     m = sc.barrier.mass
     ks = analysis.find_resonances(v0, a, r, m, k_window=sc.params["k_window"])
-    absT = amplitude_scan(sc.barrier, ks).T_abs
+    absT = piecewise_amplitudes(sc.barrier, ks).T_abs
     path = sc.out_dir / f"{sc.name}_resonance_scan.csv"
     _write_csv(path, ["n", "k_n", "absT"], [np.arange(ks.size), ks, absT])
     return [path], {"n_resonances": int(ks.size)}
@@ -394,11 +403,8 @@ def _run_regime_compare(sc: Scenario) -> tuple[list[Path], dict]:
         diagnostics["k0"] = k0
         diagnostics["gamma_k0"] = gamma_k0
         if q["substitute_lorentzian"]:
-            a_lor = 2 * relativistic_kinematics(k0, m).velocity / gamma_k0
-
             def substitution(k):
-                phi = analysis._single_barrier_phase(k, v0, a, m)
-                return np.exp(2j * phi) / (1 - 1j * a_lor * (k - k0))
+                return analysis.lorentzian_detection_amplitude(k, k0, gamma_k0, v0, a, m)
 
     direct = arrival_density(times, spec, sc.barrier, sc.detector, rel_tol=q["rel_tol"],
                              detection_amplitude=substitution)
@@ -520,7 +526,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         manifest = run_scenario(scenario)
-    except (NumericsError, PhysicsDomainError, TunnelKitError) as exc:
+    except TunnelKitError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -10,7 +10,12 @@ class TunnelKitError(Exception):
 
 
 class PhysicsDomainError(TunnelKitError, ValueError):
-    """An operation was called outside its physical domain of validity."""
+    """An operation was called outside its physical domain of validity;
+    ``field`` names the offending constructor field, such as ``sigma_p``."""
+
+    def __init__(self, message: str, field: str = ""):
+        super().__init__(message)
+        self.field = field
 
 
 class AboveBarrierError(PhysicsDomainError):

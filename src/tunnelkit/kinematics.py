@@ -110,6 +110,3 @@ def erfc_complex(z):
     zr = np.where(neg, -z, z)
     right = np.exp(-zr * zr) * faddeeva_w(1j * zr)  # erfc(zr), Re zr >= 0
     return np.where(neg, 2.0 - right, right)[()]
-
-
-erfc_complex_array = erfc_complex

@@ -46,18 +46,20 @@ class PotentialProfile:
 
     def __post_init__(self):
         if not (math.isfinite(self.mass) and self.mass > 0):
-            raise PhysicsDomainError(f"mass must be finite and positive, got {self.mass}")
+            raise PhysicsDomainError(f"mass must be finite and positive, got {self.mass}",
+                                     field="mass")
         for i, (v, w) in enumerate(self.segments):
-            if not (math.isfinite(v) and math.isfinite(w)):
-                raise PhysicsDomainError(f"segment {i} has non-finite entries")
-            if w <= 0:
-                raise PhysicsDomainError(f"segment {i}: width must be positive, got {w}")
-            if v < 0:
-                raise PhysicsDomainError(f"segment {i}: height must be >= 0, got {v}")
+            if not (math.isfinite(v) and v >= 0):
+                raise PhysicsDomainError(f"segment {i}: height must be finite and >= 0, "
+                                         f"got {v}", field=f"segments[{i}].v")
+            if not (math.isfinite(w) and w > 0):
+                raise PhysicsDomainError(f"segment {i}: width must be finite and positive, "
+                                         f"got {w}", field=f"segments[{i}].w")
             if v >= self.mass:
                 raise PhysicsDomainError(
                     f"segment {i}: height {v} >= mass {self.mass} is outside the "
-                    "validity range of the background-field description")
+                    "validity range of the background-field description",
+                    field=f"segments[{i}].v")
 
     @classmethod
     def square(cls, mass: float, v0: float, d: float) -> "PotentialProfile":
@@ -79,11 +81,11 @@ class PotentialProfile:
         """Total barrier extent d (the support of the potential region)."""
         return float(sum(w for _, w in self.segments))
 
-    def is_parity_symmetric(self, rtol: float = 1e-12) -> bool:
+    def is_parity_symmetric(self) -> bool:
         segs = self.segments
         rev = segs[::-1]
-        return all(math.isclose(a[0], b[0], rel_tol=rtol, abs_tol=1e-300)
-                   and math.isclose(a[1], b[1], rel_tol=rtol)
+        return all(math.isclose(a[0], b[0], rel_tol=1e-12, abs_tol=1e-300)
+                   and math.isclose(a[1], b[1], rel_tol=1e-12)
                    for a, b in zip(segs, rev))
 
     def as_symmetric_double(self) -> tuple[float, float, float] | None:
@@ -342,9 +344,6 @@ def piecewise_amplitudes(profile: PotentialProfile, k) -> ScatteringData:
     return _make_data(k, T, R)
 
 
-amplitude_scan = piecewise_amplitudes
-
-
 def detection_amplitude_scan(profile: PotentialProfile | None, k_grid) -> np.ndarray:
     """A_k on a grid; profile None means free propagation."""
     k = np.asarray(k_grid, dtype=float)
@@ -384,12 +383,12 @@ def detection_phase_derivative(profile: PotentialProfile | None, p):
     return theta.reshape(k.shape)[()]
 
 
-def unwrapped_transmission_phase(profile: PotentialProfile, k_grid,
-                                 max_depth: int = 40) -> np.ndarray:
+def unwrapped_transmission_phase(profile: PotentialProfile, k_grid) -> np.ndarray:
     """Continuous arg T_k along an increasing momentum grid.
 
     Nearest-branch continuation; whenever two neighbours still differ by more
-    than pi/2 the step is halved (recursively) to pin the branch down.
+    than pi/2 the step is halved (recursively, at most 40 times) to pin the
+    branch down.
     """
     k = np.asarray(k_grid, dtype=float)
     if k.ndim != 1 or k.size < 2 or np.any(np.diff(k) <= 0):
@@ -400,7 +399,7 @@ def unwrapped_transmission_phase(profile: PotentialProfile, k_grid,
 
     def continue_branch(k0, phi0, k1, phi1_pr, depth):
         cand = phi1_pr + 2 * np.pi * round((phi0 - phi1_pr) / (2 * np.pi))
-        if abs(cand - phi0) <= np.pi / 2 or depth >= max_depth:
+        if abs(cand - phi0) <= np.pi / 2 or depth >= 40:
             return cand
         km = 0.5 * (k0 + k1)
         phim = continue_branch(k0, phi0, km, principal(km), depth + 1)

@@ -66,17 +66,20 @@ class WavePacketSpec:
 
     def __post_init__(self):
         if self.shape not in ("gaussian", "lorentzian"):
-            raise PhysicsDomainError(f"unknown packet shape {self.shape!r}")
+            raise PhysicsDomainError(f"must be 'gaussian' or 'lorentzian', got {self.shape!r}",
+                                     field="shape")
         if not (self.p > 0 and math.isfinite(self.p)):
-            raise PhysicsDomainError(f"mean momentum must be positive, got {self.p}")
+            raise PhysicsDomainError(f"mean momentum must be positive, got {self.p}", field="p")
         if not (self.sigma_p > 0 and math.isfinite(self.sigma_p)):
-            raise PhysicsDomainError(f"momentum spread must be positive, got {self.sigma_p}")
+            raise PhysicsDomainError(f"momentum spread must be positive, got {self.sigma_p}",
+                                     field="sigma_p")
         if self.sigma_p >= self.p / 3.0:
             raise PhysicsDomainError(
                 f"sigma_p = {self.sigma_p} >= p/3 = {self.p / 3.0}: packet would "
-                "leak onto negative momenta")
+                "leak onto negative momenta", field="sigma_p")
         if not (self.x0 > 0 and math.isfinite(self.x0)):
-            raise PhysicsDomainError(f"emission center x0 must be positive, got {self.x0}")
+            raise PhysicsDomainError(f"emission center x0 must be positive, got {self.x0}",
+                                     field="x0")
 
     @property
     def sigma_x(self) -> float:
@@ -175,19 +178,21 @@ class DetectorSpec:
 
     def __post_init__(self):
         if not (self.position > 0 and math.isfinite(self.position)):
-            raise PhysicsDomainError(f"detector position must be positive, got {self.position}")
-        if np.ndim(self.absorption) == 0:
+            raise PhysicsDomainError(f"detector position must be positive, got {self.position}",
+                                     field="position")
+        if not isinstance(self.absorption, (tuple, list)) and np.ndim(self.absorption) == 0:
             a = float(self.absorption)
             if not (0.0 <= a <= 1.0):
-                raise PhysicsDomainError(f"absorption must lie in [0, 1], got {a}")
-        else:
-            kt, at = self.absorption
-            kt = np.asarray(kt, float)
-            at = np.asarray(at, float)
-            if kt.ndim != 1 or kt.shape != at.shape or kt.size < 2 or np.any(np.diff(kt) <= 0):
-                raise PhysicsDomainError("tabulated absorption needs increasing k samples")
-            if np.any(at < 0) or np.any(at > 1):
-                raise PhysicsDomainError("absorption samples must lie in [0, 1]")
+                raise PhysicsDomainError(f"absorption must lie in [0, 1], got {a}",
+                                         field="absorption")
+            return
+        kt, at = (np.asarray(x, dtype=float) for x in self.absorption)
+        if (kt.ndim != 1 or kt.shape != at.shape or kt.size < 2
+                or not np.all(np.isfinite(kt) & np.isfinite(at)) or np.any(np.diff(kt) <= 0)):
+            raise PhysicsDomainError("tabulated absorption needs parallel lists of >= 2 finite "
+                                     "samples, k increasing", field="absorption")
+        if np.any(at < 0) or np.any(at > 1):
+            raise PhysicsDomainError("absorption samples must lie in [0, 1]", field="absorption")
 
     def absorption_at(self, k) -> np.ndarray:
         k = np.asarray(k, dtype=float)
@@ -282,7 +287,8 @@ def _mass(profile: PotentialProfile | None) -> float:
 def _smooth_part(spec: WavePacketSpec, profile: PotentialProfile | None, alpha,
                  detection_amplitude=None):
     """k -> sqrt(alpha(k) v_k) A_k psi0(k): the arrival integrand without the
-    phase e^{ikL - iE_k t}. A model ``detection_amplitude`` replaces the
+    phase e^{ikL - iE_k t}. ``alpha`` is a callable of a momentum array, or
+    None for alpha = 1; a model ``detection_amplitude`` replaces the
     profile's A_k."""
     mass = _mass(profile)
 
@@ -290,19 +296,9 @@ def _smooth_part(spec: WavePacketSpec, profile: PotentialProfile | None, alpha,
         amp = (detection_amplitude_scan(profile, k) if detection_amplitude is None
                else np.asarray(detection_amplitude(k), dtype=complex))
         v = relativistic_kinematics(k, mass).velocity
-        return np.sqrt(alpha(k) * v) * amp * spec.momentum_amplitude(k)
+        a = 1.0 if alpha is None else np.asarray(alpha(k), dtype=float)
+        return np.sqrt(a * v) * amp * spec.momentum_amplitude(k)
     return smooth
-
-
-def _alpha_callable(alpha):
-    if alpha is None:
-        return lambda k: np.ones_like(np.asarray(k, float))
-    if callable(alpha):
-        return lambda k: np.asarray(alpha(np.asarray(k, float)), float)
-    a = float(alpha)
-    if not (0.0 <= a <= 1.0):
-        raise PhysicsDomainError(f"absorption must lie in [0, 1], got {a}")
-    return lambda k: np.full(np.asarray(k, float).shape, a)
 
 
 def _first_peak_phase_derivative(profile: PotentialProfile | None, p):
@@ -364,7 +360,7 @@ def arrival_amplitude(L: float, t: float, spec: WavePacketSpec,
     amplitude, which is tiny in the tails.
     """
     mass = _mass(profile)
-    smooth = _smooth_part(spec, profile, _alpha_callable(alpha), detection_amplitude)
+    smooth = _smooth_part(spec, profile, alpha, detection_amplitude)
 
     def f(k):
         g = smooth(k)
@@ -550,7 +546,7 @@ def total_transmission(spec: WavePacketSpec, profile: PotentialProfile | None,
                        alpha=None, rel_tol: float = 1e-10) -> float:
     """int dk/(2pi) alpha(k) |A_k|^2 |u~0(k - p)|^2 (no time integral)."""
     mass = _mass(profile)
-    smooth = _smooth_part(spec, profile, _alpha_callable(alpha))
+    smooth = _smooth_part(spec, profile, alpha)
 
     def f(k):  # |sqrt(alpha v) A_k psi0|^2 / v = alpha |A_k|^2 |u~0|^2
         return (np.abs(smooth(k)) ** 2 / relativistic_kinematics(k, mass).velocity)[:, None]

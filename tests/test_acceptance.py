@@ -19,7 +19,6 @@ from tunnelkit import (
     DetectorSpec,
     PotentialProfile,
     WavePacketSpec,
-    amplitude_scan,
     arrival_density,
     causality_mass,
     continuum_density,
@@ -181,7 +180,7 @@ def test_criterion_01_unitarity():
                           float(rng.uniform(0.2, 12.0))) for _ in range(3))
             prof = PotentialProfile(M, segs)
         ks = rng.uniform(0.02, 2.5, 10)
-        sd = amplitude_scan(prof, ks)
+        sd = piecewise_amplitudes(prof, ks)
         worst = max(worst, float(np.max(np.abs(
             np.abs(sd.T) ** 2 + np.abs(sd.R) ** 2 - 1.0))))
     assert worst < 1e-10
@@ -194,8 +193,8 @@ def test_criterion_02_oracle_equivalence():
     ks = np.linspace(0.01 * hi, 0.999 * hi, 500)
     prof_s = PotentialProfile.square(M, v0, d)
     prof_d = PotentialProfile.double(M, v0, a, r)
-    scan_s = amplitude_scan(prof_s, ks)
-    scan_d = amplitude_scan(prof_d, ks)
+    scan_s = piecewise_amplitudes(prof_s, ks)
+    scan_d = piecewise_amplitudes(prof_d, ks)
     worst_t = worst_r = worst_d = worst_comp = 0.0
     for i, k in enumerate(ks):
         closed = square_barrier_amplitudes(float(k), v0, d, M)

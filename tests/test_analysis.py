@@ -20,6 +20,7 @@ from tunnelkit import (
     decay_rate,
     delay_time,
     detect_peaks,
+    detection_phase_derivative,
     double_barrier_report,
     envelope_density,
     find_resonances,
@@ -51,8 +52,6 @@ class TestDelayTime:
         empty = PotentialProfile(M, ())
         assert tunneling_time(0.3, empty) == 0.0
         assert tunneling_time(0.3, None) == 0.0
-        with pytest.raises(PhysicsDomainError, match="unknown delay mode"):
-            delay_time(0.3, empty, mode="bogus")
         with pytest.raises(PhysicsDomainError, match="p > 0"):
             delay_time(-0.3, None)
 
@@ -95,9 +94,11 @@ class TestDelayTime:
                                            rel=1e-14, abs=0.0)
 
     def test_composite_mode_differs(self):
+        # the composite amplitude's delay oscillates through the resonances;
+        # the first-peak delay does not follow it
         dbl = PotentialProfile.double(M, 0.5, 3.0, 10.0)
-        assert delay_time(0.3, dbl, mode="composite") != pytest.approx(
-            delay_time(0.3, dbl), rel=1e-3)
+        composite = detection_phase_derivative(dbl, 0.3) / _velocity(0.3)
+        assert composite != pytest.approx(delay_time(0.3, dbl), rel=1e-3)
 
 
 class TestTunnelingTime:
@@ -148,9 +149,8 @@ class TestResonances:
         v0, a, r = 0.5, 3.0, 10.0
         ks = find_resonances(v0, a, r, M)
         prof = PotentialProfile.double(M, v0, a, r)
-        from tunnelkit import amplitude_scan
         grid = np.linspace(1e-4, tunneling_window(v0, M)[1] * (1 - 1e-9), 40001)
-        absT = np.abs(amplitude_scan(prof, grid).T)
+        absT = np.abs(piecewise_amplitudes(prof, grid).T)
         inner = (absT[1:-1] > absT[:-2]) & (absT[1:-1] >= absT[2:]) & (absT[1:-1] > 0.999)
         assert int(np.sum(inner)) == ks.size
 

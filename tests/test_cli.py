@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tunnelkit import double_barrier_report, find_resonances
+from tunnelkit import decay_rate, double_barrier_report, find_resonances
 from tunnelkit.cli import main
 
 
@@ -32,6 +35,88 @@ def _small_double():
                    "sigma_p": 1.0 / (2 * sigma_x), "x0": 5 * sigma_x},
         "detector": {"position": 11.0 * (2 * a + r)},
     }
+
+
+def _resonance_double(**task):
+    # a Lorentzian packet on the first resonance of (0.4, 2.5, 400) in (0.3, 0.4)
+    v0, a, r, m = 0.4, 2.5, 400.0, 1.0
+    k0 = float(find_resonances(v0, a, r, m, k_window=(0.3, 0.4))[0])
+    sigma_p = 4.0 * decay_rate(k0, v0, a, r, m) / (k0 / math.hypot(k0, m))
+    return {
+        "barrier": {"mass": m, "segments": [{"v": v0, "w": a},
+                                            {"v": 0.0, "w": r},
+                                            {"v": v0, "w": a}]},
+        "packet": {"shape": "lorentzian", "p": k0, "sigma_p": sigma_p,
+                   "x0": 5.0 / (math.sqrt(2) * sigma_p)},
+        "detector": {"position": 10.0 * (2 * a + r)},
+        "task": {"kind": "regime-compare", "regime": "resonance",
+                 "n_t": 600, "decay_spans": 2.0, "rel_tol": 1e-6, **task},
+    }
+
+
+def _summary(path):
+    return dict(line.split(",") for line in path.read_text().splitlines()[1:])
+
+
+# a valid config of each task kind, for the input-rule cases below
+_KIND_TASKS = {
+    "transmission-scan": {"k_min": 0.1, "k_max": 0.6},
+    "arrival-density": {"n_t": 64},
+    "tunneling-time-scan": {"d": 5.0, "v0_values": [0.5]},
+    "resonance-scan": {},
+    "decay-fit": {},
+    "regime-compare": {"regime": "peaks"},
+}
+_TABLE = {"k": [0.2, 0.3, 0.5], "alpha": [0.5, 0.7, 0.9]}
+
+
+def _case(keys, value, path, kind="regime-compare", task=None):
+    task = task or {"kind": kind, **_KIND_TASKS[kind]}
+    return pytest.param(keys, value, path, task, id=f"{task['kind']}:{path}={value!r}"[:80])
+
+
+# one case per input rule: the constructors' domain rules (through the CLI),
+# the CLI's JSON type and finiteness checks, and unknown fields
+_INPUT_RULES = [
+    _case(("barrier", "mass"), 0.0, "barrier.mass"),
+    _case(("barrier", "segments", 0, "v"), -0.1, "barrier.segments[0].v"),
+    _case(("barrier", "segments", 1, "w"), 0.0, "barrier.segments[1].w"),
+    _case(("barrier", "segments", 2, "v"), 1.0, "barrier.segments[2].v"),  # v = mass
+    _case(("packet", "shape"), "boxcar", "packet.shape"),
+    _case(("packet", "p"), -0.35, "packet.p"),
+    _case(("packet", "sigma_p"), 0.0, "packet.sigma_p"),
+    _case(("packet", "x0"), -1.0, "packet.x0"),
+    _case(("packet", "sigma_p"), 0.2, "packet.sigma_p"),  # >= p/3
+    _case(("detector", "position"), 0.0, "detector.position"),
+    _case(("detector", "absorption"), -0.5, "detector.absorption"),
+    _case(("detector", "absorption"), 1.5, "detector.absorption"),
+    _case(("detector", "absorption"), {"k": [0.2, 0.3, 0.5], "alpha": [0.5, 0.7]},
+          "detector.absorption"),  # ragged
+    _case(("detector", "absorption"), {"k": [0.2], "alpha": [0.5]}, "detector.absorption"),
+    _case(("detector", "absorption", "k"), [0.5, 0.3, 0.2], "detector.absorption"),
+    _case(("detector", "absorption", "alpha"), [0.5, 1.7, 0.9], "detector.absorption"),
+    _case(("detector", "absorption", "alpha"), [0.5, -0.1, 0.9], "detector.absorption"),
+    _case(("detector", "absorption", "k"), [0.2, math.nan, 0.5], "detector.absorption.k[1]"),
+    _case(("detector", "absorption", "alpha"), [0.5, 0.7, math.nan],
+          "detector.absorption.alpha[2]"),
+    _case(("detector", "absorption", "alpha"), "0.5", "detector.absorption"),
+    _case(("detecter",), {"position": 1500.0}, "detecter"),
+    _case(("barrier", "masss"), 1.0, "barrier.masss"),
+    _case(("barrier", "segments", 1, "h"), 0.0, "barrier.segments[1].h"),
+    _case(("packet", "sigmap"), 0.01, "packet.sigmap"),
+    _case(("detector", "pos"), 1500.0, "detector.pos"),
+    _case(("detector", "absorption", "beta"), [0.1], "detector.absorption.beta"),
+    _case(("output", "directory"), "out", "output.directory"),
+    _case(("output", "dir"), 5, "output.dir"),
+    _case(("task", "reltol"), 1e-6, "task.reltol"),
+    _case(("task", "gamma"), 1e-3, "task.gamma"),
+    *(_case(("task", field), 1.0, f"task.{field}", kind) for kind, field in (
+        ("transmission-scan", "n_t"), ("arrival-density", "span_sigma"),
+        ("tunneling-time-scan", "v0"), ("resonance-scan", "n_k"), ("decay-fit", "n_t"))),
+    # an explicit window leaves span_sigmas unread
+    _case(("task", "span_sigmas"), 8.0, "task.span_sigmas",
+          task={"kind": "arrival-density", "t_min": 8000.0, "t_max": 9000.0}),
+]
 
 
 class TestValidate:
@@ -129,6 +214,31 @@ class TestValidate:
         assert main([command, cfg]) == 1
         assert "packet.shape" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("keys, value, path, task", _INPUT_RULES)
+    def test_input_rule_names_its_field(self, tmp_path, capsys, keys, value, path, task):
+        cfg = {"name": "rule", **_small_double(), "task": dict(task),
+               "output": {"dir": str(tmp_path / "out")}}
+        cfg["detector"]["absorption"] = copy.deepcopy(_TABLE)
+        assert main(["validate", _write(tmp_path, "c.json", cfg)]) == 0
+        target = cfg
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        assert main(["validate", _write(tmp_path, "c.json", cfg)]) == 1
+        assert f"config error: {path}: " in capsys.readouterr().err
+
+    def test_non_boolean_substitute_lorentzian(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "c.json", {"name": "flag",
+                                          **_resonance_double(substitute_lorentzian="no")})
+        assert main(["validate", cfg]) == 1
+        assert "task.substitute_lorentzian" in capsys.readouterr().err
+
+    def test_readme_config_validates(self, tmp_path):
+        # the documented schema and the parser cannot drift apart unnoticed
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+        assert main(["validate", _write(tmp_path, "c.json", json.loads(block))]) == 0
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 3
@@ -338,31 +448,27 @@ class TestRunTasks:
         assert np.all(np.isfinite(data[:, 2]))
 
     def test_regime_compare_resonance(self, tmp_path):
-        v0, a, r, m = 0.4, 2.5, 400.0, 1.0
-        res = find_resonances(v0, a, r, m, k_window=(0.3, 0.4))
-        k0 = float(res[0])
-        from tunnelkit import decay_rate
-        gamma = decay_rate(k0, v0, a, r, m)
-        vp = k0 / math.hypot(k0, m)
-        sigma_p = 4.0 * gamma / vp
-        cfg = _write(tmp_path, "c.json", {
-            "name": "resc",
-            "barrier": {"mass": m, "segments": [{"v": v0, "w": a},
-                                                {"v": 0.0, "w": r},
-                                                {"v": v0, "w": a}]},
-            "packet": {"shape": "lorentzian", "p": k0, "sigma_p": sigma_p,
-                       "x0": 5.0 / (math.sqrt(2) * sigma_p)},
-            "detector": {"position": 10.0 * (2 * a + r)},
-            "task": {"kind": "regime-compare", "regime": "resonance",
-                     "n_t": 600, "decay_spans": 2.0, "rel_tol": 1e-6},
-            "output": {"dir": str(tmp_path / "out")},
-        })
+        cfg = _write(tmp_path, "c.json", {"name": "resc", **_resonance_double(),
+                                          "output": {"dir": str(tmp_path / "out")}})
         assert main(["run", cfg]) == 0
-        summary = dict(line.split(",") for line in
-                       (tmp_path / "out" / "resc_regime_summary.csv").read_text()
-                       .splitlines()[1:])
+        summary = _summary(tmp_path / "out" / "resc_regime_summary.csv")
         assert float(summary["gamma_model"]) == pytest.approx(
             float(summary["gamma_direct"]), rel=0.05)
+
+    def test_regime_compare_resonance_with_the_true_amplitude(self, tmp_path):
+        # substitute_lorentzian false: the direct quadrature keeps the
+        # profile's A_k, so only P_direct and its rate move
+        for sub in (True, False):
+            cfg = _write(tmp_path, "c.json", {
+                "name": "resc", **_resonance_double(substitute_lorentzian=sub),
+                "output": {"dir": str(tmp_path / str(sub))}})
+            assert main(["run", cfg]) == 0
+        model = [np.loadtxt(tmp_path / str(sub) / "resc_regime_compare.csv", delimiter=",",
+                            skiprows=1, dtype=str)[:, 2] for sub in (True, False)]
+        assert np.array_equal(*model)
+        gammas = [float(_summary(tmp_path / str(sub) / "resc_regime_summary.csv")
+                        ["gamma_direct"]) for sub in (True, False)]
+        assert abs(gammas[1] - gammas[0]) > 0.01 * gammas[0]
 
     def test_regime_compare_peaks(self, tmp_path):
         base = _small_double()

@@ -13,8 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tunnelkit import PotentialProfile, double_barrier_T, square_barrier_amplitudes
-from tunnelkit.kinematics import erfc_complex_array
+from tunnelkit import PotentialProfile, double_barrier_T, erfc_complex, square_barrier_amplitudes
 from tunnelkit.scattering import _transfer_TR
 
 M = 1.0
@@ -28,7 +27,7 @@ segments = st.lists(st.tuples(heights, widths), min_size=1, max_size=4)
 
 
 def _erfc(z: complex) -> complex:
-    return complex(erfc_complex_array(z))
+    return complex(erfc_complex(z))
 
 
 @_PROPERTY

@@ -14,7 +14,6 @@ from tunnelkit import (
     PhysicsDomainError,
     PotentialProfile,
     TotalReflectionError,
-    amplitude_scan,
     barrier_functions,
     detection_coefficient,
     detection_phase_derivative,
@@ -226,14 +225,14 @@ class TestPiecewise:
         # the transfer-matrix path gives R = 0 and a real T exactly; |T - 1| is
         # a rounding of 2ic/2ic, which numpy divides by multiplying with 1/(2c)
         prof = PotentialProfile(1.0, ())
-        sd = amplitude_scan(prof, np.linspace(0.05, 2.0, 40))
+        sd = piecewise_amplitudes(prof, np.linspace(0.05, 2.0, 40))
         assert np.all(sd.R == 0.0) and np.all(sd.T.imag == 0.0) and np.all(sd.A == sd.T)
         assert np.max(np.abs(sd.T - 1.0)) <= np.finfo(float).eps
         assert detection_phase_derivative(prof, 0.3) == 0.0
 
     def test_empty_momentum_scan_gives_empty_fields(self):
         prof = PotentialProfile.square(1.0, 0.5, 2.0)
-        sd = amplitude_scan(prof, [])
+        sd = piecewise_amplitudes(prof, [])
         for name in ("T", "R", "w", "A", "T_abs", "phi", "chi"):
             assert np.shape(getattr(sd, name)) == (0,), name
         assert detection_amplitude_scan(prof, []).shape == (0,)
@@ -260,7 +259,7 @@ class TestPiecewise:
         prof = PotentialProfile(1.0, ((0.3, 2.0), (0.6, 3.0), (0.3, 2.0)))
         assert prof.is_parity_symmetric()
         ks = np.linspace(0.05, 1.5, 60)
-        sd = amplitude_scan(prof, ks)
+        sd = piecewise_amplitudes(prof, ks)
         assert np.max(np.abs(sd.w)) < 1e-10
         assert np.max(np.abs(sd.A - sd.T)) < 1e-10
 
@@ -270,7 +269,7 @@ class TestPiecewise:
                      for _ in range(8))
         prof = PotentialProfile(1.0, segs)
         ks = np.linspace(0.05, 2.0, 40)
-        sd = amplitude_scan(prof, ks)
+        sd = piecewise_amplitudes(prof, ks)
         flux = np.abs(sd.T) ** 2 + np.abs(sd.R) ** 2
         assert np.max(np.abs(flux - 1.0)) < 1e-10
 
@@ -281,13 +280,10 @@ class TestPiecewise:
         with pytest.raises(PhysicsDomainError, match="got 2 momenta"):
             piecewise_amplitudes(prof, np.array([0.3, np.inf, 0.4, -0.1]))
 
-    def test_scan_is_the_same_function(self):
-        assert amplitude_scan is piecewise_amplitudes
-
     def test_scan_matches_scalar(self):
         prof = PotentialProfile(1.0, ((0.6, 4.0), (0.2, 3.0)))
         ks = np.linspace(0.1, 1.2, 7)
-        scan = amplitude_scan(prof, ks)
+        scan = piecewise_amplitudes(prof, ks)
         for i, k in enumerate(ks):
             one = piecewise_amplitudes(prof, float(k))
             assert abs(scan.T[i] - one.T) < 1e-14
@@ -392,7 +388,7 @@ class TestPhaseSplit:
     def test_square_scan_chi_zero_phi_continuous(self):
         prof = PotentialProfile.square(1.0, 0.5, 5.0)
         ks = np.linspace(0.02, 0.66, 400)
-        sd = amplitude_scan(prof, ks)
+        sd = piecewise_amplitudes(prof, ks)
         assert np.max(np.abs(sd.chi)) < 1e-10
         assert np.max(np.abs(np.diff(sd.phi))) < np.pi / 2
 
@@ -400,9 +396,9 @@ class TestPhaseSplit:
         # unwrap oracle: the same phase on a 10x finer grid, subsampled back
         prof = PotentialProfile.double(1.0, 0.5, 3.0, 10.0)
         ks = np.arange(0.05, 0.65, 1e-3)
-        coarse = amplitude_scan(prof, ks).phi
+        coarse = piecewise_amplitudes(prof, ks).phi
         fine_k = np.arange(0.05, 0.65, 1e-4)
-        fine = amplitude_scan(prof, fine_k).phi
+        fine = piecewise_amplitudes(prof, fine_k).phi
         sub = fine[::10][: coarse.size]
         off = coarse[0] - sub[0]
         assert np.max(np.abs(coarse - sub - off)) < 1e-6
@@ -412,7 +408,7 @@ class TestPhaseSplit:
     def test_refining_unwrapper_agrees(self):
         prof = PotentialProfile.double(1.0, 0.5, 3.0, 10.0)
         ks = np.linspace(0.05, 0.64, 250)
-        scan = amplitude_scan(prof, ks).phi
+        scan = piecewise_amplitudes(prof, ks).phi
         refined = unwrapped_transmission_phase(prof, ks)
         off = 2 * np.pi * round((scan[0] - refined[0]) / (2 * np.pi))
         assert np.max(np.abs(scan - refined - off)) < 1e-9

@@ -26,6 +26,7 @@ from tunnelkit import (
     double_barrier_report,
     detection_phase_derivative,
     packet_momentum_amplitude,
+    piecewise_amplitudes,
     stationary_phase_time,
     total_transmission,
 )
@@ -119,6 +120,19 @@ class TestDetectorSpec:
     def test_absorption_bounds(self):
         with pytest.raises(PhysicsDomainError):
             DetectorSpec(position=10.0, absorption=1.5)
+
+    @pytest.mark.parametrize("kt, at", [
+        pytest.param([0.1, 0.2, 0.3], [0.5, 0.5], id="ragged"),
+        pytest.param([0.1], [0.5], id="one-sample"),
+        pytest.param([0.1, np.nan, 0.3], [0.5, 0.5, 0.5], id="nan-k"),
+        pytest.param([0.1, 0.2, 0.3], [0.5, np.nan, 0.5], id="nan-alpha"),
+        pytest.param([0.3, 0.2, 0.1], [0.5, 0.5, 0.5], id="decreasing-k"),
+        pytest.param([0.1, 0.2, 0.3], [0.5, 1.5, 0.5], id="alpha-above-1"),
+    ])
+    def test_tabulated_absorption_rules_name_the_field(self, kt, at):
+        with pytest.raises(PhysicsDomainError) as exc:
+            DetectorSpec(position=10.0, absorption=(kt, at))
+        assert exc.value.field == "absorption"
 
     def test_tabulated_absorption_monotone_interp(self):
         kt = np.array([0.1, 0.2, 0.4, 0.8])
@@ -321,7 +335,7 @@ class TestFactoredKernel:
         times = np.linspace(L + spec.x0 - 8.0 * sigma_x, rep.t0 + 16.5 * rep.dt, 2800)
         edges = wavepacket._initial_edges(spec, M, L, times[0], times[-1])
         quad = _Panels(edges[:-1], edges[1:])
-        smooth = wavepacket._smooth_part(spec, prof, wavepacket._alpha_callable(None))
+        smooth = wavepacket._smooth_part(spec, prof, None)
         k15, _, blocks = wavepacket._grid_pass(smooth, M, L, quad, times)
         assert blocks == [53, 53]
         density = np.abs(k15) ** 2
@@ -470,17 +484,15 @@ class TestAsymmetricSuppression:
     PROF = PotentialProfile(M, ((0.8, 9.0), (0.25, 14.0)))
 
     def test_pointwise_cos2chi(self):
-        from tunnelkit import amplitude_scan
         ks = np.linspace(0.75, 0.95, 401)
-        sd = amplitude_scan(self.PROF, ks)
+        sd = piecewise_amplitudes(self.PROF, ks)
         ratios = (np.abs(sd.A) / sd.T_abs) ** 2
         assert np.max(np.abs(ratios - np.cos(sd.chi) ** 2)) < 1e-4
 
     def test_arrival_mass_is_A_weighted_not_T_weighted(self):
         # at chi = pi/4 the detected mass is half the |T|^2-weighted guess
-        from tunnelkit import amplitude_scan
         ks = np.linspace(0.80, 0.92, 2001)
-        sd = amplitude_scan(self.PROF, ks)
+        sd = piecewise_amplitudes(self.PROF, ks)
         k_star = float(ks[np.argmin(np.abs(np.asarray(sd.chi) - np.pi / 4))])
         spec = WavePacketSpec("gaussian", p=k_star, sigma_p=5e-4, x0=2500.0)
         det = DetectorSpec(position=30.0 * self.PROF.width)
@@ -499,10 +511,9 @@ class TestAsymmetricSuppression:
         assert mass == pytest.approx(0.5 * t_weighted, rel=0.05)
 
     def test_packet_transmission_suppressed(self):
-        from tunnelkit import amplitude_scan
         # center the packet where chi = pi/2
         ks = np.linspace(0.80, 0.92, 2001)
-        sd = amplitude_scan(self.PROF, ks)
+        sd = piecewise_amplitudes(self.PROF, ks)
         k_star = float(ks[np.argmin(np.abs(np.asarray(sd.chi) - np.pi / 2))])
         spec = WavePacketSpec("gaussian", p=k_star, sigma_p=5e-4, x0=1e4)
         got = total_transmission(spec, self.PROF)
