@@ -35,7 +35,6 @@ from .scattering import (
     piecewise_amplitudes,
     square_barrier_amplitudes,
     tunneling_window,
-    unwrapped_transmission_phase,
 )
 from .wavepacket import (
     ArrivalDistribution,

@@ -22,6 +22,7 @@ from .scattering import (
     PotentialProfile,
     barrier_functions,
     detection_phase_derivative,
+    phase_split,
     piecewise_amplitudes,
     square_barrier_amplitudes,
     tunneling_window,
@@ -163,7 +164,7 @@ def find_resonances(v0: float, a: float, r: float, m: float,
 
 def decay_rate(p: float, v0: float, a: float, r: float, m: float) -> float:
     """Escape rate Gamma_p = |T0p|^2 / (r/v_p + tau_p) of the inter-barrier trap."""
-    t0_abs2 = square_barrier_amplitudes(p, v0, a, m).T_abs ** 2
+    t0_abs2 = np.abs(square_barrier_amplitudes(p, v0, a, m).T) ** 2
     if t0_abs2 > 0.1:
         warn_regime("opacity",
                     f"|T0p|^2 = {t0_abs2:.3f} > 0.1: the geometric-series "
@@ -211,19 +212,20 @@ def double_barrier_report(p: float, v0: float, a: float, r: float, m: float,
                           sigma_p: float | None = None) -> RegimeReport:
     """Collect every closed-form double-barrier observable at momentum p."""
     single = square_barrier_amplitudes(p, v0, a, m)
+    t0_abs, phi, _ = phase_split(single.T, single.R)
     tau = square_barrier_tunneling_time(p, v0, a, m)
     v = relativistic_kinematics(p, m).velocity
     phi_prime = v * tau - a  # tau = (phi' + a)/v inverted
     dt = 2.0 * (r / v + tau)
-    gamma = single.T_abs ** 2 / (r / v + tau)
-    beta = wrap_pi(2.0 * p * (r + a) + 2.0 * single.phi + math.pi)
+    gamma = t0_abs ** 2 / (r / v + tau)
+    beta = wrap_pi(2.0 * p * (r + a) + 2.0 * phi + math.pi)
     dbl = piecewise_amplitudes(PotentialProfile.double(m, v0, a, r), p)
     report = RegimeReport(
         p=p, v0=v0, a=a, r=r, mass=m,
         t_d=2.0 * phi_prime / v, tau_p=tau, dt=dt, gamma_p=gamma, beta_p=beta,
-        T0p_abs2=single.T_abs ** 2, R0p_abs2=float(np.abs(single.R)) ** 2,
+        T0p_abs2=t0_abs ** 2, R0p_abs2=float(np.abs(single.R)) ** 2,
         transmission_p=float(np.abs(dbl.A)) ** 2,
-        phi_p=single.phi, phi_prime_p=phi_prime,
+        phi_p=phi, phi_prime_p=phi_prime,
         sigma_p=sigma_p,
     )
     if L is not None and x0 is not None:
@@ -385,60 +387,40 @@ def _lorentzian_residue_amplitude(times, spec: WavePacketSpec, v: float,
     return out
 
 
-def _residue_sum(times, spec: WavePacketSpec, v: float, t0: float, resonances,
-                 poles, v0: float, a: float, r: float, m: float):
-    """Sum of the residue amplitudes of resonances k0, the n-th placing its
-    pole at poles[n], with Gamma_k0 and v_k0 taken at k0; returns the
-    amplitude and the Gamma_k0 list."""
-    amp = np.zeros(times.shape, dtype=complex)
-    gammas = []
-    for k0, pole in zip(resonances, poles):
-        gamma_k0 = decay_rate(k0, v0, a, r, m)
-        gammas.append(gamma_k0)
-        amp += _lorentzian_residue_amplitude(times, spec, v, t0, pole, gamma_k0,
-                                             relativistic_kinematics(k0, m).velocity)
-    return amp, gammas
-
-
 def resonance_density(times, spec: WavePacketSpec, L: float, k0: float,
-                      v0: float, a: float, r: float, m: float,
-                      exact: bool = False) -> ArrivalDistribution:
-    """Closed-form P(L, t) for a Lorentzian packet near one resonance k0.
+                      v0: float, a: float, r: float, m: float) -> ArrivalDistribution:
+    """Closed-form P(L, t) for a Lorentzian packet near one resonance k0: the
+    one-resonance case of multi_resonance_density.
 
-    ``exact=True`` places the pole on the packet centre (k0 -> p, with
-    Gamma_k0 and v_k0 still taken at k0), so the late-time tail is a pure
-    exponential at rate Gamma_k0 once t - t0 >> 1/(sigma_p v_p) and
-    Gamma_k0 < 2 sigma_p v_p.
+    With k0 = p the late-time tail is a pure exponential at rate Gamma_k0
+    once t - t0 >> 1/(sigma_p v_p) and Gamma_k0 < 2 sigma_p v_p.
     """
-    if spec.shape != REGIME_SHAPES["resonance"]:
-        raise PhysicsDomainError("resonance regime formula requires a Lorentzian packet")
-    times, report, v = _regime_setup(times, spec, L, v0, a, r, m)
-    amp, (gamma_k0,) = _residue_sum(times, spec, v, report.t0, [k0],
-                                    [spec.p if exact else k0], v0, a, r, m)
+    dist = multi_resonance_density(times, spec, L, [k0], v0, a, r, m)
     if abs(k0 - spec.p) > spec.sigma_p:
         warn_regime("resonance_offset",
                     f"|k0 - p| = {abs(k0 - spec.p):.3e} exceeds sigma_p: packet "
                     "barely overlaps the resonance",
                     k0=k0, p=spec.p, sigma_p=spec.sigma_p)
-    density = v * np.abs(amp) ** 2
-    meta = _regime_meta(report, spec, L, "resonance")
-    meta["k0"] = k0
-    meta["gamma_k0"] = gamma_k0
-    return ArrivalDistribution(times=times, density=density, metadata=meta)
+    dist.metadata.update(formula="resonance", k0=k0, gamma_k0=dist.metadata["gammas"][0])
+    return dist
 
 
 def multi_resonance_density(times, spec: WavePacketSpec, L: float,
                             resonance_momenta, v0: float, a: float, r: float,
                             m: float) -> ArrivalDistribution:
-    """Sum of per-resonance amplitudes; late times beat at v_p (k_n - k_m)."""
+    """Sum of per-resonance amplitudes, the n-th with its pole at k_n and
+    Gamma_k0, v_k0 taken there; late times beat at v_p (k_n - k_m)."""
     if spec.shape != REGIME_SHAPES["resonance"]:
-        raise PhysicsDomainError("multi-resonance formula requires a Lorentzian packet")
+        raise PhysicsDomainError("resonance regime formulas require a Lorentzian packet")
     ks = np.atleast_1d(np.asarray(resonance_momenta, dtype=float))
     if ks.size < 1:
         raise PhysicsDomainError("need at least one resonance momentum")
     times, report, v = _regime_setup(times, spec, L, v0, a, r, m)
     ks = ks.tolist()
-    amp, gammas = _residue_sum(times, spec, v, report.t0, ks, ks, v0, a, r, m)
+    gammas = [decay_rate(k0, v0, a, r, m) for k0 in ks]
+    amp = sum(_lorentzian_residue_amplitude(times, spec, v, report.t0, k0, gamma_k0,
+                                            relativistic_kinematics(k0, m).velocity)
+              for k0, gamma_k0 in zip(ks, gammas))
     density = v * np.abs(amp) ** 2
     meta = _regime_meta(report, spec, L, "multi-resonance")
     meta["resonance_momenta"] = ks

@@ -139,7 +139,7 @@ def _parse_detector(data: dict, path: str = "detector") -> DetectorSpec:
 @dataclass
 class Scenario:
     name: str
-    task: dict
+    kind: str
     barrier: PotentialProfile | None
     packet: WavePacketSpec | None
     detector: DetectorSpec | None
@@ -164,8 +164,7 @@ def parse_scenario(config: dict, out_override: str | None = None) -> Scenario:
     rest = dict(config)
     name = _get(rest, "name", "")
     _expect(isinstance(name, str) and name != "", "name", "must be a non-empty string")
-    task = _get(rest, "task", "")
-    fields = _object(task, "task")
+    fields = _object(_get(rest, "task", ""), "task")
     kind = _get(fields, "kind", "task")
     _expect(kind in TASK_KINDS, "task.kind",
             f"must be one of {', '.join(TASK_KINDS)}; got {kind!r}")
@@ -209,11 +208,11 @@ def parse_scenario(config: dict, out_override: str | None = None) -> Scenario:
                 f"limit {GRID_MAX_PANELS}")
 
     out = out_override or out or "."
-    return Scenario(name=name, task=task, barrier=barrier, packet=packet,
+    return Scenario(name=name, kind=kind, barrier=barrier, packet=packet,
                     detector=detector, out_dir=Path(out), raw=config, params=params)
 
 
-# default rel_tol of the kinds that integrate; the other kinds accept and ignore one
+# default rel_tol of the kinds that integrate, the only kinds that take one
 _REL_TOL = {"arrival-density": DENSITY_REL_TOL, "decay-fit": 1e-7, "regime-compare": 1e-7}
 # tightest rel_tol they meet: 1e-13 no longer converges on single or double barriers
 _MIN_REL_TOL = 1e-12
@@ -236,8 +235,9 @@ def _validate_task_params(kind: str, t: dict) -> dict:
     """Take the fields of task kind ``kind`` out of t, a copy of the task
     object without its kind, and reject any left over; return them parsed,
     defaults filled in. The runners read only these values."""
-    q = {"rel_tol": _opt(t, "rel_tol", _REL_TOL.get(kind), _num, positive=True)}
+    q = {}
     if kind in _REL_TOL:
+        q["rel_tol"] = _opt(t, "rel_tol", _REL_TOL[kind], _num, positive=True)
         _expect(q["rel_tol"] >= _MIN_REL_TOL, "task.rel_tol",
                 f"must be >= {_MIN_REL_TOL:g}, got {q['rel_tol']:g}")
     if kind == "transmission-scan":
@@ -334,7 +334,7 @@ def _run_resonance_scan(sc: Scenario) -> tuple[list[Path], dict]:
     v0, a, r = sc.barrier.as_symmetric_double()
     m = sc.barrier.mass
     ks = analysis.find_resonances(v0, a, r, m, k_window=sc.params["k_window"])
-    absT = piecewise_amplitudes(sc.barrier, ks).T_abs
+    absT = np.abs(piecewise_amplitudes(sc.barrier, ks).T)
     path = sc.out_dir / f"{sc.name}_resonance_scan.csv"
     _write_csv(path, ["n", "k_n", "absT"], [np.arange(ks.size), ks, absT])
     return [path], {"n_resonances": int(ks.size)}
@@ -463,7 +463,7 @@ def run_scenario(sc: Scenario) -> dict:
     start = time.perf_counter()
     with warnings.catch_warnings(record=True) as wrec:
         warnings.simplefilter("always")
-        artifacts, diagnostics = _RUNNERS[sc.task["kind"]](sc)
+        artifacts, diagnostics = _RUNNERS[sc.kind](sc)
         for w in wrec:
             if isinstance(w.message, RegimeWarning):
                 captured.append(w.message.payload())
@@ -475,7 +475,7 @@ def run_scenario(sc: Scenario) -> dict:
         "name": sc.name,
         "tunnelkit_version": __version__,
         "config": sc.raw,
-        "task": sc.task["kind"],
+        "task": sc.kind,
         "artifacts": [p.name for p in artifacts],
         "timings": {"total_s": elapsed},
         "diagnostics": diagnostics,
@@ -521,7 +521,7 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
     if args.command == "validate":
-        print(f"ok: {scenario.name} ({scenario.task['kind']})")
+        print(f"ok: {scenario.name} ({scenario.kind})")
         return 0
 
     try:

@@ -100,11 +100,6 @@ class PotentialProfile:
         return {"mass": self.mass,
                 "segments": [{"v": v, "w": w} for v, w in self.segments]}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "PotentialProfile":
-        segs = tuple((float(s["v"]), float(s["w"])) for s in data["segments"])
-        return cls(float(data["mass"]), segs)
-
 
 def tunneling_window(v0: float, m: float) -> tuple[float, float]:
     """Momentum range (0, sqrt((m + V0)^2 - m^2)) where E - V0 < m."""
@@ -119,11 +114,10 @@ def tunneling_window(v0: float, m: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ScatteringData:
-    """Amplitudes and derived quantities at one momentum (or along a scan).
+    """T, R and the detection data w, A at one momentum (or along a scan).
 
-    Fields hold scalars or aligned numpy arrays. ``phi`` is unwrapped along
-    array scans; ``chi`` is reported in (-pi, pi] and is 0 by convention when
-    R vanishes.
+    Fields hold scalars or aligned numpy arrays; phase_split(T, R) gives
+    |T| and the phases phi, chi where T != 0.
     """
 
     k: object
@@ -131,9 +125,6 @@ class ScatteringData:
     R: object
     w: object
     A: object
-    T_abs: object
-    phi: object
-    chi: object
 
 
 def detection_coefficient(T, R):
@@ -174,7 +165,7 @@ def phase_split(T, R):
 def _make_data(k, T, R) -> ScatteringData:
     T, R = np.asarray(T, dtype=complex), np.asarray(R, dtype=complex)
     return ScatteringData(np.asarray(k, dtype=float)[()], T[()], R[()],
-                          *detection_coefficient(T, R), *phase_split(T, R))
+                          *detection_coefficient(T, R))
 
 
 # ---------------------------------------------------------------------------
@@ -382,32 +373,3 @@ def detection_phase_derivative(profile: PotentialProfile | None, p):
     theta = (P.real * Q.imag - Q.real * P.imag) / (s * norm) - profile.width
     return theta.reshape(k.shape)[()]
 
-
-def unwrapped_transmission_phase(profile: PotentialProfile, k_grid) -> np.ndarray:
-    """Continuous arg T_k along an increasing momentum grid.
-
-    Nearest-branch continuation; whenever two neighbours still differ by more
-    than pi/2 the step is halved (recursively, at most 40 times) to pin the
-    branch down.
-    """
-    k = np.asarray(k_grid, dtype=float)
-    if k.ndim != 1 or k.size < 2 or np.any(np.diff(k) <= 0):
-        raise PhysicsDomainError("need a strictly increasing 1-d momentum grid")
-
-    def principal(kk: float) -> float:
-        return float(np.angle(_transfer_TR(profile.segments, kk, profile.mass)[0]))
-
-    def continue_branch(k0, phi0, k1, phi1_pr, depth):
-        cand = phi1_pr + 2 * np.pi * round((phi0 - phi1_pr) / (2 * np.pi))
-        if abs(cand - phi0) <= np.pi / 2 or depth >= 40:
-            return cand
-        km = 0.5 * (k0 + k1)
-        phim = continue_branch(k0, phi0, km, principal(km), depth + 1)
-        return continue_branch(km, phim, k1, phi1_pr, depth + 1)
-
-    pr = np.angle(_transfer_TR(profile.segments, k, profile.mass)[0])
-    out = np.empty_like(pr)
-    out[0] = pr[0]
-    for i in range(1, k.size):
-        out[i] = continue_branch(k[i - 1], out[i - 1], k[i], pr[i], 0)
-    return out

@@ -109,6 +109,9 @@ _INPUT_RULES = [
     _case(("output", "directory"), "out", "output.directory"),
     _case(("output", "dir"), 5, "output.dir"),
     _case(("task", "reltol"), 1e-6, "task.reltol"),
+    # only the kinds that integrate read rel_tol
+    *(_case(("task", "rel_tol"), 1e-6, "task.rel_tol", kind) for kind in (
+        "transmission-scan", "tunneling-time-scan", "resonance-scan")),
     _case(("task", "gamma"), 1e-3, "task.gamma"),
     *(_case(("task", field), 1.0, f"task.{field}", kind) for kind, field in (
         ("transmission-scan", "n_t"), ("arrival-density", "span_sigma"),
@@ -240,6 +243,15 @@ class TestValidate:
         block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
         assert main(["validate", _write(tmp_path, "c.json", json.loads(block))]) == 0
 
+    @pytest.mark.filterwarnings("ignore::tunnelkit.RegimeWarning")
+    def test_readme_quickstart_runs(self, capsys):
+        # the documented library calls cannot drift from the package unnoticed
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+        exec(compile(block, "README.md", "exec"), {})
+        printed = [float(x) for x in capsys.readouterr().out.split()]
+        assert printed and all(map(math.isfinite, printed))
+
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 3
 
@@ -259,6 +271,21 @@ class TestRunTasks:
         assert len(lines) == 41
         k, tr, ti, rr, ri, a2 = map(float, lines[1].split(","))
         assert abs(tr * tr + ti * ti + rr * rr + ri * ri - 1.0) < 1e-10
+
+    def test_opaque_transmission_scan(self, tmp_path):
+        # lambda w ~ 1900: T underflows to 0 on every row, and the scan needs no phase
+        cfg = _write(tmp_path, "c.json", {
+            "name": "opaque",
+            "barrier": {"mass": 1.0, "segments": [{"v": 0.9, "w": 2000.0}]},
+            "task": {"kind": "transmission-scan", "k_min": 0.05, "k_max": 0.6, "n_k": 50},
+            "output": {"dir": str(tmp_path / "out")},
+        })
+        assert main(["run", cfg]) == 0
+        rows = np.loadtxt(tmp_path / "out" / "opaque_transmission_scan.csv",
+                          delimiter=",", skiprows=1)
+        assert rows.shape == (50, 6)
+        assert np.all(rows[:, 1:3] == 0.0) and np.all(rows[:, 5] == 0.0)
+        assert np.max(np.abs(rows[:, 3] ** 2 + rows[:, 4] ** 2 - 1.0)) < 1e-12
 
     def test_tunneling_time_scan(self, tmp_path):
         cfg = _write(tmp_path, "c.json", {

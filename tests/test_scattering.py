@@ -23,8 +23,8 @@ from tunnelkit import (
     piecewise_amplitudes,
     square_barrier_amplitudes,
     tunneling_window,
-    unwrapped_transmission_phase,
 )
+from tunnelkit.cli import _parse_barrier
 from tunnelkit.scattering import _transfer_TR, detection_amplitude_scan
 
 
@@ -48,8 +48,7 @@ class TestPotentialProfile:
 
     def test_json_round_trip(self):
         prof = PotentialProfile.double(1.0, 0.4, 2.0, 7.0)
-        again = PotentialProfile.from_dict(prof.to_dict())
-        assert again == prof
+        assert _parse_barrier(prof.to_dict()) == prof
         assert prof.to_dict() == {"mass": 1.0,
                                   "segments": [{"v": 0.4, "w": 2.0},
                                                {"v": 0.0, "w": 7.0},
@@ -148,7 +147,7 @@ class TestSquareBarrier:
         sd = square_barrier_amplitudes(0.3, 0.5, 5.0, 1.0)
         assert abs(sd.w) < 1e-10
         assert sd.A == pytest.approx(sd.T, rel=1e-12)
-        assert sd.chi == pytest.approx(0.0, abs=1e-12)
+        assert phase_split(sd.T, sd.R)[2] == pytest.approx(0.0, abs=1e-12)
 
     def test_opaque_scaling(self):
         # lambda d ~ 100: closed form stays finite and exact
@@ -233,7 +232,7 @@ class TestPiecewise:
     def test_empty_momentum_scan_gives_empty_fields(self):
         prof = PotentialProfile.square(1.0, 0.5, 2.0)
         sd = piecewise_amplitudes(prof, [])
-        for name in ("T", "R", "w", "A", "T_abs", "phi", "chi"):
+        for name in ("k", "T", "R", "w", "A"):
             assert np.shape(getattr(sd, name)) == (0,), name
         assert detection_amplitude_scan(prof, []).shape == (0,)
 
@@ -389,29 +388,23 @@ class TestPhaseSplit:
         prof = PotentialProfile.square(1.0, 0.5, 5.0)
         ks = np.linspace(0.02, 0.66, 400)
         sd = piecewise_amplitudes(prof, ks)
-        assert np.max(np.abs(sd.chi)) < 1e-10
-        assert np.max(np.abs(np.diff(sd.phi))) < np.pi / 2
+        _, phi, chi = phase_split(sd.T, sd.R)
+        assert np.max(np.abs(chi)) < 1e-10
+        assert np.max(np.abs(np.diff(phi))) < np.pi / 2
 
     def test_double_scan_phi_continuous_vs_fine_grid(self):
         # unwrap oracle: the same phase on a 10x finer grid, subsampled back
         prof = PotentialProfile.double(1.0, 0.5, 3.0, 10.0)
         ks = np.arange(0.05, 0.65, 1e-3)
-        coarse = piecewise_amplitudes(prof, ks).phi
-        fine_k = np.arange(0.05, 0.65, 1e-4)
-        fine = piecewise_amplitudes(prof, fine_k).phi
+        sd = piecewise_amplitudes(prof, ks)
+        coarse = phase_split(sd.T, sd.R)[1]
+        sd = piecewise_amplitudes(prof, np.arange(0.05, 0.65, 1e-4))
+        fine = phase_split(sd.T, sd.R)[1]
         sub = fine[::10][: coarse.size]
         off = coarse[0] - sub[0]
         assert np.max(np.abs(coarse - sub - off)) < 1e-6
         # steep physical slopes at resonances are fine; branch slips are not
         assert np.max(np.abs(np.diff(coarse))) < 2 * np.pi - 1.0
-
-    def test_refining_unwrapper_agrees(self):
-        prof = PotentialProfile.double(1.0, 0.5, 3.0, 10.0)
-        ks = np.linspace(0.05, 0.64, 250)
-        scan = piecewise_amplitudes(prof, ks).phi
-        refined = unwrapped_transmission_phase(prof, ks)
-        off = 2 * np.pi * round((scan[0] - refined[0]) / (2 * np.pi))
-        assert np.max(np.abs(scan - refined - off)) < 1e-9
 
 
 class TestPhaseDerivative:

@@ -26,6 +26,7 @@ from tunnelkit import (
     double_barrier_report,
     detection_phase_derivative,
     packet_momentum_amplitude,
+    phase_split,
     piecewise_amplitudes,
     stationary_phase_time,
     total_transmission,
@@ -486,14 +487,16 @@ class TestAsymmetricSuppression:
     def test_pointwise_cos2chi(self):
         ks = np.linspace(0.75, 0.95, 401)
         sd = piecewise_amplitudes(self.PROF, ks)
-        ratios = (np.abs(sd.A) / sd.T_abs) ** 2
-        assert np.max(np.abs(ratios - np.cos(sd.chi) ** 2)) < 1e-4
+        t_abs, _, chi = phase_split(sd.T, sd.R)
+        ratios = (np.abs(sd.A) / t_abs) ** 2
+        assert np.max(np.abs(ratios - np.cos(chi) ** 2)) < 1e-4
 
     def test_arrival_mass_is_A_weighted_not_T_weighted(self):
         # at chi = pi/4 the detected mass is half the |T|^2-weighted guess
         ks = np.linspace(0.80, 0.92, 2001)
         sd = piecewise_amplitudes(self.PROF, ks)
-        k_star = float(ks[np.argmin(np.abs(np.asarray(sd.chi) - np.pi / 4))])
+        t_abs, _, chi = phase_split(sd.T, sd.R)
+        k_star = float(ks[np.argmin(np.abs(chi - np.pi / 4))])
         spec = WavePacketSpec("gaussian", p=k_star, sigma_p=5e-4, x0=2500.0)
         det = DetectorSpec(position=30.0 * self.PROF.width)
         vp = k_star / math.hypot(k_star, M)
@@ -506,7 +509,7 @@ class TestAsymmetricSuppression:
             dist = arrival_density(times, spec, self.PROF, det)
         mass = dist.total_mass()
         assert mass == pytest.approx(total_transmission(spec, self.PROF), rel=0.01)
-        t_weighted = np.trapezoid(sd.T_abs**2 * spec.envelope(ks) ** 2,
+        t_weighted = np.trapezoid(t_abs**2 * spec.envelope(ks) ** 2,
                                   ks) / (2 * np.pi)
         assert mass == pytest.approx(0.5 * t_weighted, rel=0.05)
 
@@ -514,10 +517,11 @@ class TestAsymmetricSuppression:
         # center the packet where chi = pi/2
         ks = np.linspace(0.80, 0.92, 2001)
         sd = piecewise_amplitudes(self.PROF, ks)
-        k_star = float(ks[np.argmin(np.abs(np.asarray(sd.chi) - np.pi / 2))])
+        t_abs, _, chi = phase_split(sd.T, sd.R)
+        k_star = float(ks[np.argmin(np.abs(chi - np.pi / 2))])
         spec = WavePacketSpec("gaussian", p=k_star, sigma_p=5e-4, x0=1e4)
         got = total_transmission(spec, self.PROF)
-        t_only = np.trapezoid(sd.T_abs**2 * spec.envelope(ks) ** 2, ks) / (2 * np.pi)
+        t_only = np.trapezoid(t_abs**2 * spec.envelope(ks) ** 2, ks) / (2 * np.pi)
         assert got < 0.01 * t_only
 
 
