@@ -2,10 +2,12 @@
 
 One routine, :func:`adaptive_quad`, integrates m integrands on a shared
 panel set. The (G7, K15) pair gives an embedded error estimate per panel.
-Oscillatory integrands are pre-panelled so no panel spans more than ~pi of
-phase at the caller-supplied worst-case phase rate. On a pure phase e^{iwx}
-over pi the embedded G7 rule errs by 5.7e-13 of the panel's weight, and K15
-only by rounding; adaptive bisection then refines wherever the embedded
+Oscillatory integrands are pre-panelled so a panel spans ~pi of phase at the
+caller-supplied worst-case phase rate, up to 20000 pre-panels; past that cap
+a pre-panel spans more (a single barrier (0.5, 5) over t in [0, 6e6] asks for
+43595 and converges on 20000 of about 2.2 pi in 0 rounds). On a pure phase
+e^{iwx} over pi the embedded G7 rule errs by 5.7e-13 of the panel's weight,
+and K15 only by rounding; adaptive bisection then refines wherever the embedded
 estimate misses the tolerance, which also finds the *amplitude* structure
 (narrow resonances, packet edges) the phase bound cannot see.
 """

@@ -22,7 +22,6 @@ from .scattering import (
     PotentialProfile,
     barrier_functions,
     detection_phase_derivative,
-    phase_split,
     piecewise_amplitudes,
     square_barrier_amplitudes,
     tunneling_window,
@@ -210,9 +209,10 @@ class RegimeReport:
 def double_barrier_report(p: float, v0: float, a: float, r: float, m: float,
                           L: float | None = None, x0: float | None = None,
                           sigma_p: float | None = None) -> RegimeReport:
-    """Collect every closed-form double-barrier observable at momentum p."""
+    """Collect every closed-form double-barrier observable at momentum p. phi_p
+    is the continuous single-barrier phase, so a wall where T0 underflows gets one."""
     single = square_barrier_amplitudes(p, v0, a, m)
-    t0_abs, phi, _ = phase_split(single.T, single.R)
+    t0_abs, phi = np.abs(single.T), _single_barrier_phase(p, v0, a, m)
     tau = square_barrier_tunneling_time(p, v0, a, m)
     v = relativistic_kinematics(p, m).velocity
     phi_prime = v * tau - a  # tau = (phi' + a)/v inverted

@@ -134,9 +134,7 @@ def detection_coefficient(T, R):
     flux_dev = np.max(np.abs(np.abs(T) ** 2 + np.abs(R) ** 2 - 1.0), initial=0.0)
     if flux_dev > _UNITARITY_TOL:
         raise PhysicsDomainError(f"|T|^2 + |R|^2 deviates from 1 by {flux_dev:.3e}")
-    w = np.real(np.conj(T) * R)
-    if np.max(np.abs(w), initial=0.0) >= 1.0:
-        raise PhysicsDomainError("inconsistent amplitudes: |w| >= 1")
+    w = np.real(np.conj(T) * R)  # |w| <= |T| |R| <= (|T|^2 + |R|^2)/2 < 1
     return w[()], ((T - w * R) / (1.0 - w * w))[()]
 
 
@@ -269,9 +267,11 @@ def double_barrier_T(k, v0: float, a: float, r: float, m: float) -> ScatteringDa
 
 
 def _segment_product(segments, k, E, m: float):
-    """(c, m11, m12, m21, m22, logscale) of the scaled segment product at k and
-    E, c = k F(k^2). Real at real (k, E) and analytic in both, so a complex
-    step carries the derivatives in the imaginary parts."""
+    """(c, Dr, Di, NRr, NRi, logscale) of the scaled segment product M at k and
+    E, c = k F(k^2): the transfer denominator D = Dr + i Di = c^2 m12 - m21 +
+    ic(m11 + m22) and the reflection numerator NR = NRr + i NRi = m21 + c^2 m12
+    + ic(m22 - m11). Each part is real at real (k, E) and analytic in both, so
+    a complex step carries the derivatives in the imaginary parts."""
     c = k * matching_weight(k * k, m)
     m11 = np.ones_like(k)
     m12 = np.zeros_like(k)
@@ -299,17 +299,16 @@ def _segment_product(segments, k, E, m: float):
         n22 = a21 * m12 + cs * m22
         m11, m12, m21, m22 = n11, n12, n21, n22
         logscale = logscale + np.where(prop, 0.0, phase)
-    return c, m11, m12, m21, m22, logscale
+    return c, c * c * m12 - m21, c * (m11 + m22), m21 + c * c * m12, c * (m22 - m11), logscale
 
 
 def _transfer_TR(segments, k, m: float) -> tuple[np.ndarray, np.ndarray]:
     """T(k), R(k) for any segment list, incidence from the left, at a scalar
     (0-d results) or an array of momenta."""
     k = np.asarray(k, dtype=float)
-    c, m11, m12, m21, m22, logscale = _segment_product(segments, k, np.hypot(k, m), m)
+    c, Dr, Di, NRr, NRi, logscale = _segment_product(segments, k, np.hypot(k, m), m)
     d = float(sum(w for _, w in segments))
-    D = c * c * m12 - m21 + 1j * c * (m11 + m22)
-    NR = m21 + c * c * m12 + 1j * c * (m22 - m11)
+    D, NR = Dr + 1j * Di, NRr + 1j * NRi
     phase_out = np.exp(-1j * k * d)
     damp = np.exp(-np.minimum(logscale, 745.0))
     damp = np.where(logscale > 745.0, 0.0, damp)
@@ -358,10 +357,8 @@ def detection_phase_derivative(profile: PotentialProfile | None, p):
         return np.zeros_like(k)[()]
     s, kv = 1e-150, k.reshape(-1)  # 1-d: numpy rounds complex scalars differently
     E = np.hypot(kv, profile.mass)
-    c, m11, m12, m21, m22, _ = _segment_product(
+    c, Dr, Di, NRr, NRi, _ = _segment_product(
         profile.segments, kv + 1j * s, E + 1j * s * kv / E, profile.mass)
-    Dr, Di = c * c * m12 - m21, c * (m11 + m22)
-    NRr, NRi = m21 + c * c * m12, c * (m22 - m11)
     D2 = Dr * Dr + Di * Di
     X, Y = 2.0 * c * Di / D2, 2.0 * c * Dr / D2  # T e^{ikd} without its scale
     U, W = (NRr * Dr + NRi * Di) / D2, (NRi * Dr - NRr * Di) / D2  # R e^{ikd}

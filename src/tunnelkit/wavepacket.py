@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -218,7 +217,7 @@ class DetectorSpec:
         if self.position < MIN_L_OVER_D * d:
             raise PhysicsDomainError(
                 f"detector at L = {self.position} violates the far-field "
-                f"requirement L >= {MIN_L_OVER_D} d = {MIN_L_OVER_D * d}")
+                f"requirement L >= {MIN_L_OVER_D:g} d = {MIN_L_OVER_D * d}", field="position")
         if self.position < _WARN_L_OVER_D * d:
             warn_regime("far_field_marginal",
                         f"L = {self.position} below {_WARN_L_OVER_D} d: "
@@ -245,9 +244,7 @@ class ArrivalDistribution:
         _write_csv(path, ["t", "P"], [self.times, self.density])
 
     def write_sidecar(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.metadata, f, indent=2, sort_keys=True, default=_json_default)
-            f.write("\n")
+        _write_json(path, self.metadata)
 
 
 def _write_csv(path, header: list[str], columns) -> None:
@@ -265,13 +262,16 @@ def _write_csv(path, header: list[str], columns) -> None:
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
-    if isinstance(obj, Path):
-        return str(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")
+
+
+def _write_json(path, obj) -> None:
+    """Write obj as indented JSON with sorted keys; numpy values as Python ones."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, indent=2, sort_keys=True, default=_json_default)
+        f.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -348,19 +348,17 @@ def _initial_edges(spec: WavePacketSpec, mass: float, L: float, t_lo: float, t_h
 
 
 def arrival_amplitude(L: float, t: float, spec: WavePacketSpec,
-                      profile: PotentialProfile | None, alpha=None,
-                      rel_tol: float = DENSITY_REL_TOL, detection_amplitude=None) -> complex:
-    """Arrival amplitude A(L, t) at a single detection time.
+                      profile: PotentialProfile | None,
+                      rel_tol: float = DENSITY_REL_TOL) -> complex:
+    """Arrival amplitude A(L, t) at a single detection time, alpha = 1: the
+    single-time reference for arrival_density.
 
-    ``detection_amplitude`` substitutes a model A_k (callable of a momentum
-    array) for the profile-derived one, e.g. a Lorentzian resonance
-    approximation; the profile then only supplies geometry. With g the
-    integrand, the quadrature also integrates |g|: int |g| dk/2pi bounds
-    every |A(L, t)|, and rel_tol is relative to it rather than to the
+    With g the integrand, the quadrature also integrates |g|: int |g| dk/2pi
+    bounds every |A(L, t)|, and rel_tol is relative to it rather than to the
     amplitude, which is tiny in the tails.
     """
     mass = _mass(profile)
-    smooth = _smooth_part(spec, profile, alpha, detection_amplitude)
+    smooth = _smooth_part(spec, profile, None)
 
     def f(k):
         g = smooth(k)
@@ -504,10 +502,11 @@ def arrival_density(times, spec: WavePacketSpec, profile: PotentialProfile | Non
                     detection_amplitude=None) -> ArrivalDistribution:
     """Sample P(L, t) = |A(L, t)|^2 on a uniform time grid.
 
-    One refined panel set is shared by every grid point; ``detection_amplitude``
-    substitutes a model A_k as in arrival_amplitude. The grid should span the
-    expected peak by +-10 sigma_x/v_p; a narrower grid is accepted with a
-    structured warning.
+    One refined panel set is shared by every grid point. ``detection_amplitude``,
+    a callable of a momentum array, substitutes a model A_k (e.g. a Lorentzian
+    resonance) for the profile's, which then only supplies geometry. The grid
+    should span the expected peak by +-10 sigma_x/v_p; a narrower grid is
+    accepted with a structured warning.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 4 or np.any(np.diff(times) <= 0):

@@ -14,7 +14,6 @@ from tunnelkit import (
     PhysicsDomainError,
     PotentialProfile,
     RegimeWarning,
-    TotalReflectionError,
     WavePacketSpec,
     causality_mass,
     continuum_density,
@@ -169,6 +168,20 @@ class TestResonances:
         with pytest.raises(PhysicsDomainError):
             find_resonances(0.5, 3.0, 10.0, M, k_window=(0.1, 5.0))
 
+    @pytest.mark.parametrize("r", [10.0, 400.0, 6000.0])
+    def test_report_phase_meets_resonance_condition(self, r):
+        # the report and the root search share one phase: beta_p = psi(p) + pi
+        # mod 2 pi, so at a root |beta_p| is within the bisection's 1e-10 stop
+        # times psi' = 2r + 2 v tau_p (it reads at most 0.31 of that)
+        v0, a = 0.4, 2.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)  # r = 6000 drops roots
+            ks = find_resonances(v0, a, r, M)
+        assert ks.size > 0
+        for k in ks.tolist():
+            rep = double_barrier_report(k, v0, a, r, M)
+            assert abs(rep.beta_p) <= (2.0 * r + 2.0 * _velocity(k) * rep.tau_p) * 1e-10
+
 
 class TestDecayRate:
     def test_definition_identity(self):
@@ -187,10 +200,12 @@ class TestDecayRate:
             decay_rate(0.3, 0.2, 0.5, 10.0, M)
 
     def test_opaque_wall_rate_is_zero(self):
-        # |T0p| underflows to 0: the rate needs only |T0p|, beta_p needs its phase
+        # |T0p| underflows to 0: the rate needs only |T0p|, and beta_p takes
+        # phi_p from the closed-form phase, which stays finite
         assert decay_rate(0.35, 0.9, 1000.0, 300.0, M) == 0.0
-        with pytest.raises(TotalReflectionError):
-            double_barrier_report(0.35, 0.9, 1000.0, 300.0, M)
+        rep = double_barrier_report(0.35, 0.9, 1000.0, 300.0, M, L=30000.0, x0=700.0)
+        assert rep.gamma_p == 0.0 and rep.R0p_abs2 == 1.0
+        assert all(math.isfinite(x) for x in (rep.beta_p, rep.t0, rep.dt))
 
     def test_report_at_underflowing_momentum_is_domain_error(self):
         with pytest.raises(PhysicsDomainError, match="E - m underflows"):

@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import copy
+import importlib
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tunnelkit import decay_rate, double_barrier_report, find_resonances
+from tunnelkit import (DetectorSpec, PhysicsDomainError, PotentialProfile, decay_rate,
+                       double_barrier_report, find_resonances)
 from tunnelkit.cli import main
 
 
@@ -34,6 +37,17 @@ def _small_double():
         "packet": {"shape": "gaussian", "p": 0.35,
                    "sigma_p": 1.0 / (2 * sigma_x), "x0": 5 * sigma_x},
         "detector": {"position": 11.0 * (2 * a + r)},
+    }
+
+
+def _opaque_wall():
+    # a double barrier whose |T0p| underflows to 0 at the packet momentum
+    return {
+        "barrier": {"mass": 1.0, "segments": [{"v": 0.9, "w": 1000.0},
+                                              {"v": 0.0, "w": 300.0},
+                                              {"v": 0.9, "w": 1000.0}]},
+        "packet": {"shape": "gaussian", "p": 0.35, "sigma_p": 0.004, "x0": 700.0},
+        "detector": {"position": 30000.0},
     }
 
 
@@ -157,6 +171,19 @@ class TestValidate:
         path.write_text("{not json", encoding="utf-8")
         assert main(["validate", str(path)]) == 1
 
+    def test_benchmark_configs_validate(self, tmp_path, monkeypatch):
+        # every CLI config of the benchmark passes validate, so a newly
+        # rejected field cannot break the benchmark unnoticed
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+        scenarios = importlib.import_module("scenarios")
+        for build in (scenarios.figure_cli, scenarios.scans, scenarios.opaque):
+            build(tmp_path, 0)
+        configs = sorted(tmp_path.glob("*.json"))
+        assert len(configs) == 10
+        for cfg in configs:
+            assert main(["validate", str(cfg)]) == 0, cfg.name
+
     def test_near_field_detector_is_config_error(self, tmp_path, capsys):
         cfg = _write(tmp_path, "c.json", {
             "name": "near",
@@ -166,7 +193,10 @@ class TestValidate:
             "task": {"kind": "arrival-density", "n_t": 32},
         })
         assert main(["validate", cfg]) == 1
-        assert "detector.position" in capsys.readouterr().err
+        # validate prints DetectorSpec.check_far_field's own message
+        with pytest.raises(PhysicsDomainError) as exc:
+            DetectorSpec(position=50.0).check_far_field(PotentialProfile.square(1.0, 0.5, 10.0))
+        assert capsys.readouterr().err == f"config error: detector.position: {exc.value}\n"
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("task, absorption, path", [
@@ -440,6 +470,29 @@ class TestRunTasks:
         manifest = json.loads((tmp_path / "out" / "opaque_manifest.json").read_text())
         assert "no_signal" in {w["code"] for w in manifest["warnings"]}
 
+    def test_opaque_wall_peaks_run_has_no_signal(self, tmp_path):
+        # |T0p| underflows on the wall (0.9, 1000, 300): both densities are
+        # exactly 0, and every rel_diff is finite (0) rather than 0/0
+        cfg = _write(tmp_path, "c.json", {
+            "name": "wall", **_opaque_wall(),
+            "task": {"kind": "regime-compare", "regime": "peaks"},
+            "output": {"dir": str(tmp_path / "out")},
+        })
+        assert main(["run", cfg]) == 0
+        data = np.loadtxt(tmp_path / "out" / "wall_regime_compare.csv",
+                          delimiter=",", skiprows=1)
+        assert np.all(data[:, 1:3] == 0.0) and np.all(np.isfinite(data[:, 3]))
+        manifest = json.loads((tmp_path / "out" / "wall_manifest.json").read_text())
+        assert "no_signal" in {w["code"] for w in manifest["warnings"]}
+
+    def test_opaque_wall_decay_fit_finds_no_peaks(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "c.json", {
+            "name": "wall", **_opaque_wall(), "task": {"kind": "decay-fit"},
+            "output": {"dir": str(tmp_path / "out")},
+        })
+        assert main(["run", cfg]) == 2
+        assert "need >= 3 peaks" in capsys.readouterr().err
+
     def test_regime_compare_continuum_offregime_warns(self, tmp_path):
         # sigma_p v_p dt ~ 4 is outside the continuum regime: the comparison
         # must still be emitted and the warning must land in the manifest
@@ -564,8 +617,14 @@ class TestManifestAndDeterminism:
     def test_opaque_wall_peaks_run_is_no_config_error(self, tmp_path, capsys):
         # |R0p|^2 rounds to 1.0 at a = 28, where the peak-series model died
         # with a bare ZeroDivisionError. The run now ends as a numeric result:
-        # today exit 2, because the direct density's |T|^2 + |R|^2 misses 1 by
-        # 2.2e-8, above the unitarity tolerance 1e-8
+        # today exit 2, because at the refinement node k = 0.3505714898429169,
+        # next to a resonance (|T| = 4.3e-10), |T|^2 + |R|^2 misses 1 by
+        # 2.19e-8, above the unitarity tolerance 1e-8. The digits go where
+        # _segment_product composes the two opaque barriers: the entries of
+        # the scaled product are 1.6e-9 of the summed size of their terms,
+        # while |D| is 0.60 of its terms. 1e-10 away the ratio is 4.6e-7 and
+        # the miss 2.1e-11; a uniform 2M-point scan of the packet window
+        # stays at or below 2.0e-11
         cfg = _write(tmp_path, "c.json", {
             "name": "wall",
             "barrier": {"mass": 1.0, "segments": [{"v": 0.4, "w": 28.0},
