@@ -28,7 +28,7 @@ from .scattering import (
     wrap_pi,
     _transfer_TR,
 )
-from .wavepacket import ArrivalDistribution, WavePacketSpec, _first_peak_phase_derivative, _mass
+from .wavepacket import ArrivalDistribution, WavePacketSpec, _first_peak_phase_derivative
 
 # the packet shape each closed form assumes; the peak series takes either
 REGIME_SHAPES = {"continuum": "gaussian", "resonance": "lorentzian"}
@@ -42,7 +42,7 @@ _SERIES_CHUNK = 1 << 18   # peak series: times x offsets entries held at once
 # delay and tunneling times
 
 
-def delay_time(p, profile: PotentialProfile | None):
+def delay_time(p, profile: PotentialProfile):
     """Arrival delay theta'_p/v_p relative to free propagation at mean
     momentum p, a scalar or a numpy array.
 
@@ -50,17 +50,17 @@ def delay_time(p, profile: PotentialProfile | None):
     the first detected peak: twice the single-barrier delay. The composite
     amplitude's delay, which oscillates through the resonances and underlies
     "generalized Hartmann" claims, is detection_phase_derivative(profile, p)/v_p.
-    Free propagation (profile None or empty) gives 0.
+    Free propagation, the empty profile PotentialProfile(m, ()), gives 0.
     """
     return (_first_peak_phase_derivative(profile, p)
-            / relativistic_kinematics(p, _mass(profile)).velocity)
+            / relativistic_kinematics(p, profile.mass).velocity)
 
 
-def tunneling_time(p, profile: PotentialProfile | None):
+def tunneling_time(p, profile: PotentialProfile):
     """tau_p = t_d + d/v_p with d the total barrier extent (0 for a free run),
     at a scalar or a numpy array of momenta p."""
-    d = profile.width if profile is not None else 0.0
-    return delay_time(p, profile) + d / relativistic_kinematics(p, _mass(profile)).velocity
+    return (delay_time(p, profile)
+            + profile.width / relativistic_kinematics(p, profile.mass).velocity)
 
 
 def square_barrier_tunneling_time(p, v0: float, d: float, m: float):

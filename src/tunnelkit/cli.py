@@ -28,7 +28,7 @@ from .errors import ConfigError, NumericsError, PhysicsDomainError, RegimeWarnin
 from .kinematics import relativistic_kinematics
 from .scattering import PotentialProfile, piecewise_amplitudes, tunneling_window
 from .wavepacket import (DENSITY_REL_TOL, GRID_MAX_PANELS, GRID_SPAN_SIGMAS, DetectorSpec,
-                         WavePacketSpec, _mass, _write_csv, _write_json, arrival_density,
+                         WavePacketSpec, _write_csv, _write_json, arrival_density,
                          prepanel_count, stationary_phase_time)
 
 TASK_KINDS = ("transmission-scan", "arrival-density", "tunneling-time-scan",
@@ -140,7 +140,7 @@ def _parse_detector(data: dict, path: str = "detector") -> DetectorSpec:
 class Scenario:
     name: str
     kind: str
-    barrier: PotentialProfile | None
+    barrier: PotentialProfile
     packet: WavePacketSpec | None
     detector: DetectorSpec | None
     out_dir: Path
@@ -182,11 +182,13 @@ def parse_scenario(config: dict, out_override: str | None = None) -> Scenario:
     _unread(rest, "")
     for need in _TASK_NEEDS[kind]:
         _expect(sections[need] is not None, need, f"required by task kind {kind!r}")
+    if barrier is None:  # a free run, in units of the particle mass
+        barrier = PotentialProfile(1.0, ())
     if kind in ("resonance-scan", "decay-fit", "regime-compare"):
         _expect(barrier.as_symmetric_double() is not None, "barrier",
                 f"task {kind!r} requires a symmetric double barrier "
                 "(segments [barrier, gap, barrier])")
-    if barrier is not None and detector is not None:
+    if detector is not None:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the marginal band warns at run time
             _build(detector.check_far_field, "detector", profile=barrier)
@@ -201,7 +203,7 @@ def parse_scenario(config: dict, out_override: str | None = None) -> Scenario:
         _expect(params["k_window"][1] < k_max, "task.k_max",
                 f"must lie below the tunneling-window edge {k_max}")
     if kind == "arrival-density" and "t_min" in params:
-        n = prepanel_count(packet, _mass(barrier), detector.position,
+        n = prepanel_count(packet, barrier.mass, detector.position,
                            params["t_min"], params["t_max"])
         _expect(n <= GRID_MAX_PANELS, "task.t_max",
                 f"the time window needs {n:.3g} phase panels, above the panel "
@@ -303,7 +305,7 @@ def _run_arrival_density(sc: Scenario) -> tuple[list[Path], dict]:
         times = np.linspace(q["t_min"], q["t_max"], q["n_t"])
     else:
         t_bar = stationary_phase_time(sc.packet, sc.barrier, sc.detector.position)
-        vp = relativistic_kinematics(sc.packet.p, _mass(sc.barrier)).velocity
+        vp = relativistic_kinematics(sc.packet.p, sc.barrier.mass).velocity
         span = q["span_sigmas"] * sc.packet.sigma_x / vp
         times = np.linspace(t_bar - span, t_bar + span, q["n_t"])
     dist = arrival_density(times, sc.packet, sc.barrier, sc.detector, rel_tol=q["rel_tol"])
@@ -353,12 +355,11 @@ def _run_decay_fit(sc: Scenario) -> tuple[list[Path], dict]:
     peaks = analysis.detect_peaks(dist)
     fit = analysis.fit_exponential(dist, (rep.t0 - 0.5 * rep.dt, times[-1]),
                                    on_peaks=True)
-    spacing = float(np.mean(np.diff([tp for tp, _ in peaks]))) if len(peaks) > 1 else float("nan")
-    first_peak = peaks[0][0] if peaks else float("nan")
+    spacing = float(np.mean(np.diff([tp for tp, _ in peaks])))
     path = sc.out_dir / f"{sc.name}_decay_fit.csv"
     _write_csv(path, ["quantity", "value"],
                [("t0", "dt", "gamma_fit", "gamma_formula", "r2"),
-                (first_peak, spacing, fit.rate, rep.gamma_p, fit.r_squared)])
+                (peaks[0][0], spacing, fit.rate, rep.gamma_p, fit.r_squared)])
     dens_path = sc.out_dir / f"{sc.name}_decay_fit_density.csv"
     dist.write_csv(dens_path)
     return [path, dens_path], {"quadrature": dist.metadata["quadrature"],
@@ -415,10 +416,10 @@ def _run_regime_compare(sc: Scenario) -> tuple[list[Path], dict]:
     _write_csv(ts_path, ["t", "P_direct", "P_model", "rel_diff"],
                [times, direct.density, model.density, rel])
 
-    pairs = [("t0_formula", rep.t0), ("dt_formula", rep.dt),
-             ("gamma_formula", rep.gamma_p),
-             ("t0_direct", times[int(np.argmax(direct.density))]),
-             ("t0_model", times[int(np.argmax(model.density))])]
+    pairs = [("t0_formula", rep.t0), ("dt_formula", rep.dt), ("gamma_formula", rep.gamma_p)]
+    for label, dist in (("direct", direct), ("model", model)):
+        i = int(np.argmax(dist.density))  # a density without signal has no peak time
+        pairs.append((f"t0_{label}", times[i] if dist.density[i] > 0 else math.nan))
     if regime == "peaks":
         for label, dist in (("direct", direct), ("model", model)):
             pk = analysis.detect_peaks(dist)

@@ -334,27 +334,23 @@ def piecewise_amplitudes(profile: PotentialProfile, k) -> ScatteringData:
     return _make_data(k, T, R)
 
 
-def detection_amplitude_scan(profile: PotentialProfile | None, k_grid) -> np.ndarray:
-    """A_k on a grid; profile None means free propagation."""
+def detection_amplitude_scan(profile: PotentialProfile, k_grid) -> np.ndarray:
+    """A_k on a grid; the empty profile (free propagation) gives 1 to rounding."""
     k = np.asarray(k_grid, dtype=float)
-    if profile is None:
-        return np.ones_like(k, dtype=complex)
     return detection_coefficient(*_transfer_TR(profile.segments, k, profile.mass))[1]
 
 
-def detection_phase_derivative(profile: PotentialProfile | None, p):
+def detection_phase_derivative(profile: PotentialProfile, p):
     """theta'_p = d(arg A_k)/dk at k = p (a scalar or an array), exactly.
 
     A e^{ikd} is a positive real factor times P + iQ, P and Q real arithmetic
     on the segment product; one evaluation at p + i s (energy E + i s v) puts
     s P', s Q' in the imaginary parts, so theta' = (P Q' - Q P')/(P^2 + Q^2) - d.
     The real e^{-lambda w} scale drops out: opaque profiles give finite values.
-    Free propagation (profile None) gives exactly 0."""
+    Free propagation (the empty profile) gives exactly 0."""
     k = np.asarray(p, dtype=float)
     if np.any(~(k > 0)):
         raise PhysicsDomainError(f"need p > 0, got {p}")
-    if profile is None:
-        return np.zeros_like(k)[()]
     s, kv = 1e-150, k.reshape(-1)  # 1-d: numpy rounds complex scalars differently
     E = np.hypot(kv, profile.mass)
     c, Dr, Di, NRr, NRi, _ = _segment_product(

@@ -210,8 +210,8 @@ class DetectorSpec:
         h11 = s * s * (s - 1)
         return h00 * at[i] + h10 * h * d[i] + h01 * at[i + 1] + h11 * h * d[i + 1]
 
-    def check_far_field(self, profile: PotentialProfile | None) -> None:
-        d = profile.width if profile is not None else 0.0
+    def check_far_field(self, profile: PotentialProfile) -> None:
+        d = profile.width
         if d == 0.0:
             return
         if self.position < MIN_L_OVER_D * d:
@@ -278,19 +278,13 @@ def _write_json(path, obj) -> None:
 # the oscillatory integral engine
 
 
-def _mass(profile: PotentialProfile | None) -> float:
-    """The profile's mass, or 1 (everything in units of the particle mass)
-    for a free run."""
-    return profile.mass if profile is not None else 1.0
-
-
-def _smooth_part(spec: WavePacketSpec, profile: PotentialProfile | None, alpha,
+def _smooth_part(spec: WavePacketSpec, profile: PotentialProfile, alpha,
                  detection_amplitude=None):
     """k -> sqrt(alpha(k) v_k) A_k psi0(k): the arrival integrand without the
     phase e^{ikL - iE_k t}. ``alpha`` is a callable of a momentum array, or
     None for alpha = 1; a model ``detection_amplitude`` replaces the
     profile's A_k."""
-    mass = _mass(profile)
+    mass = profile.mass
 
     def smooth(k: np.ndarray) -> np.ndarray:
         amp = (detection_amplitude_scan(profile, k) if detection_amplitude is None
@@ -301,27 +295,26 @@ def _smooth_part(spec: WavePacketSpec, profile: PotentialProfile | None, alpha,
     return smooth
 
 
-def _first_peak_phase_derivative(profile: PotentialProfile | None, p):
+def _first_peak_phase_derivative(profile: PotentialProfile, p):
     """theta'_p of the first detected peak, at a scalar or an array p.
 
     For a symmetric double barrier that is twice the single-barrier phase
     derivative, not the composite-amplitude derivative, which oscillates
     through the resonances; any other profile gives its own derivative.
     """
-    dbl = profile.as_symmetric_double() if profile is not None else None
+    dbl = profile.as_symmetric_double()
     if dbl is None:
         return detection_phase_derivative(profile, p)
     v0, a, _ = dbl
     return 2.0 * detection_phase_derivative(PotentialProfile.square(profile.mass, v0, a), p)
 
 
-def stationary_phase_time(spec: WavePacketSpec, profile: PotentialProfile | None,
-                          L: float) -> float:
+def stationary_phase_time(spec: WavePacketSpec, profile: PotentialProfile, L: float) -> float:
     """Peak-time estimate (x0 + L + theta'_p)/v_p of the first detected peak
     from the stationary phase, at a detector position L or a numpy array of
     them."""
     theta_prime = _first_peak_phase_derivative(profile, spec.p)
-    v = relativistic_kinematics(spec.p, _mass(profile)).velocity
+    v = relativistic_kinematics(spec.p, profile.mass).velocity
     return (spec.x0 + L + theta_prime) / v
 
 
@@ -348,8 +341,7 @@ def _initial_edges(spec: WavePacketSpec, mass: float, L: float, t_lo: float, t_h
 
 
 def arrival_amplitude(L: float, t: float, spec: WavePacketSpec,
-                      profile: PotentialProfile | None,
-                      rel_tol: float = DENSITY_REL_TOL) -> complex:
+                      profile: PotentialProfile, rel_tol: float = DENSITY_REL_TOL) -> complex:
     """Arrival amplitude A(L, t) at a single detection time, alpha = 1: the
     single-time reference for arrival_density.
 
@@ -357,7 +349,7 @@ def arrival_amplitude(L: float, t: float, spec: WavePacketSpec,
     bounds every |A(L, t)|, and rel_tol is relative to it rather than to the
     amplitude, which is tiny in the tails.
     """
-    mass = _mass(profile)
+    mass = profile.mass
     smooth = _smooth_part(spec, profile, None)
 
     def f(k):
@@ -497,7 +489,7 @@ def _shared_panel_amplitudes(smooth, spec: WavePacketSpec, mass: float, L: float
     return amps / (2.0 * math.pi), diagnostics
 
 
-def arrival_density(times, spec: WavePacketSpec, profile: PotentialProfile | None,
+def arrival_density(times, spec: WavePacketSpec, profile: PotentialProfile,
                     detector: DetectorSpec, rel_tol: float = DENSITY_REL_TOL,
                     detection_amplitude=None) -> ArrivalDistribution:
     """Sample P(L, t) = |A(L, t)|^2 on a uniform time grid.
@@ -512,7 +504,7 @@ def arrival_density(times, spec: WavePacketSpec, profile: PotentialProfile | Non
     if times.ndim != 1 or times.size < 4 or np.any(np.diff(times) <= 0):
         raise PhysicsDomainError("need an increasing time grid with >= 4 points")
     detector.check_far_field(profile)
-    mass = _mass(profile)
+    mass = profile.mass
     L = detector.position
 
     vp = relativistic_kinematics(spec.p, mass).velocity
@@ -533,7 +525,7 @@ def arrival_density(times, spec: WavePacketSpec, profile: PotentialProfile | Non
     meta = {
         "packet": {"shape": spec.shape, "p": spec.p, "sigma_p": spec.sigma_p,
                    "x0": spec.x0},
-        "profile": profile.to_dict() if profile is not None else None,
+        "profile": profile.to_dict(),
         "detector": {"position": L},
         "quadrature": diagnostics,
         "t_peak_estimate": t_bar,
@@ -541,10 +533,10 @@ def arrival_density(times, spec: WavePacketSpec, profile: PotentialProfile | Non
     return ArrivalDistribution(times=times, density=density, metadata=meta)
 
 
-def total_transmission(spec: WavePacketSpec, profile: PotentialProfile | None,
+def total_transmission(spec: WavePacketSpec, profile: PotentialProfile,
                        alpha=None, rel_tol: float = 1e-10) -> float:
     """int dk/(2pi) alpha(k) |A_k|^2 |u~0(k - p)|^2 (no time integral)."""
-    mass = _mass(profile)
+    mass = profile.mass
     smooth = _smooth_part(spec, profile, alpha)
 
     def f(k):  # |sqrt(alpha v) A_k psi0|^2 / v = alpha |A_k|^2 |u~0|^2

@@ -228,6 +228,9 @@ class TestPiecewise:
         assert np.all(sd.R == 0.0) and np.all(sd.T.imag == 0.0) and np.all(sd.A == sd.T)
         assert np.max(np.abs(sd.T - 1.0)) <= np.finfo(float).eps
         assert detection_phase_derivative(prof, 0.3) == 0.0
+        # a free run's A_k on a packet-sized scan: 1 to within an ulp
+        amp = detection_amplitude_scan(prof, np.linspace(0.2, 0.4, 200_001))
+        assert np.max(np.abs(amp - 1.0)) <= 2.3e-16
 
     def test_empty_momentum_scan_gives_empty_fields(self):
         prof = PotentialProfile.square(1.0, 0.5, 2.0)
@@ -409,7 +412,7 @@ class TestPhaseSplit:
 
 class TestPhaseDerivative:
     def test_free_is_zero(self):
-        assert detection_phase_derivative(None, 0.3) == 0.0
+        assert detection_phase_derivative(PotentialProfile(1.0, ()), 0.3) == 0.0
 
     def test_square_matches_closed_form(self):
         # analytic: d(arg T)/dk = v * tau - d, tau from the closed form
@@ -446,7 +449,8 @@ class TestPhaseDerivative:
             got = detection_phase_derivative(prof, ks)
             ref = [detection_phase_derivative(prof, float(k)) for k in ks]
             assert np.array_equal(got, ref)
-        assert np.array_equal(detection_phase_derivative(None, ks), np.zeros_like(ks))
+        free = PotentialProfile(1.0, ())
+        assert np.array_equal(detection_phase_derivative(free, ks), np.zeros_like(ks))
 
     def test_rejects_nonpositive_momentum(self):
         with pytest.raises(PhysicsDomainError, match="p > 0"):

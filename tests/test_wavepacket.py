@@ -33,6 +33,7 @@ from tunnelkit import (
 )
 
 M = 1.0
+FREE = PotentialProfile(M, ())  # free propagation: the empty profile
 _Panels = namedtuple("_Panels", "lo hi")
 
 
@@ -62,7 +63,7 @@ def free_run(narrow_gaussian):
     t_bar = (spec.x0 + det.position) / _velocity(spec.p)
     sig_t = spec.sigma_x / _velocity(spec.p)
     times = np.linspace(t_bar - 10.5 * sig_t, t_bar + 10.5 * sig_t, 801)
-    return times, arrival_density(times, spec, None, det), det, t_bar
+    return times, arrival_density(times, spec, FREE, det), det, t_bar
 
 
 class TestWavePacketSpec:
@@ -152,7 +153,7 @@ class TestFreePipeline:
         sig_t = narrow_gaussian.sigma_x / _velocity(narrow_gaussian.p)
         peak = float(np.max(dist.density))
         for t in (t_bar - 3 * sig_t, t_bar, t_bar + 2.2 * sig_t):
-            mine = arrival_amplitude(det.position, float(t), narrow_gaussian, None)
+            mine = arrival_amplitude(det.position, float(t), narrow_gaussian, FREE)
             oracle = _free_amplitude_oracle(det.position, float(t), narrow_gaussian)
             assert abs(mine - oracle) ** 2 < 1e-8 * peak
             assert abs(mine - oracle) < 1e-8 * abs(oracle)
@@ -174,7 +175,7 @@ class TestFreePipeline:
         times, dist, det, t_bar = free_run
         early = arrival_amplitude(det.position,
                                   0.5 * (det.position + narrow_gaussian.x0),
-                                  narrow_gaussian, None)
+                                  narrow_gaussian, FREE)
         assert abs(early) ** 2 < 1e-6 * float(np.max(dist.density))
 
     def test_causality_mass(self, narrow_gaussian, free_run):
@@ -184,7 +185,7 @@ class TestFreePipeline:
         assert frac < 1e-3
 
     def test_free_total_transmission_is_unity(self, narrow_gaussian):
-        assert total_transmission(narrow_gaussian, None) == pytest.approx(1.0, abs=1e-10)
+        assert total_transmission(narrow_gaussian, FREE) == pytest.approx(1.0, abs=1e-10)
 
     def test_absorption_weighted_mass(self, narrow_gaussian, free_run):
         # total detected mass = int alpha(k) |u~0|^2 dk/(2 pi) for a free run
@@ -193,13 +194,13 @@ class TestFreePipeline:
         kt = np.linspace(spec.k_window[0], spec.k_window[1], 9)
         at = 0.3 + 0.4 * (kt - kt[0]) / (kt[-1] - kt[0])
         graded = DetectorSpec(position=det.position, absorption=(kt, at))
-        dist = arrival_density(times, spec, None, graded)
+        dist = arrival_density(times, spec, FREE, graded)
         kk = np.linspace(spec.k_window[0], spec.k_window[1], 200_001)
         expected = np.trapezoid(graded.absorption_at(kk) * spec.envelope(kk) ** 2,
                                 kk) / (2 * np.pi)
         assert dist.total_mass() == pytest.approx(expected, rel=1e-4)
         assert dist.total_mass() == pytest.approx(
-            total_transmission(spec, None, alpha=graded.absorption_at), rel=1e-6)
+            total_transmission(spec, FREE, alpha=graded.absorption_at), rel=1e-6)
 
 
 @pytest.fixture(scope="module")
@@ -463,7 +464,7 @@ class TestFullGridErrorControl:
 
 
 class TestStationaryPhaseTime:
-    @pytest.mark.parametrize("prof", [None, PotentialProfile.square(M, 0.5, 5.0),
+    @pytest.mark.parametrize("prof", [FREE, PotentialProfile.square(M, 0.5, 5.0),
                                       PotentialProfile.double(M, 0.5, 3.0, 10.0)],
                              ids=["free", "single", "double"])
     def test_free_flight_plus_delay(self, narrow_gaussian, prof):
@@ -535,7 +536,7 @@ class TestUnconvergedRunsFail:
         sig_t = spec.sigma_x / _velocity(spec.p)
         times = np.linspace(t_bar - 10.5 * sig_t, t_bar + 10.5 * sig_t, 64)
         with pytest.raises(NumericsError, match="failed to converge") as exc:
-            arrival_density(times, spec, None, det,
+            arrival_density(times, spec, FREE, det,
                             detection_amplitude=lambda k: 1.0 / (1.0 - 1j * (k - spec.p) / 1e-15))
         diag = exc.value.diagnostics
         assert diag["refinement_rounds"] == 60
