@@ -19,7 +19,6 @@ from .errors import (
 )
 from .kinematics import (
     Kinematics,
-    erfc_complex,
     matching_weight,
     relativistic_kinematics,
 )
@@ -42,7 +41,6 @@ from .wavepacket import (
     WavePacketSpec,
     arrival_amplitude,
     arrival_density,
-    packet_momentum_amplitude,
     stationary_phase_time,
     total_transmission,
 )

@@ -149,14 +149,19 @@ class Scenario:
     params: dict
 
 
-_TASK_NEEDS = {
+# the config sections each task kind reads, every one required except the
+# barrier of an arrival density, whose absence means a free run; any other
+# section is an unknown field
+_TASK_SECTIONS = {
     "transmission-scan": ("barrier",),
-    "arrival-density": ("packet", "detector"),
+    "arrival-density": ("barrier", "packet", "detector"),
     "tunneling-time-scan": (),
     "resonance-scan": ("barrier",),
     "decay-fit": ("barrier", "packet", "detector"),
     "regime-compare": ("barrier", "packet", "detector"),
 }
+_SECTION_PARSERS = {"barrier": _parse_barrier, "packet": _parse_packet,
+                    "detector": _parse_detector}
 
 
 def parse_scenario(config: dict, out_override: str | None = None) -> Scenario:
@@ -169,19 +174,19 @@ def parse_scenario(config: dict, out_override: str | None = None) -> Scenario:
     _expect(kind in TASK_KINDS, "task.kind",
             f"must be one of {', '.join(TASK_KINDS)}; got {kind!r}")
 
-    sections = {}
-    for key, parse in (("barrier", _parse_barrier), ("packet", _parse_packet),
-                       ("detector", _parse_detector)):
+    sections = dict.fromkeys(_SECTION_PARSERS)
+    for key in _TASK_SECTIONS[kind]:
         data = _get(rest, key, "", required=False)
-        sections[key] = None if data is None else parse(data)
+        _expect(data is not None or (kind, key) == ("arrival-density", "barrier"),
+                key, f"required by task kind {kind!r}")
+        if data is not None:
+            sections[key] = _SECTION_PARSERS[key](data)
     barrier, packet, detector = sections.values()
     output = _object(_get(rest, "output", "", required=False) or {}, "output")
     out = _get(output, "dir", "output", required=False)
     _expect(out is None or isinstance(out, str), "output.dir", "expected a string")
     _unread(output, "output")
     _unread(rest, "")
-    for need in _TASK_NEEDS[kind]:
-        _expect(sections[need] is not None, need, f"required by task kind {kind!r}")
     if barrier is None:  # a free run, in units of the particle mass
         barrier = PotentialProfile(1.0, ())
     if kind in ("resonance-scan", "decay-fit", "regime-compare"):
@@ -289,14 +294,26 @@ def _validate_task_params(kind: str, t: dict) -> dict:
 # task runners (each returns artifact paths + diagnostics dict)
 
 
+_SCAN_BLOCK = 8192  # momenta per amplitude evaluation of a transmission scan
+
+
 def _run_transmission_scan(sc: Scenario) -> tuple[list[Path], dict]:
     q = sc.params
-    k = np.linspace(q["k_min"], q["k_max"], q["n_k"])
-    s = piecewise_amplitudes(sc.barrier, k)
+    k_min, k_max, n_k = q["k_min"], q["k_max"], q["n_k"]
+    step = (k_max - k_min) / (n_k - 1)
+
+    def blocks():
+        # np.linspace(k_min, k_max, n_k) one block at a time, to the last bit
+        for i in range(0, n_k, _SCAN_BLOCK):
+            k = np.arange(i, min(i + _SCAN_BLOCK, n_k)) * step + k_min
+            if i + k.size == n_k:
+                k[-1] = k_max
+            s = piecewise_amplitudes(sc.barrier, k)
+            yield k, s.T.real, s.T.imag, s.R.real, s.R.imag, np.abs(s.A) ** 2
+
     path = sc.out_dir / f"{sc.name}_transmission_scan.csv"
-    _write_csv(path, ["k", "TkRe", "TkIm", "RkRe", "RkIm", "absA2"],
-               [k, s.T.real, s.T.imag, s.R.real, s.R.imag, np.abs(s.A) ** 2])
-    return [path], {"n_k": int(k.size)}
+    _write_csv(path, ["k", "TkRe", "TkIm", "RkRe", "RkIm", "absA2"], blocks())
+    return [path], {"n_k": n_k}
 
 
 def _run_arrival_density(sc: Scenario) -> tuple[list[Path], dict]:
@@ -327,7 +344,7 @@ def _run_tunneling_time_scan(sc: Scenario) -> tuple[list[Path], dict]:
         ps = np.linspace(k_hi * 1e-3, k_hi * (1.0 - 1e-9), n_p)
         taus = analysis.square_barrier_tunneling_time(ps, v0, d, m)
         path = sc.out_dir / f"{sc.name}_tunneling_time_V0_{v0!r}.csv"
-        _write_csv(path, ["p", "tau"], [ps, taus])
+        _write_csv(path, ["p", "tau"], [(ps, taus)])
         paths.append(path)
     return paths, {"n_curves": len(paths), "n_p": n_p}
 
@@ -338,7 +355,7 @@ def _run_resonance_scan(sc: Scenario) -> tuple[list[Path], dict]:
     ks = analysis.find_resonances(v0, a, r, m, k_window=sc.params["k_window"])
     absT = np.abs(piecewise_amplitudes(sc.barrier, ks).T)
     path = sc.out_dir / f"{sc.name}_resonance_scan.csv"
-    _write_csv(path, ["n", "k_n", "absT"], [np.arange(ks.size), ks, absT])
+    _write_csv(path, ["n", "k_n", "absT"], [(np.arange(ks.size), ks, absT)])
     return [path], {"n_resonances": int(ks.size)}
 
 
@@ -358,8 +375,8 @@ def _run_decay_fit(sc: Scenario) -> tuple[list[Path], dict]:
     spacing = float(np.mean(np.diff([tp for tp, _ in peaks])))
     path = sc.out_dir / f"{sc.name}_decay_fit.csv"
     _write_csv(path, ["quantity", "value"],
-               [("t0", "dt", "gamma_fit", "gamma_formula", "r2"),
-                (peaks[0][0], spacing, fit.rate, rep.gamma_p, fit.r_squared)])
+               [(("t0", "dt", "gamma_fit", "gamma_formula", "r2"),
+                 (peaks[0][0], spacing, fit.rate, rep.gamma_p, fit.r_squared))])
     dens_path = sc.out_dir / f"{sc.name}_decay_fit_density.csv"
     dist.write_csv(dens_path)
     return [path, dens_path], {"quadrature": dist.metadata["quadrature"],
@@ -414,7 +431,7 @@ def _run_regime_compare(sc: Scenario) -> tuple[list[Path], dict]:
     rel = np.abs(direct.density - model.density) / np.maximum(direct.density, floor)
     ts_path = sc.out_dir / f"{sc.name}_regime_compare.csv"
     _write_csv(ts_path, ["t", "P_direct", "P_model", "rel_diff"],
-               [times, direct.density, model.density, rel])
+               [(times, direct.density, model.density, rel)])
 
     pairs = [("t0_formula", rep.t0), ("dt_formula", rep.dt), ("gamma_formula", rep.gamma_p)]
     for label, dist in (("direct", direct), ("model", model)):
@@ -438,7 +455,7 @@ def _run_regime_compare(sc: Scenario) -> tuple[list[Path], dict]:
             pairs += [(f"gamma_{label}", fit.rate), (f"r2_{label}", fit.r_squared)]
         pairs.append(("gamma_reference", gamma_ref))
     sm_path = sc.out_dir / f"{sc.name}_regime_summary.csv"
-    _write_csv(sm_path, ["quantity", "value"], zip(*pairs))
+    _write_csv(sm_path, ["quantity", "value"], [zip(*pairs)])
     diagnostics["quadrature"] = direct.metadata["quadrature"]
     return [ts_path, sm_path], diagnostics
 

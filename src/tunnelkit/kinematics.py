@@ -1,5 +1,4 @@
-"""Relativistic dispersion, junction weights, and the Faddeeva function w(z)
-with the complex erfc built on it.
+"""Relativistic dispersion, junction weights, and the Faddeeva function w(z).
 
 Scalars and arrays take one numpy route: a scalar is read as a 0-d array and
 the result unboxed with ``[()]`` to a numpy scalar (np.float64, np.complex128:
@@ -91,22 +90,3 @@ def faddeeva_w(z) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     d = _W_SCALE - 1j * z
     return 2.0 * np.polyval(_W_COEFFS, (_W_SCALE + 1j * z) / d) / (d * d) + 1.0 / (_SQRT_PI * d)
-
-
-def erfc_complex(z):
-    """Complementary error function of a finite complex scalar or array.
-
-    erfc(z) = e^{-z^2} w(iz) for Re z >= 0 and 2 - erfc(-z) otherwise. The
-    rounding of e^{-z^2} dominates the error: at most 5.6e-14 relative to
-    mpmath on 2000 random points of |z| <= 20 (three seeds), and 2.8e-14
-    against math.erfc on the real axis.
-    """
-    z = np.asarray(z, dtype=complex)
-    bad = z[~np.isfinite(z)]
-    if bad.size:
-        raise PhysicsDomainError(
-            f"erfc_complex needs finite arguments, got {bad.size} non-finite, first {bad[0]}")
-    neg = z.real < 0.0
-    zr = np.where(neg, -z, z)
-    right = np.exp(-zr * zr) * faddeeva_w(1j * zr)  # erfc(zr), Re zr >= 0
-    return np.where(neg, 2.0 - right, right)[()]

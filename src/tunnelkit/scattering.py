@@ -81,13 +81,6 @@ class PotentialProfile:
         """Total barrier extent d (the support of the potential region)."""
         return float(sum(w for _, w in self.segments))
 
-    def is_parity_symmetric(self) -> bool:
-        segs = self.segments
-        rev = segs[::-1]
-        return all(math.isclose(a[0], b[0], rel_tol=1e-12, abs_tol=1e-300)
-                   and math.isclose(a[1], b[1], rel_tol=1e-12)
-                   for a, b in zip(segs, rev))
-
     def as_symmetric_double(self) -> tuple[float, float, float] | None:
         """(V0, a, r) if the profile is two identical barriers around a gap."""
         s = self.segments

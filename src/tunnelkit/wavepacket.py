@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -124,15 +126,6 @@ class WavePacketSpec:
             c = (2.0 / math.pi) ** 0.25 * math.sqrt(self.sigma_p)
             return c * np.exp(-self.sigma_p ** 2 * x * x)
         return math.sqrt(self.sigma_p) * np.exp(-self.sigma_p * np.abs(x))
-
-
-def packet_momentum_amplitude(spec: WavePacketSpec, k):
-    """Momentum-space amplitude of the initial packet at k (scalar or array)."""
-    k = np.asarray(k, dtype=float)
-    bad = k[~np.isfinite(k)]
-    if bad.size:
-        raise PhysicsDomainError(f"momenta must be finite, got {bad.size} such as {bad[0]}")
-    return spec.momentum_amplitude(k)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -241,24 +234,35 @@ class ArrivalDistribution:
         return float(np.trapezoid(self.density, self.times))
 
     def write_csv(self, path) -> None:
-        _write_csv(path, ["t", "P"], [self.times, self.density])
+        _write_csv(path, ["t", "P"], [(self.times, self.density)])
 
     def write_sidecar(self, path) -> None:
         _write_json(path, self.metadata)
 
 
-def _write_csv(path, header: list[str], columns) -> None:
-    """Write equal-length columns under ``header``, each row by one format
-    string: %.17g for numbers, %s for a column of str. Rows are formatted
-    and written in blocks, so a long scan never holds its whole text."""
-    cols = [np.asarray(c) for c in columns]
-    line = ",".join("%s" if c.dtype.kind == "U" else "%.17g" for c in cols) + "\n"
-    n = cols[0].size if cols else 0
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(",".join(header) + "\n")
-        for i in range(0, n, _CSV_BLOCK):
-            rows = zip(*(c[i:i + _CSV_BLOCK].tolist() for c in cols))
-            f.write("".join([line % row for row in rows]))
+def _write_csv(path, header: list[str], blocks) -> None:
+    """Write ``blocks``, each a sequence of equal-length columns, as rows under
+    ``header``, each row by one format string: %.17g for numbers, %s for a
+    column of str. A caller that holds all its rows passes one block; a scan
+    passes a generator, so it never holds more than one block. Rows are
+    formatted and written _CSV_BLOCK at a time. The rows go to a sibling file
+    that replaces ``path`` only once every block is written, so a block that
+    raises leaves no partial CSV."""
+    part = f"{path}.part"
+    try:
+        with open(part, "w", encoding="utf-8", newline="") as f:
+            f.write(",".join(header) + "\n")
+            for block in blocks:
+                cols = [np.asarray(c) for c in block]
+                line = ",".join("%s" if c.dtype.kind == "U" else "%.17g" for c in cols) + "\n"
+                n = cols[0].size if cols else 0
+                for i in range(0, n, _CSV_BLOCK):
+                    rows = zip(*(c[i:i + _CSV_BLOCK].tolist() for c in cols))
+                    f.write("".join([line % row for row in rows]))
+        os.replace(part, path)
+    except BaseException:
+        Path(part).unlink(missing_ok=True)
+        raise
 
 
 def _json_default(obj):

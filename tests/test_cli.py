@@ -8,13 +8,14 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tunnelkit import (DetectorSpec, PhysicsDomainError, PotentialProfile, decay_rate,
-                       double_barrier_report, find_resonances)
+from tunnelkit import (DetectorSpec, PhysicsDomainError, PotentialProfile, cli, decay_rate,
+                       double_barrier_report, find_resonances, piecewise_amplitudes)
 from tunnelkit.cli import main
 
 
@@ -66,6 +67,29 @@ def _resonance_double(**task):
         "task": {"kind": "regime-compare", "regime": "resonance",
                  "n_t": 600, "decay_spans": 2.0, "rel_tol": 1e-6, **task},
     }
+
+
+# the sections of a config each task kind reads, where that is not all three;
+# any other section is an unknown field
+_KIND_SECTIONS = {"transmission-scan": ("barrier",), "tunneling-time-scan": (),
+                  "resonance-scan": ("barrier",)}
+
+
+def _sections(kind):
+    """The sections of _small_double that task kind ``kind`` reads."""
+    base = _small_double()
+    return {key: base[key] for key in _KIND_SECTIONS.get(kind, base)}
+
+
+def _scan(tmp_path, n_k):
+    """Config path of a transmission scan of n_k rows over a resonant double.
+    On [0.2, 0.9], (n_k - 1) * step + k_min misses k_max for every n_k below,
+    so the last row also checks that the scan ends on k_max as np.linspace does."""
+    return _write(tmp_path, "c.json", {
+        "name": "scan", "barrier": _small_double()["barrier"],
+        "task": {"kind": "transmission-scan", "k_min": 0.2, "k_max": 0.9, "n_k": n_k},
+        "output": {"dir": str(tmp_path / "out")},
+    })
 
 
 def _summary(path):
@@ -127,6 +151,11 @@ _INPUT_RULES = [
     *(_case(("task", "rel_tol"), 1e-6, "task.rel_tol", kind) for kind in (
         "transmission-scan", "tunneling-time-scan", "resonance-scan")),
     _case(("task", "gamma"), 1e-3, "task.gamma"),
+    _case(("task", "n_k"), 1, "task.n_k", "transmission-scan"),
+    # a section the task kind does not read
+    _case(("detector",), {"position": 50.0}, "detector", "transmission-scan"),
+    _case(("barrier",), {"mass": 2.0, "segments": [{"v": 0.5, "w": 5.0}]}, "barrier",
+          "tunneling-time-scan"),
     *(_case(("task", field), 1.0, f"task.{field}", kind) for kind, field in (
         ("transmission-scan", "n_t"), ("arrival-density", "span_sigma"),
         ("tunneling-time-scan", "v0"), ("resonance-scan", "n_k"), ("decay-fit", "n_t"))),
@@ -238,7 +267,7 @@ class TestValidate:
                      "task.t_max", id="window-1e9"),
     ])
     def test_config_error_names_field(self, tmp_path, capsys, command, task, absorption, path):
-        base = _small_double()
+        base = _sections(task.get("kind", "regime-compare"))
         if absorption is not None:
             base["detector"]["absorption"] = absorption
         # json.dumps writes math.nan as the NaN literal that json.load accepts
@@ -267,9 +296,10 @@ class TestValidate:
 
     @pytest.mark.parametrize("keys, value, path, task", _INPUT_RULES)
     def test_input_rule_names_its_field(self, tmp_path, capsys, keys, value, path, task):
-        cfg = {"name": "rule", **_small_double(), "task": dict(task),
+        cfg = {"name": "rule", **_sections(task["kind"]), "task": dict(task),
                "output": {"dir": str(tmp_path / "out")}}
-        cfg["detector"]["absorption"] = copy.deepcopy(_TABLE)
+        if "detector" in cfg:
+            cfg["detector"]["absorption"] = copy.deepcopy(_TABLE)
         assert main(["validate", _write(tmp_path, "c.json", cfg)]) == 0
         target = cfg
         for key in keys[:-1]:
@@ -333,6 +363,33 @@ class TestRunTasks:
         assert rows.shape == (50, 6)
         assert np.all(rows[:, 1:3] == 0.0) and np.all(rows[:, 5] == 0.0)
         assert np.max(np.abs(rows[:, 3] ** 2 + rows[:, 4] ** 2 - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("n_k", [2, cli._SCAN_BLOCK - 1, cli._SCAN_BLOCK,
+                                     cli._SCAN_BLOCK + 1, 2 * cli._SCAN_BLOCK + 3])
+    def test_transmission_scan_blocks_match_whole_grid(self, tmp_path, n_k):
+        # the scan evaluates and writes one block of momenta at a time; its
+        # bytes are those of one evaluation on the whole grid
+        assert main(["run", _scan(tmp_path, n_k)]) == 0
+        k = np.linspace(0.2, 0.9, n_k)
+        prof = PotentialProfile(1.0, ((0.4, 2.5), (0.0, 120.0), (0.4, 2.5)))
+        s = piecewise_amplitudes(prof, k)
+        cols = (k, s.T.real, s.T.imag, s.R.real, s.R.imag, np.abs(s.A) ** 2)
+        rows = zip(*(c.tolist() for c in cols))
+        want = "k,TkRe,TkIm,RkRe,RkIm,absA2\n" + "".join(",".join(["%.17g"] * 6) % row + "\n"
+                                                          for row in rows)
+        assert (tmp_path / "out" / "scan_transmission_scan.csv").read_text() == want
+
+    def test_transmission_scan_memory_is_bounded_by_the_block(self, tmp_path):
+        # 5e4 rows: evaluated on the whole grid at once, the run peaked at
+        # 8.9 MB of traced allocations; one block at a time it peaks at 2.4 MB
+        cfg = _scan(tmp_path, 50000)
+        tracemalloc.start()
+        try:
+            assert main(["run", cfg]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_tunneling_time_scan(self, tmp_path):
         cfg = _write(tmp_path, "c.json", {
@@ -636,6 +693,23 @@ class TestManifestAndDeterminism:
         })
         assert main(["run", cfg]) == 2
         assert "numeric failure" in capsys.readouterr().err
+
+    def test_failed_scan_block_leaves_no_csv(self, tmp_path, capsys, monkeypatch):
+        # rows are written as their block is evaluated; a block that raises
+        # leaves neither a truncated CSV nor its temporary file
+        calls = []
+
+        def second_block_fails(profile, k):
+            calls.append(k.size)
+            if len(calls) == 2:
+                raise PhysicsDomainError("unitarity check failed")
+            return piecewise_amplitudes(profile, k)
+
+        monkeypatch.setattr(cli, "piecewise_amplitudes", second_block_fails)
+        assert main(["run", _scan(tmp_path, cli._SCAN_BLOCK + 1)]) == 2
+        assert calls == [cli._SCAN_BLOCK, 1]
+        assert "unitarity check failed" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_opaque_wall_peaks_run_is_no_config_error(self, tmp_path, capsys):
         # |R0p|^2 rounds to 1.0 at a = 28, where the peak-series model died

@@ -13,7 +13,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tunnelkit import PotentialProfile, double_barrier_T, erfc_complex, square_barrier_amplitudes
+from tunnelkit import PotentialProfile, double_barrier_T, square_barrier_amplitudes
+from tunnelkit.kinematics import faddeeva_w
 from tunnelkit.scattering import _transfer_TR
 
 M = 1.0
@@ -27,7 +28,13 @@ segments = st.lists(st.tuples(heights, widths), min_size=1, max_size=4)
 
 
 def _erfc(z: complex) -> complex:
-    return complex(erfc_complex(z))
+    """erfc through the Faddeeva function: erfc(z) = e^{-z^2} w(iz) for
+    Re z >= 0, where iz lies in the upper half plane; otherwise, by
+    w(-z) = 2 e^{-z^2} - w(z), erfc(z) = 2 - e^{-z^2} w(-iz)."""
+    z = np.asarray(z, dtype=complex)
+    if z.real >= 0.0:
+        return complex(np.exp(-z * z) * faddeeva_w(1j * z))
+    return complex(2.0 - np.exp(-z * z) * faddeeva_w(-1j * z))
 
 
 @_PROPERTY

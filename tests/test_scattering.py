@@ -56,11 +56,9 @@ class TestPotentialProfile:
 
     def test_symmetry_helpers(self):
         dbl = PotentialProfile.double(1.0, 0.4, 2.0, 7.0)
-        assert dbl.is_parity_symmetric()
         assert dbl.as_symmetric_double() == (0.4, 2.0, 7.0)
         assert dbl.width == pytest.approx(11.0)
         asym = PotentialProfile(1.0, ((0.4, 2.0), (0.2, 1.0)))
-        assert not asym.is_parity_symmetric()
         assert asym.as_symmetric_double() is None
         assert PotentialProfile.double(1.0, 0.4, 2.0, 0.0).segments == ((0.4, 4.0),)
 
@@ -259,7 +257,6 @@ class TestPiecewise:
 
     def test_parity_symmetric_profile_has_zero_overlap(self):
         prof = PotentialProfile(1.0, ((0.3, 2.0), (0.6, 3.0), (0.3, 2.0)))
-        assert prof.is_parity_symmetric()
         ks = np.linspace(0.05, 1.5, 60)
         sd = piecewise_amplitudes(prof, ks)
         assert np.max(np.abs(sd.w)) < 1e-10

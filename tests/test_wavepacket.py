@@ -25,7 +25,6 @@ from tunnelkit import (
     detect_peaks,
     double_barrier_report,
     detection_phase_derivative,
-    packet_momentum_amplitude,
     phase_split,
     piecewise_amplitudes,
     stationary_phase_time,
@@ -77,14 +76,13 @@ class TestWavePacketSpec:
 
     def test_gaussian_peak_value(self):
         spec = WavePacketSpec("gaussian", p=0.3, sigma_p=0.01, x0=2.0)
-        got = packet_momentum_amplitude(spec, 0.3)
+        got = spec.momentum_amplitude(0.3)
         want = (2 * math.pi / 0.01**2) ** 0.25 * np.exp(1j * 0.3 * 2.0)
         assert got == pytest.approx(want, rel=1e-14)
 
     def test_gaussian_sigma_ratio(self):
         spec = WavePacketSpec("gaussian", p=0.3, sigma_p=0.01, x0=2.0)
-        ratio = abs(packet_momentum_amplitude(spec, 0.31)
-                    / packet_momentum_amplitude(spec, 0.3))
+        ratio = abs(spec.momentum_amplitude(0.31) / spec.momentum_amplitude(0.3))
         assert ratio == pytest.approx(math.exp(-0.25), rel=1e-12)
 
     @pytest.mark.parametrize("shape", ["gaussian", "lorentzian"])
