@@ -20,6 +20,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,9 +32,6 @@ from .wavepacket import (DENSITY_REL_TOL, GRID_MAX_PANELS, GRID_SPAN_SIGMAS, Det
                          WavePacketSpec, _write_csv, _write_json, arrival_density,
                          prepanel_count, stationary_phase_time)
 
-TASK_KINDS = ("transmission-scan", "arrival-density", "tunneling-time-scan",
-              "resonance-scan", "decay-fit", "regime-compare")
-
 
 # ---------------------------------------------------------------------------
 # config parsing with field-path errors
@@ -44,13 +42,16 @@ def _expect(cond: bool, path: str, message: str) -> None:
         raise ConfigError(message, path=path)
 
 
-def _get(d: dict, key: str, path: str, required: bool = True, default=None):
+def _get(d: dict, key: str, path: str, parse=None, default=..., **kw):
     """Take d[key] out of d, a parser's copy of a config object, so that the
-    fields left at the end (``_unread``) are the ones nothing reads."""
+    fields left at the end (``_unread``) are the ones nothing reads. A present
+    field is parse(value, "<path>.<key>", **kw) when parse is given; a missing
+    one is ``default``, or an error when that is ``...`` (required)."""
+    where = f"{path}.{key}" if path else key
     if key not in d:
-        _expect(not required, f"{path}.{key}" if path else key, "missing required field")
+        _expect(default is not ..., where, "missing required field")
         return default
-    return d.pop(key)
+    return parse(d.pop(key), where, **kw) if parse else d.pop(key)
 
 
 def _unread(d: dict, path: str) -> None:
@@ -96,7 +97,7 @@ def _object(data, path: str) -> dict:
 
 def _parse_barrier(data: dict, path: str = "barrier") -> PotentialProfile:
     data = _object(data, path)
-    mass = _num(_get(data, "mass", path), f"{path}.mass")
+    mass = _get(data, "mass", path, _num)
     segs = _get(data, "segments", path)
     _unread(data, path)
     _expect(isinstance(segs, list), f"{path}.segments", "expected a list")
@@ -104,24 +105,23 @@ def _parse_barrier(data: dict, path: str = "barrier") -> PotentialProfile:
     for i, seg in enumerate(segs):
         spath = f"{path}.segments[{i}]"
         seg = _object(seg, spath)
-        parsed.append((_num(_get(seg, "v", spath), f"{spath}.v"),
-                       _num(_get(seg, "w", spath), f"{spath}.w")))
+        parsed.append((_get(seg, "v", spath, _num), _get(seg, "w", spath, _num)))
         _unread(seg, spath)
     return _build(PotentialProfile, path, mass=mass, segments=tuple(parsed))
 
 
 def _parse_packet(data: dict, path: str = "packet") -> WavePacketSpec:
     data = _object(data, path)
-    fields = {key: _num(_get(data, key, path), f"{path}.{key}") for key in ("p", "sigma_p", "x0")}
-    shape = _get(data, "shape", path, required=False, default="gaussian")
+    fields = {key: _get(data, key, path, _num) for key in ("p", "sigma_p", "x0")}
+    shape = _get(data, "shape", path, default="gaussian")
     _unread(data, path)
     return _build(WavePacketSpec, path, shape=shape, **fields)
 
 
 def _parse_detector(data: dict, path: str = "detector") -> DetectorSpec:
     data = _object(data, path)
-    pos = _num(_get(data, "position", path), f"{path}.position")
-    absorption = _get(data, "absorption", path, required=False, default=1.0)
+    pos = _get(data, "position", path, _num)
+    absorption = _get(data, "absorption", path, default=1.0)
     _unread(data, path)
     if isinstance(absorption, dict):
         tpath, table = f"{path}.absorption", dict(absorption)
@@ -149,17 +149,6 @@ class Scenario:
     params: dict
 
 
-# the config sections each task kind reads, every one required except the
-# barrier of an arrival density, whose absence means a free run; any other
-# section is an unknown field
-_TASK_SECTIONS = {
-    "transmission-scan": ("barrier",),
-    "arrival-density": ("barrier", "packet", "detector"),
-    "tunneling-time-scan": (),
-    "resonance-scan": ("barrier",),
-    "decay-fit": ("barrier", "packet", "detector"),
-    "regime-compare": ("barrier", "packet", "detector"),
-}
 _SECTION_PARSERS = {"barrier": _parse_barrier, "packet": _parse_packet,
                     "detector": _parse_detector}
 
@@ -169,21 +158,20 @@ def parse_scenario(config: dict, out_override: str | None = None) -> Scenario:
     rest = dict(config)
     name = _get(rest, "name", "")
     _expect(isinstance(name, str) and name != "", "name", "must be a non-empty string")
-    fields = _object(_get(rest, "task", ""), "task")
+    fields = _get(rest, "task", "", _object)
     kind = _get(fields, "kind", "task")
-    _expect(kind in TASK_KINDS, "task.kind",
-            f"must be one of {', '.join(TASK_KINDS)}; got {kind!r}")
+    _expect(kind in _TASKS, "task.kind", f"must be one of {', '.join(_TASKS)}; got {kind!r}")
 
     sections = dict.fromkeys(_SECTION_PARSERS)
-    for key in _TASK_SECTIONS[kind]:
-        data = _get(rest, key, "", required=False)
+    for key in _TASKS[kind].sections:
+        data = _get(rest, key, "", default=None)
         _expect(data is not None or (kind, key) == ("arrival-density", "barrier"),
                 key, f"required by task kind {kind!r}")
         if data is not None:
             sections[key] = _SECTION_PARSERS[key](data)
     barrier, packet, detector = sections.values()
-    output = _object(_get(rest, "output", "", required=False) or {}, "output")
-    out = _get(output, "dir", "output", required=False)
+    output = _object(_get(rest, "output", "", default=None) or {}, "output")
+    out = _get(output, "dir", "output", default=None)
     _expect(out is None or isinstance(out, str), "output.dir", "expected a string")
     _unread(output, "output")
     _unread(rest, "")
@@ -219,21 +207,14 @@ def parse_scenario(config: dict, out_override: str | None = None) -> Scenario:
                     detector=detector, out_dir=Path(out), raw=config, params=params)
 
 
-# default rel_tol of the kinds that integrate, the only kinds that take one
-_REL_TOL = {"arrival-density": DENSITY_REL_TOL, "decay-fit": 1e-7, "regime-compare": 1e-7}
 # tightest rel_tol they meet: 1e-13 no longer converges on single or double barriers
 _MIN_REL_TOL = 1e-12
 _SAMPLES_PER_PEAK = 12  # default time samples per peak spacing of peak-train grids
 
 
-def _opt(t: dict, key: str, default, parse, **kw):
-    """Optional task field: parsed when present, else its default."""
-    return parse(t.pop(key), f"task.{key}", **kw) if key in t else default
-
-
 def _interval(t: dict, lo: str, hi: str, positive: bool = False) -> tuple[float, float]:
-    a = _num(_get(t, lo, "task"), f"task.{lo}", positive=positive)
-    b = _num(_get(t, hi, "task"), f"task.{hi}", positive=positive)
+    a = _get(t, lo, "task", _num, positive=positive)
+    b = _get(t, hi, "task", _num, positive=positive)
     _expect(b > a, f"task.{hi}", f"must exceed task.{lo}")
     return a, b
 
@@ -243,22 +224,24 @@ def _validate_task_params(kind: str, t: dict) -> dict:
     object without its kind, and reject any left over; return them parsed,
     defaults filled in. The runners read only these values."""
     q = {}
-    if kind in _REL_TOL:
-        q["rel_tol"] = _opt(t, "rel_tol", _REL_TOL[kind], _num, positive=True)
+    if _TASKS[kind].rel_tol is not None:
+        q["rel_tol"] = _get(t, "rel_tol", "task", _num, _TASKS[kind].rel_tol,
+                            positive=True)
         _expect(q["rel_tol"] >= _MIN_REL_TOL, "task.rel_tol",
                 f"must be >= {_MIN_REL_TOL:g}, got {q['rel_tol']:g}")
     if kind == "transmission-scan":
         q["k_min"], q["k_max"] = _interval(t, "k_min", "k_max", positive=True)
-        q["n_k"] = _opt(t, "n_k", 200, _int, minimum=2)
+        q["n_k"] = _get(t, "n_k", "task", _int, 200, minimum=2)
     elif kind == "arrival-density":
         if "t_min" in t or "t_max" in t:
             q["t_min"], q["t_max"] = _interval(t, "t_min", "t_max")
         else:
-            q["span_sigmas"] = _opt(t, "span_sigmas", GRID_SPAN_SIGMAS, _num, positive=True)
-        q["n_t"] = _opt(t, "n_t", 1000, _int, minimum=4)
+            q["span_sigmas"] = _get(t, "span_sigmas", "task", _num, GRID_SPAN_SIGMAS,
+                                    positive=True)
+        q["n_t"] = _get(t, "n_t", "task", _int, 1000, minimum=4)
     elif kind == "tunneling-time-scan":
-        mass = q["mass"] = _opt(t, "mass", 1.0, _num, positive=True)
-        q["d"] = _num(_get(t, "d", "task"), "task.d", positive=True)
+        mass = q["mass"] = _get(t, "mass", "task", _num, 1.0, positive=True)
+        q["d"] = _get(t, "d", "task", _num, positive=True)
         v0s = _get(t, "v0_values", "task")
         _expect(isinstance(v0s, list) and len(v0s) >= 1, "task.v0_values",
                 "need a non-empty list of barrier heights")
@@ -268,24 +251,24 @@ def _validate_task_params(kind: str, t: dict) -> dict:
             _expect(v0 < mass, f"task.v0_values[{i}]",
                     f"height {v0} must be below the mass {mass}")
             q["v0_values"].append(v0)
-        q["n_p"] = _opt(t, "n_p", 200, _int, minimum=2)
+        q["n_p"] = _get(t, "n_p", "task", _int, 200, minimum=2)
     elif kind == "resonance-scan":
         q["k_window"] = (_interval(t, "k_min", "k_max", positive=True)
                          if "k_min" in t or "k_max" in t else None)
     elif kind == "decay-fit":
-        q["n_peaks"] = _opt(t, "n_peaks", 15, _int, minimum=4)
-        q["samples_per_peak"] = _opt(t, "samples_per_peak", _SAMPLES_PER_PEAK, _int, minimum=4)
+        q["n_peaks"] = _get(t, "n_peaks", "task", _int, 15, minimum=4)
+        q["samples_per_peak"] = _get(t, "samples_per_peak", "task", _int, _SAMPLES_PER_PEAK,
+                                     minimum=4)
     elif kind == "regime-compare":
         regime = q["regime"] = _get(t, "regime", "task")
         _expect(regime in ("peaks", "continuum", "resonance"), "task.regime",
                 "must be 'peaks', 'continuum' or 'resonance'")
-        q["n_t"] = _opt(t, "n_t", 1500, _int, minimum=16)
-        q["n_peaks"] = _opt(t, "n_peaks", 10, _int, minimum=1)
-        q["decay_spans"] = _opt(t, "decay_spans",
-                                {"continuum": 3.0, "resonance": 2.5}.get(regime),
-                                _num, positive=True)
-        q["k0"] = _opt(t, "k0", None, _num, positive=True)
-        q["substitute_lorentzian"] = _opt(t, "substitute_lorentzian", True, _flag)
+        q["n_t"] = _get(t, "n_t", "task", _int, 1500, minimum=16)
+        q["n_peaks"] = _get(t, "n_peaks", "task", _int, 10, minimum=1)
+        q["decay_spans"] = _get(t, "decay_spans", "task", _num,
+                                {"continuum": 3.0, "resonance": 2.5}.get(regime), positive=True)
+        q["k0"] = _get(t, "k0", "task", _num, None, positive=True)
+        q["substitute_lorentzian"] = _get(t, "substitute_lorentzian", "task", _flag, True)
     _unread(t, "task")
     return q
 
@@ -359,20 +342,37 @@ def _run_resonance_scan(sc: Scenario) -> tuple[list[Path], dict]:
     return [path], {"n_resonances": int(ks.size)}
 
 
+def _report(sc: Scenario) -> analysis.RegimeReport:
+    """The double-barrier report of the scenario's packet at its detector."""
+    v0, a, r = sc.barrier.as_symmetric_double()
+    return analysis.double_barrier_report(sc.packet.p, v0, a, r, sc.barrier.mass,
+                                          L=sc.detector.position, x0=sc.packet.x0,
+                                          sigma_p=sc.packet.sigma_p)
+
+
+def _peak_train_times(rep, n_peaks: int, per_peak: int, n_min: int) -> np.ndarray:
+    """At least n_min times, per_peak to a peak spacing, over t0 - 2dt ...
+    t0 + (n_peaks + 1/2)dt: the first n_peaks peaks of the train."""
+    return np.linspace(rep.t0 - 2.0 * rep.dt, rep.t0 + (n_peaks + 0.5) * rep.dt,
+                       max((n_peaks + 3) * per_peak, n_min))
+
+
+def _peak_fit(dist, rep, min_peaks: int = 0):
+    """(peaks, mean spacing, fit) of a peak train, the fit on the peaks past
+    t0 - dt/2; None when fewer than min_peaks peaks are found."""
+    peaks = analysis.detect_peaks(dist)
+    if len(peaks) < min_peaks:
+        return None
+    fit = analysis.fit_exponential(dist, (rep.t0 - 0.5 * rep.dt, dist.times[-1]), on_peaks=True)
+    return peaks, float(np.mean(np.diff([tp for tp, _ in peaks]))), fit
+
+
 def _run_decay_fit(sc: Scenario) -> tuple[list[Path], dict]:
     q = sc.params
-    n_peaks = q["n_peaks"]
-    v0, a, r = sc.barrier.as_symmetric_double()
-    rep = analysis.double_barrier_report(sc.packet.p, v0, a, r, sc.barrier.mass,
-                                         L=sc.detector.position, x0=sc.packet.x0,
-                                         sigma_p=sc.packet.sigma_p)
-    n_t = max((n_peaks + 3) * q["samples_per_peak"], 64)
-    times = np.linspace(rep.t0 - 2.0 * rep.dt, rep.t0 + (n_peaks + 0.5) * rep.dt, n_t)
+    rep = _report(sc)
+    times = _peak_train_times(rep, q["n_peaks"], q["samples_per_peak"], 64)
     dist = arrival_density(times, sc.packet, sc.barrier, sc.detector, rel_tol=q["rel_tol"])
-    peaks = analysis.detect_peaks(dist)
-    fit = analysis.fit_exponential(dist, (rep.t0 - 0.5 * rep.dt, times[-1]),
-                                   on_peaks=True)
-    spacing = float(np.mean(np.diff([tp for tp, _ in peaks])))
+    peaks, spacing, fit = _peak_fit(dist, rep)
     path = sc.out_dir / f"{sc.name}_decay_fit.csv"
     _write_csv(path, ["quantity", "value"],
                [(("t0", "dt", "gamma_fit", "gamma_formula", "r2"),
@@ -391,17 +391,14 @@ def _run_regime_compare(sc: Scenario) -> tuple[list[Path], dict]:
     m = sc.barrier.mass
     spec = sc.packet
     L = sc.detector.position
-    rep = analysis.double_barrier_report(spec.p, v0, a, r, m, L=L, x0=spec.x0,
-                                         sigma_p=spec.sigma_p)
+    rep = _report(sc)
     vp = relativistic_kinematics(spec.p, m).velocity
     trans = 1.0 / (spec.sigma_p * vp)  # duration of the packet's arrival transient
     diagnostics: dict = {"regime": regime, "report": rep.to_dict()}
     substitution = None
 
     if regime == "peaks":
-        n_peaks = q["n_peaks"]
-        times = np.linspace(rep.t0 - 2.0 * rep.dt, rep.t0 + (n_peaks + 0.5) * rep.dt,
-                            max(n_t, (n_peaks + 3) * _SAMPLES_PER_PEAK))
+        times = _peak_train_times(rep, q["n_peaks"], _SAMPLES_PER_PEAK, n_t)
         model = analysis.peak_series_density(times, spec, L, v0, a, r, m)
     elif regime == "continuum":
         t_hi = rep.t0 + q["decay_spans"] / rep.gamma_p
@@ -418,8 +415,7 @@ def _run_regime_compare(sc: Scenario) -> tuple[list[Path], dict]:
         t_hi = rep.t0 + q["decay_spans"] / gamma_k0
         times = np.linspace(rep.t0 - 3.0 * trans, t_hi, n_t)
         model = analysis.resonance_density(times, spec, L, k0, v0, a, r, m)
-        diagnostics["k0"] = k0
-        diagnostics["gamma_k0"] = gamma_k0
+        diagnostics.update(k0=k0, gamma_k0=gamma_k0)
         if q["substitute_lorentzian"]:
             def substitution(k):
                 return analysis.lorentzian_detection_amplitude(k, k0, gamma_k0, v0, a, m)
@@ -439,12 +435,11 @@ def _run_regime_compare(sc: Scenario) -> tuple[list[Path], dict]:
         pairs.append((f"t0_{label}", times[i] if dist.density[i] > 0 else math.nan))
     if regime == "peaks":
         for label, dist in (("direct", direct), ("model", model)):
-            pk = analysis.detect_peaks(dist)
-            if len(pk) >= 4:
-                pairs.append((f"dt_{label}", float(np.mean(np.diff([x for x, _ in pk])))))
-                fit = analysis.fit_exponential(dist, (rep.t0 - 0.5 * rep.dt, times[-1]),
-                                               on_peaks=True)
-                pairs += [(f"gamma_{label}", fit.rate), (f"r2_{label}", fit.r_squared)]
+            found = _peak_fit(dist, rep, min_peaks=4)
+            if found is not None:
+                _, spacing, fit = found
+                pairs += [(f"dt_{label}", spacing), (f"gamma_{label}", fit.rate),
+                          (f"r2_{label}", fit.r_squared)]
     else:
         gamma_ref = diagnostics.get("gamma_k0", rep.gamma_p)
         # past the transient, but leave a usable stretch of tail to fit
@@ -460,13 +455,20 @@ def _run_regime_compare(sc: Scenario) -> tuple[list[Path], dict]:
     return [ts_path, sm_path], diagnostics
 
 
-_RUNNERS = {
-    "transmission-scan": _run_transmission_scan,
-    "arrival-density": _run_arrival_density,
-    "tunneling-time-scan": _run_tunneling_time_scan,
-    "resonance-scan": _run_resonance_scan,
-    "decay-fit": _run_decay_fit,
-    "regime-compare": _run_regime_compare,
+class _Task(NamedTuple):
+    sections: tuple[str, ...]  # read, each required but the barrier of a free arrival density
+    rel_tol: float | None  # default of a kind that integrates, the only kinds that take one
+    run: Callable[[Scenario], tuple[list[Path], dict]]
+
+
+_ALL = ("barrier", "packet", "detector")
+_TASKS = {
+    "transmission-scan": _Task(("barrier",), None, _run_transmission_scan),
+    "arrival-density": _Task(_ALL, DENSITY_REL_TOL, _run_arrival_density),
+    "tunneling-time-scan": _Task((), None, _run_tunneling_time_scan),
+    "resonance-scan": _Task(("barrier",), None, _run_resonance_scan),
+    "decay-fit": _Task(_ALL, 1e-7, _run_decay_fit),
+    "regime-compare": _Task(_ALL, 1e-7, _run_regime_compare),
 }
 
 
@@ -477,17 +479,12 @@ _RUNNERS = {
 def run_scenario(sc: Scenario) -> dict:
     """Execute one scenario; returns the manifest dict (also written to disk)."""
     sc.out_dir.mkdir(parents=True, exist_ok=True)
-    captured: list[dict] = []
     start = time.perf_counter()
     with warnings.catch_warnings(record=True) as wrec:
         warnings.simplefilter("always")
-        artifacts, diagnostics = _RUNNERS[sc.kind](sc)
-        for w in wrec:
-            if isinstance(w.message, RegimeWarning):
-                captured.append(w.message.payload())
-            else:
-                captured.append({"code": "generic", "message": str(w.message),
-                                 "context": {}})
+        artifacts, diagnostics = _TASKS[sc.kind].run(sc)
+    captured = [w.message.payload() if isinstance(w.message, RegimeWarning) else
+                {"code": "generic", "message": str(w.message), "context": {}} for w in wrec]
     elapsed = time.perf_counter() - start
     manifest = {
         "name": sc.name,
@@ -525,22 +522,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = _load_config(args.config)
-        scenario = parse_scenario(config,
+        scenario = parse_scenario(_load_config(args.config),
                                   out_override=getattr(args, "out", None))
+        if args.command == "validate":
+            print(f"ok: {scenario.name} ({scenario.kind})")
+            return 0
+        manifest = run_scenario(scenario)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
-
-    if args.command == "validate":
-        print(f"ok: {scenario.name} ({scenario.kind})")
-        return 0
-
-    try:
-        manifest = run_scenario(scenario)
     except TunnelKitError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2

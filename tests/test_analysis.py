@@ -11,10 +11,12 @@ import pytest
 
 from tunnelkit import (
     ArrivalDistribution,
+    DetectorSpec,
     PhysicsDomainError,
     PotentialProfile,
     RegimeWarning,
     WavePacketSpec,
+    arrival_density,
     causality_mass,
     continuum_density,
     decay_rate,
@@ -167,6 +169,10 @@ class TestResonances:
         with pytest.raises(PhysicsDomainError):
             find_resonances(0.5, 3.0, 10.0, M, k_window=(0.1, 5.0))
 
+    def test_no_barrier_has_no_tunneling_window(self):
+        ks = find_resonances(0.0, 3.0, 10.0, M)
+        assert isinstance(ks, np.ndarray) and ks.size == 0
+
     @pytest.mark.parametrize("r", [10.0, 400.0, 6000.0])
     def test_report_phase_meets_resonance_condition(self, r):
         # the report and the root search share one phase: beta_p = psi(p) + pi
@@ -317,6 +323,11 @@ class TestEnvelope:
         assert envelope_density(rep.t0 - 1.0, rep) == 0.0
         assert envelope_density(rep.t0 + 1e-9, rep) == pytest.approx(
             rep.transmission_p * rep.gamma_p, rel=1e-6)
+
+    def test_needs_t0(self):
+        rep = double_barrier_report(0.35, 0.4, 2.5, 300.0, M)  # no L and x0: no t0
+        with pytest.raises(PhysicsDomainError, match="lacks t0"):
+            envelope_density(0.0, rep)
 
     def test_cumulative_fraction_tracks_peak_series(self, peaks_setup):
         # compare mass accumulation profiles (each normalized to its own
@@ -498,6 +509,11 @@ class TestMultiResonance:
         ref = resonance_density(times, spec, L, k0, v0, a, r, M)
         assert np.array_equal(one.density, ref.density)
 
+    def test_needs_a_resonance(self, resonance_setup):
+        v0, a, r, k0, gamma, spec, L, rep, times = resonance_setup
+        with pytest.raises(PhysicsDomainError, match="at least one resonance"):
+            multi_resonance_density(times, spec, L, [], v0, a, r, M)
+
     def test_beat_frequency(self):
         v0, a, r = 0.4, 2.5, 400.0
         res = find_resonances(v0, a, r, M, k_window=(0.30, 0.42))
@@ -586,6 +602,36 @@ class TestDetectPeaks:
         t = np.array([0.0, 1.0, 3.0, 4.0])
         with pytest.raises(PhysicsDomainError):
             detect_peaks(ArrivalDistribution(times=t, density=np.ones(4)))
+        # 1e-13 of jitter is below 1e-9 of the step but above 8 ulp of max|t| = 2
+        t = np.linspace(1.0, 2.0, 11)
+        t[5] += 1e-13
+        with pytest.raises(PhysicsDomainError):
+            detect_peaks(ArrivalDistribution(times=t, density=np.ones(11)))
+
+    def test_linspace_far_from_zero_is_uniform(self):
+        # the steps of this linspace differ by about 1 ulp of 1e5, above 1e-9
+        # of the step 0.01, yet within the time-grid kernel's 8 ulp of max|t|
+        t = np.linspace(1e5, 1e5 + 10.0, 1001)
+        peaks = detect_peaks(ArrivalDistribution(times=t, density=np.exp(-(t - 1e5 - 5.0) ** 2)))
+        assert len(peaks) == 1
+        assert abs(peaks[0][0] - (1e5 + 5.0)) < 0.1 * (t[1] - t[0])
+
+    @pytest.mark.filterwarnings("ignore::tunnelkit.RegimeWarning")
+    def test_arrival_grid_far_from_zero_is_uniform(self):
+        # 20001 times over tbar - 10 sigma_t ... tbar - 5 sigma_t, step 0.0435 at
+        # t ~ 3.5e5: the kernel reads the grid as uniform (141 blocks of 142),
+        # and detect_peaks reads it the same way
+        prof = PotentialProfile.square(M, 0.5, 5.0)
+        spec = WavePacketSpec("gaussian", p=0.3, sigma_p=0.01, x0=500.0)
+        det = DetectorSpec(position=1e5)
+        t_bar = stationary_phase_time(spec, prof, det.position)
+        sigma_t = spec.sigma_x / _velocity(spec.p)
+        times = np.linspace(t_bar - 10.0 * sigma_t, t_bar - 5.0 * sigma_t, 20001)
+        dist = arrival_density(times, spec, prof, det)
+        assert list(dist.metadata["quadrature"]["time_blocks"]) == [141, 142]
+        peaks = detect_peaks(dist)
+        assert len(peaks) == 1
+        assert peaks[0][0] == pytest.approx(348146.457, abs=1e-3)
 
 
 class TestCausalityMass:
@@ -598,3 +644,8 @@ class TestCausalityMass:
         t = np.linspace(100.0, 200.0, 64)
         dist = ArrivalDistribution(times=t, density=np.ones_like(t))
         assert causality_mass(dist, 5.0, 1.0, 0.0) == 0.0
+
+    def test_zero_density_has_no_mass(self):
+        t = np.linspace(0.0, 10.0, 64)
+        dist = ArrivalDistribution(times=t, density=np.zeros_like(t))
+        assert causality_mass(dist, 4.0, 1.0, -math.inf) == 0.0

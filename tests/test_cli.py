@@ -9,6 +9,7 @@ import math
 import re
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -319,6 +320,18 @@ class TestValidate:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
         assert main(["validate", _write(tmp_path, "c.json", json.loads(block))]) == 0
+
+    def test_readme_task_table_matches_the_tasks(self):
+        # the README's task-kind table lists the kinds of cli._TASKS in order,
+        # and gives each kind's rel_tol default, or none where it takes none
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        cli_section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `([a-z-]+)` *\|(.*)$", cli_section, re.M)
+        assert [kind for kind, _ in rows] == list(cli._TASKS)
+        for kind, row in rows:
+            default = cli._TASKS[kind].rel_tol
+            tol = [float(x) for x in re.findall(r"`rel_tol` \(([^)]*)\)", row)]
+            assert tol == ([] if default is None else [default]), kind
 
     @pytest.mark.filterwarnings("ignore::tunnelkit.RegimeWarning")
     def test_readme_quickstart_runs(self, capsys):
@@ -710,6 +723,17 @@ class TestManifestAndDeterminism:
         assert calls == [cli._SCAN_BLOCK, 1]
         assert "unitarity check failed" in capsys.readouterr().err
         assert list((tmp_path / "out").iterdir()) == []
+
+    def test_other_warning_reaches_manifest_as_generic(self, tmp_path, monkeypatch):
+        def warns(profile, k):
+            warnings.warn("not a regime warning", UserWarning)
+            return piecewise_amplitudes(profile, k)
+
+        monkeypatch.setattr(cli, "piecewise_amplitudes", warns)
+        assert main(["run", _scan(tmp_path, 8)]) == 0
+        manifest = json.loads((tmp_path / "out" / "scan_manifest.json").read_text())
+        assert manifest["warnings"] == [{"code": "generic", "message": "not a regime warning",
+                                         "context": {}}]
 
     def test_opaque_wall_peaks_run_is_no_config_error(self, tmp_path, capsys):
         # |R0p|^2 rounds to 1.0 at a = 28, where the peak-series model died

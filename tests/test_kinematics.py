@@ -107,6 +107,11 @@ class TestMatchingWeight:
         with pytest.raises(PhysicsDomainError):
             matching_weight(-1.5, 1.0)
 
+    @pytest.mark.parametrize("m", [0.0, -1.0])
+    def test_rejects_non_positive_mass(self, m):
+        with pytest.raises(PhysicsDomainError, match="mass must be finite and positive"):
+            matching_weight(0.5, m)
+
     def test_array_input_matches_scalar(self):
         xs = np.array([-0.9, -1e-10, 0.0, 1e-10, 0.5, 4.0])
         arr = matching_weight(xs, 1.0)

@@ -32,6 +32,12 @@ def test_oscillatory_integral_holds_to_rel_tol(omega, rel_tol):
     assert quad.error_estimate <= rel_tol * abs(quad.value[0])
 
 
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.0, 0.0)])
+def test_phase_panels_reject_empty_interval(a, b):
+    with pytest.raises(NumericsError, match="empty integration interval"):
+        phase_panels(a, b, 10.0)
+
+
 def test_phase_panels_hold_rel_tol_with_few_panels():
     # pi of phase per pre-panel gives a quarter of the pi/4 panels; on a pure
     # phase the one refinement round at 1e-10 bisects them all (640 of 1275)

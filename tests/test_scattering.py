@@ -45,6 +45,8 @@ class TestPotentialProfile:
             PotentialProfile(1.0, ((1.0, 1.0),))  # V >= m
         with pytest.raises(PhysicsDomainError):
             PotentialProfile(0.0, ((0.5, 1.0),))
+        with pytest.raises(PhysicsDomainError, match="inter-barrier distance"):
+            PotentialProfile.double(1.0, 0.4, 2.0, -1.0)
 
     def test_json_round_trip(self):
         prof = PotentialProfile.double(1.0, 0.4, 2.0, 7.0)
@@ -122,6 +124,11 @@ class TestBarrierFunctions:
 
 
 class TestSquareBarrier:
+    @pytest.mark.parametrize("d", [0.0, -1.0])
+    def test_rejects_non_positive_width(self, d):
+        with pytest.raises(PhysicsDomainError, match="width must be positive"):
+            square_barrier_amplitudes(0.3, 0.5, d, 1.0)
+
     def test_free_limit(self):
         sd = square_barrier_amplitudes(0.7, 0.0, 5.0, 1.0)
         assert sd.T == 1.0 and sd.R == 0.0 and sd.A == 1.0
@@ -162,6 +169,11 @@ class TestSquareBarrier:
 
 
 class TestDoubleBarrier:
+    @pytest.mark.parametrize("a, r", [(0.0, 10.0), (-1.0, 10.0), (3.0, -1.0)])
+    def test_rejects_bad_geometry(self, a, r):
+        with pytest.raises(PhysicsDomainError, match="need a > 0 and r >= 0"):
+            double_barrier_T(0.3, 0.5, a, r, 1.0)
+
     def test_merge_identity(self):
         for k in np.linspace(0.05, 0.6, 13):
             merged = double_barrier_T(float(k), 0.5, 3.0, 0.0, 1.0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from collections import namedtuple
@@ -12,6 +13,7 @@ import pytest
 
 from tunnelkit import wavepacket
 from tunnelkit import (
+    ArrivalDistribution,
     DetectorSpec,
     NumericsError,
     PhysicsDomainError,
@@ -134,6 +136,21 @@ class TestDetectorSpec:
             DetectorSpec(position=10.0, absorption=(kt, at))
         assert exc.value.field == "absorption"
 
+    def test_two_point_table_is_linear_and_clamped(self):
+        det = DetectorSpec(position=10.0, absorption=([0.2, 0.5], [0.3, 0.9]))
+        k = np.linspace(0.2, 0.5, 31)
+        assert np.allclose(det.absorption_at(k), 0.3 + 2.0 * (k - 0.2), rtol=0, atol=1e-15)
+        assert det.absorption_at(np.array([0.1, 0.6])) == pytest.approx([0.3, 0.9], abs=1e-15)
+
+    def test_end_slope_is_clamped(self):
+        # secants 1 and -5: the interior slope is 0, the left end's three-point
+        # slope 4 exceeds 3 d0 and is clamped to 3, the right end keeps -8
+        kt, at = np.array([0.2, 0.3, 0.4]), np.array([0.5, 0.6, 0.1])
+        assert wavepacket._pchip_slopes(kt, at) == pytest.approx([3.0, 0.0, -8.0], rel=1e-12)
+        vals = DetectorSpec(position=10.0, absorption=(kt, at)).absorption_at(
+            np.linspace(0.1, 0.5, 401))
+        assert np.all(vals >= 0.1) and np.all(vals <= 0.6)
+
     def test_tabulated_absorption_monotone_interp(self):
         kt = np.array([0.1, 0.2, 0.4, 0.8])
         at = np.array([0.1, 0.5, 0.5, 0.9])
@@ -143,6 +160,20 @@ class TestDetectorSpec:
         assert np.all(vals >= 0.1 - 1e-12) and np.all(vals <= 0.9 + 1e-12)
         assert np.all(np.diff(vals) >= -1e-12)  # monotone data stays monotone
         assert det.absorption_at(np.array([0.2]))[0] == pytest.approx(0.5)
+
+
+class TestSidecar:
+    def test_numpy_values_are_written_as_python_ones(self, tmp_path):
+        dist = ArrivalDistribution(times=np.arange(4.0), density=np.zeros(4),
+                                   metadata={"a": np.arange(3), "b": np.float32(1.5)})
+        dist.write_sidecar(tmp_path / "s.json")
+        assert json.loads((tmp_path / "s.json").read_text()) == {"a": [0, 1, 2], "b": 1.5}
+
+    def test_other_values_raise(self, tmp_path):
+        dist = ArrivalDistribution(times=np.arange(4.0), density=np.zeros(4),
+                                   metadata={"a": {1, 2}})
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            dist.write_sidecar(tmp_path / "s.json")
 
 
 class TestFreePipeline:
@@ -278,6 +309,14 @@ class TestBarrierPipeline:
         short = np.linspace(t_bar - 100.0, t_bar + 100.0, 16)
         with pytest.warns(RegimeWarning):
             arrival_density(short, spec, prof, det)
+
+    @pytest.mark.parametrize("grid", [[0.0, 1.0, 2.0], [0.0, 1.0, 1.0, 2.0],
+                                      [0.0, 2.0, 1.0, 3.0], [[0.0, 1.0], [2.0, 3.0]]],
+                             ids=["three-times", "repeated", "decreasing", "2-d"])
+    def test_rejects_short_or_non_increasing_grid(self, barrier_run, grid):
+        spec, prof, det, times, _, t_bar = barrier_run
+        with pytest.raises(PhysicsDomainError, match="increasing time grid with >= 4 points"):
+            arrival_density(t_bar + np.array(grid), spec, prof, det)
 
 
 class TestFactoredKernel:
