@@ -149,8 +149,6 @@ def adaptive_quad(f, edges: np.ndarray, rel_tol: float, max_panels: int = 20000,
             return Quadrature(np.sum(k15, axis=0), lo, hi, total, rounds)
         # split every panel contributing more than its fair share of budget
         bad = err > max(tol / lo.size, float(np.max(err)) * 0.25)
-        if not np.any(bad):
-            bad = err == np.max(err)
         if not math.isfinite(total) or lo.size + np.sum(bad) > max_panels or rounds == max_rounds:
             worst = int(np.argmax(np.where(np.isfinite(err), err, np.inf)))
             reason = ("error estimate is not finite" if not math.isfinite(total)

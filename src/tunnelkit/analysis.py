@@ -29,7 +29,7 @@ from .scattering import (
     _transfer_TR,
 )
 from .wavepacket import (ArrivalDistribution, WavePacketSpec, _first_peak_phase_derivative,
-                         _time_blocks)
+                         _uniform_step)
 
 # the packet shape each closed form assumes; the peak series takes either
 REGIME_SHAPES = {"continuum": "gaussian", "resonance": "lorentzian"}
@@ -439,8 +439,7 @@ def detect_peaks(dist: ArrivalDistribution) -> list[tuple[float, float]]:
     y = np.asarray(dist.density, float)
     if t.size < 3:
         return []
-    if _time_blocks(t)[1] == 1:  # one time per block: not uniform by the kernel's test
-        raise PhysicsDomainError("detect_peaks requires a uniform time grid")
+    _uniform_step(t)
     h = t[1] - t[0]
     ymax = float(np.max(y))
     if ymax <= 0.0:

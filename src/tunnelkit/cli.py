@@ -483,8 +483,9 @@ def run_scenario(sc: Scenario) -> dict:
     with warnings.catch_warnings(record=True) as wrec:
         warnings.simplefilter("always")
         artifacts, diagnostics = _TASKS[sc.kind].run(sc)
-    captured = [w.message.payload() if isinstance(w.message, RegimeWarning) else
+    payloads = [w.message.payload() if isinstance(w.message, RegimeWarning) else
                 {"code": "generic", "message": str(w.message), "context": {}} for w in wrec]
+    captured = [p for i, p in enumerate(payloads) if p not in payloads[:i]]  # each warning once
     elapsed = time.perf_counter() - start
     manifest = {
         "name": sc.name,
@@ -504,7 +505,7 @@ def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
             return json.load(f)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"invalid JSON: {exc}", path=path) from exc
 
 

@@ -7,10 +7,9 @@ The arrival amplitude is the oscillatory momentum integral
 evaluated over the packet window [max(0, p - 8 sigma_p), p + 8 sigma_p] with
 adaptive Gauss-Kronrod panels. A time grid shares one refined panel set, and
 so one evaluation of the detection amplitude A_k per node, across all samples.
-On a uniform grid the kernel e^{-iE_k t} factors over blocks of about sqrt(T)
-times into two thin tables, each the powers of one exp per node, and the T
-amplitudes are one matrix product of them; a non-uniform grid takes the same
-path with one time per block and a direct exp table. The tables are phased
+The grid must be uniform, and the kernel e^{-iE_k t} factors over blocks of
+about sqrt(T) times into two thin tables, each the powers of one exp per node,
+so the T amplitudes are one matrix product of them. The tables are phased
 in E_k - E_c, E_c a reference energy of the nodes, so their rounding scales
 with the energy spread rather than with E_k t. The product also gives each
 sample's embedded K15 - G7 error, and the panels are refined until every
@@ -240,29 +239,34 @@ class ArrivalDistribution:
         _write_json(path, self.metadata)
 
 
-def _write_csv(path, header: list[str], blocks) -> None:
-    """Write ``blocks``, each a sequence of equal-length columns, as rows under
-    ``header``, each row by one format string: %.17g for numbers, %s for a
-    column of str. A caller that holds all its rows passes one block; a scan
-    passes a generator, so it never holds more than one block. Rows are
-    formatted and written _CSV_BLOCK at a time. The rows go to a sibling file
-    that replaces ``path`` only once every block is written, so a block that
-    raises leaves no partial CSV."""
+def _write_atomic(path, write) -> None:
+    """Call ``write(f)`` on the sibling ``<path>.part``, then move it over ``path``;
+    if ``write`` raises, the part file is removed and ``path`` left as it was."""
     part = f"{path}.part"
     try:
         with open(part, "w", encoding="utf-8", newline="") as f:
-            f.write(",".join(header) + "\n")
-            for block in blocks:
-                cols = [np.asarray(c) for c in block]
-                line = ",".join("%s" if c.dtype.kind == "U" else "%.17g" for c in cols) + "\n"
-                n = cols[0].size if cols else 0
-                for i in range(0, n, _CSV_BLOCK):
-                    rows = zip(*(c[i:i + _CSV_BLOCK].tolist() for c in cols))
-                    f.write("".join([line % row for row in rows]))
+            write(f)
         os.replace(part, path)
     except BaseException:
         Path(part).unlink(missing_ok=True)
         raise
+
+
+def _write_csv(path, header: list[str], blocks) -> None:
+    """Write ``blocks``, each a sequence of equal-length columns, as rows under
+    ``header``, one format string per row: %.17g for numbers, %s for a str
+    column. A scan passes a generator of blocks, so it never holds more than
+    one; rows are written _CSV_BLOCK at a time, by ``_write_atomic``."""
+    def write(f):
+        f.write(",".join(header) + "\n")
+        for block in blocks:
+            cols = [np.asarray(c) for c in block]
+            line = ",".join("%s" if c.dtype.kind == "U" else "%.17g" for c in cols) + "\n"
+            n = cols[0].size if cols else 0
+            for i in range(0, n, _CSV_BLOCK):
+                rows = zip(*(c[i:i + _CSV_BLOCK].tolist() for c in cols))
+                f.write("".join([line % row for row in rows]))
+    _write_atomic(path, write)
 
 
 def _json_default(obj):
@@ -273,9 +277,8 @@ def _json_default(obj):
 
 def _write_json(path, obj) -> None:
     """Write obj as indented JSON with sorted keys; numpy values as Python ones."""
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2, sort_keys=True, default=_json_default)
-        f.write("\n")
+    text = json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n"
+    _write_atomic(path, lambda f: f.write(text))
 
 
 # ---------------------------------------------------------------------------
@@ -365,19 +368,16 @@ def arrival_amplitude(L: float, t: float, spec: WavePacketSpec,
     return complex(quad.value[0]) / (2.0 * math.pi)
 
 
-def _time_blocks(times: np.ndarray) -> tuple[int, int, float]:
-    """(A, B, h): the grid read as A blocks of B steps h, t_{aB+b} = t_{aB} + b h.
-
-    B = ceil(sqrt(n)) when the grid is uniform to within 8 ulp of max|t|,
-    below which the direct kernel's own E t rounding is as large; otherwise
-    B = 1, one block per time.
-    """
+def _uniform_step(times: np.ndarray) -> float:
+    """Step h of a grid whose times all lie within 8 ulp of max|t| of the
+    evenly spaced grid between its ends, about the rounding of t itself, as
+    np.linspace leaves it; raises PhysicsDomainError on any other grid."""
     n = times.size
     h = (times[-1] - times[0]) / (n - 1)
     dev = np.max(np.abs(times - (times[0] + h * np.arange(n))))
-    uniform = dev <= 8.0 * np.spacing(np.max(np.abs(times)))
-    B = math.ceil(math.sqrt(n)) if uniform else 1
-    return -(-n // B), B, h
+    if not dev <= 8.0 * np.spacing(np.max(np.abs(times))):
+        raise PhysicsDomainError(f"non-uniform time grid: a time is {dev:.3g} off linspace")
+    return h
 
 
 def _powers(first: np.ndarray, ratio: np.ndarray, count: int) -> np.ndarray:
@@ -394,17 +394,16 @@ def _powers(first: np.ndarray, ratio: np.ndarray, count: int) -> np.ndarray:
 def _grid_pass(smooth, mass: float, L: float, quad, times: np.ndarray):
     """K15 amplitudes and |K15 - G7| error estimates at every time of the grid.
 
-    The kernel factors over the blocks of ``_time_blocks``: e^{-iE t_{aB+b}} =
-    e^{-iE t_{aB}} e^{-iE b h}, so with U[node, a] = e^{-iE t_{aB}} and
-    V[node, b] = coeff e^{-iE b h} the sums are (U^T V).ravel()[:n], one
-    matrix product. V stacks the K15 coefficients beside the (K15 - G7)
-    ones, so the same product gives both. On a uniform grid (B > 1) both
-    tables are powers of one exp per node: V[:, b] = coeff w^b with
+    The uniform grid (step h, ``_uniform_step``) is read as A blocks of
+    B = ceil(sqrt(n)) steps, t_{aB+b} = t_0 + (aB + b) h, and the kernel
+    factors over them: e^{-iE t_{aB+b}} = e^{-iE t_{aB}} e^{-iE b h}, so with
+    U[node, a] = e^{-iE t_{aB}} and V[node, b] = coeff e^{-iE b h} the sums
+    are (U^T V).ravel()[:n], one matrix product. V stacks the K15
+    coefficients beside the (K15 - G7) ones, so the same product gives both.
+    Both tables are powers of one exp per node: V[:, b] = coeff w^b with
     w = e^{-iE h}, and U[:, a] = e^{-iE t_0} W^a with W = e^{-iE B h}, each
     a running product (``_powers``), so the pass costs 3N complex exps and
     N (A + B) multiplies where the direct tables took N (A + B) exps.
-    A grid that is not uniform gets B = 1, whose anchors are not
-    t_0 + a B h, so U stays the direct table e^{-iE t}.
 
     The tables are phased in E - E_c, E_c the midpoint of the node energies:
     the factor e^{-iE_c t} is common to every node, so it multiplies the K15
@@ -412,7 +411,9 @@ def _grid_pass(smooth, mass: float, L: float, quad, times: np.ndarray):
     arguments, and their rounding, to the energy spread times t rather than
     E t, which reaches 1e6 rad on long peak trains.
     """
-    A, B, h = _time_blocks(times)
+    h = _uniform_step(times)
+    B = math.ceil(math.sqrt(times.size))
+    A = -(-times.size // B)
     x, wk, wg = _quadrature.panel_nodes(quad.lo, quad.hi)
     s = smooth(x.ravel()).reshape(x.shape) * np.exp(1j * x * L)
     coeff = np.stack([(wk * s).ravel(), ((wk - wg) * s).ravel()], axis=1)
@@ -424,11 +425,8 @@ def _grid_pass(smooth, mass: float, L: float, quad, times: np.ndarray):
     for i in range(0, E.size, chunk):
         e = dE[i:i + chunk]
         V = coeff[i:i + chunk, :, None]
-        if B > 1:
-            UT = _powers(np.exp(-1j * e * times[0]), np.exp(-1j * e * (B * h)), A)
-            V = V * _powers(np.ones(e.size), np.exp(-1j * e * h), B).T[:, None, :]
-        else:
-            UT = np.exp(-1j * times[:, None] * e)
+        UT = _powers(np.exp(-1j * e * times[0]), np.exp(-1j * e * (B * h)), A)
+        V = V * _powers(np.ones(e.size), np.exp(-1j * e * h), B).T[:, None, :]
         blocks += UT @ V.reshape(e.size, 2 * B)
     k15, diff = blocks.reshape(A, 2, B).transpose(1, 0, 2).reshape(2, A * B)[:, :times.size]
     return k15 * np.exp(-1j * E_c * times), np.abs(diff), [A, B]
@@ -496,7 +494,7 @@ def _shared_panel_amplitudes(smooth, spec: WavePacketSpec, mass: float, L: float
 def arrival_density(times, spec: WavePacketSpec, profile: PotentialProfile,
                     detector: DetectorSpec, rel_tol: float = DENSITY_REL_TOL,
                     detection_amplitude=None) -> ArrivalDistribution:
-    """Sample P(L, t) = |A(L, t)|^2 on a uniform time grid.
+    """Sample P(L, t) = |A(L, t)|^2 on a time grid that ``_uniform_step`` accepts.
 
     One refined panel set is shared by every grid point. ``detection_amplitude``,
     a callable of a momentum array, substitutes a model A_k (e.g. a Lorentzian
@@ -507,6 +505,7 @@ def arrival_density(times, spec: WavePacketSpec, profile: PotentialProfile,
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 4 or np.any(np.diff(times) <= 0):
         raise PhysicsDomainError("need an increasing time grid with >= 4 points")
+    _uniform_step(times)
     detector.check_far_field(profile)
     mass = profile.mass
     L = detector.position

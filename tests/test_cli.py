@@ -201,6 +201,12 @@ class TestValidate:
         path.write_text("{not json", encoding="utf-8")
         assert main(["validate", str(path)]) == 1
 
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {path}: invalid JSON")
+
     def test_benchmark_configs_validate(self, tmp_path, monkeypatch):
         # every CLI config of the benchmark passes validate, so a newly
         # rejected field cannot break the benchmark unnoticed
@@ -690,6 +696,20 @@ class TestManifestAndDeterminism:
         assert "far_field_marginal" in codes
         assert manifest["tunnelkit_version"]
         assert manifest["task"] == "arrival-density"
+
+    def test_each_warning_once(self, tmp_path):
+        # the double barrier (0.4, 1.0, 400), with the packet of
+        # _resonance_double re-centred on its first resonance: |T0p|^2 = 0.32
+        # warns `opacity` at each of the run's two decay_rate(k0) calls
+        cfg = _resonance_double()
+        cfg["barrier"]["segments"][0]["w"] = cfg["barrier"]["segments"][2]["w"] = 1.0
+        cfg["packet"]["p"] = float(find_resonances(0.4, 1.0, 400.0, 1.0, k_window=(0.3, 0.4))[0])
+        path = _write(tmp_path, "c.json", {"name": "once", **cfg,
+                                           "output": {"dir": str(tmp_path / "out")}})
+        assert main(["run", path]) == 0
+        found = json.loads((tmp_path / "out" / "once_manifest.json").read_text())["warnings"]
+        assert [w["code"] for w in found].count("opacity") == 1
+        assert all(w not in found[:i] for i, w in enumerate(found))
 
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
         # a double barrier too short to host any resonance: regime-compare

@@ -170,10 +170,18 @@ class TestSidecar:
         assert json.loads((tmp_path / "s.json").read_text()) == {"a": [0, 1, 2], "b": 1.5}
 
     def test_other_values_raise(self, tmp_path):
+        # nothing is written: no sidecar, no part file, and an older sidecar
+        # at the path is left as it was
         dist = ArrivalDistribution(times=np.arange(4.0), density=np.zeros(4),
                                    metadata={"a": {1, 2}})
         with pytest.raises(TypeError, match="not JSON serializable"):
             dist.write_sidecar(tmp_path / "s.json")
+        assert list(tmp_path.iterdir()) == []
+        (tmp_path / "s.json").write_text('{"a": 1}\n')
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            dist.write_sidecar(tmp_path / "s.json")
+        assert (tmp_path / "s.json").read_text() == '{"a": 1}\n'
+        assert not (tmp_path / "s.json.part").exists()
 
 
 class TestFreePipeline:
@@ -288,7 +296,10 @@ class TestBarrierPipeline:
     def test_zero_absorption_reports_its_panels(self, barrier_run):
         spec, prof, det, times, _, _ = barrier_run
         dead = DetectorSpec(position=det.position, absorption=0.0)
-        assert arrival_density(times, spec, prof, dead).metadata["quadrature"]["panels"] > 0
+        with pytest.warns(RegimeWarning) as rec:
+            dist = arrival_density(times, spec, prof, dead)
+        assert [w.message.code for w in rec] == ["no_signal"]
+        assert dist.metadata["quadrature"]["panels"] > 0
 
     def test_narrow_absorption_band_is_detected(self, barrier_run):
         # alpha > 0 only on (0.30005, 0.30145), inside one 1.5e-3 step of a
@@ -345,9 +356,17 @@ class TestFactoredKernel:
         dist = self._matches_single_times(np.linspace(-1.0, 1.0, n), barrier_run)
         assert dist.metadata["quadrature"]["time_blocks"] == blocks
 
-    def test_non_uniform_grid_takes_one_time_per_block(self, barrier_run):
-        dist = self._matches_single_times(np.geomspace(1.0, 3.0, 797) - 2.0, barrier_run)
-        assert dist.metadata["quadrature"]["time_blocks"] == [797, 1]
+    def test_non_uniform_grid_is_rejected(self, barrier_run, monkeypatch):
+        # a geomspace grid, and a linspace grid with one time moved by 1e-9 of
+        # a step, fail before any quadrature
+        spec, prof, det, times, _, t_bar = barrier_run
+        sig_t = (times[-1] - t_bar) / 10.5
+        monkeypatch.setattr(wavepacket._quadrature, "adaptive_quad", None)
+        jittered = times.copy()
+        jittered[400] += 1e-9 * (times[1] - times[0])
+        for t in (t_bar + 5.0 * sig_t * (np.geomspace(1.0, 3.0, 797) - 2.0), jittered):
+            with pytest.raises(PhysicsDomainError, match="non-uniform time grid"):
+                arrival_density(t, spec, prof, det)
 
     def test_node_chunks_sum_to_one_chunk(self, barrier_run, monkeypatch):
         spec, prof, det, times, *_ = barrier_run
@@ -470,12 +489,12 @@ class TestFullGridErrorControl:
         assert diag["worst_time"] in times
 
     def test_grid_wholly_in_the_tails_converges(self, barrier_run):
-        # t_bar + sigma_t [-8, -7, 7, 8]: every amplitude is tiny. Relative to
-        # max |A| the refinement failed after 60492 panels; relative to
-        # int |g| dk, as in arrival_amplitude, it converges on a few dozen
+        # t_bar + sigma_t [7, 7 1/3, 7 2/3, 8], uniform on one tail: every
+        # amplitude is tiny, but rel_tol is relative to int |g| dk, as in
+        # arrival_amplitude, so the refinement converges on a few dozen panels
         spec, prof, det, times, _, t_bar = barrier_run
         sig_t = (times[-1] - t_bar) / 10.5
-        t = t_bar + sig_t * np.array([-8.0, -7.0, 7.0, 8.0])
+        t = t_bar + sig_t * np.linspace(7.0, 8.0, 4)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RegimeWarning)
             dist = arrival_density(t, spec, prof, det)
