@@ -476,7 +476,7 @@ def fit_exponential(dist: ArrivalDistribution, window: tuple[float, float],
     on_peaks fits the sequence of local-maxima heights, which is what the
     escape rate governs in the multi-peak regime; raw samples otherwise.
     """
-    t_lo, t_hi = window
+    t_lo, t_hi = window = (float(window[0]), float(window[1]))
     if on_peaks:
         pk = [(t, h) for t, h in detect_peaks(dist) if t_lo <= t <= t_hi]
         if len(pk) < 3:
@@ -500,21 +500,20 @@ def fit_exponential(dist: ArrivalDistribution, window: tuple[float, float],
     tm = tt - tt.mean()
     denom = float(np.dot(tm, tm))
     if denom == 0.0:
-        return ExponentialFit(0.0, float(ly.mean()), 0.0, tt.size,
-                              (float(t_lo), float(t_hi)), degenerate=True)
+        return ExponentialFit(0.0, float(ly.mean()), 0.0, tt.size, window, degenerate=True)
     slope = float(np.dot(tm, ly - ly.mean())) / denom
     intercept = float(ly.mean() - slope * tt.mean())
     resid = ly - (slope * tt + intercept)
     ss_tot = float(np.dot(ly - ly.mean(), ly - ly.mean()))
     degenerate = ss_tot == 0.0
     r2 = 0.0 if degenerate else 1.0 - float(np.dot(resid, resid)) / ss_tot
+    # the fitted density: a model one names its formula, a quadrature one is direct
+    ctx = dict(density=dist.metadata.get("formula", "direct"), window=window, n_points=tt.size)
     if degenerate:
-        warn_regime("fit_degenerate", "constant data: R^2 undefined, rate 0")
+        warn_regime("fit_degenerate", "constant data: R^2 undefined, rate 0", **ctx)
     elif r2 < 0.9:
-        warn_regime("fit_quality", f"exponential fit R^2 = {r2:.3f} < 0.9",
-                    r_squared=r2)
-    return ExponentialFit(-slope, intercept, r2, tt.size,
-                          (float(t_lo), float(t_hi)), degenerate=degenerate)
+        warn_regime("fit_quality", f"exponential fit R^2 = {r2:.3f} < 0.9", r_squared=r2, **ctx)
+    return ExponentialFit(-slope, intercept, r2, tt.size, window, degenerate=degenerate)
 
 
 def causality_mass(dist: ArrivalDistribution, L: float, x0: float,

@@ -40,7 +40,7 @@ MIN_L_OVER_D = 10.0  # far-field bound: a detector at L >= 10 d
 GRID_SPAN_SIGMAS = 10.0  # recommended half-span of a time grid, in sigma_x/v_p
 DENSITY_REL_TOL = 1e-8  # default rel_tol of the arrival amplitude and density
 _WARN_L_OVER_D = 50.0
-_KERNEL_CHUNK = 2 ** 18  # bound on nodes x (A + 2B) kernel-table entries (4 MB) held at once
+_KERNEL_CHUNK = 2 ** 16  # bound on nodes x (A + 2B) kernel-table entries (1 MB) held at once
 _N_REP = 24  # representative times a time-grid refinement starts from
 GRID_MAX_PANELS = 60000  # panel limit of a time-grid refinement
 GRID_MAX_ROUNDS = 60  # bisection rounds of a time-grid refinement, resumptions included
@@ -381,10 +381,11 @@ def _uniform_step(times: np.ndarray) -> float:
 
 
 def _powers(first: np.ndarray, ratio: np.ndarray, count: int) -> np.ndarray:
-    """(count, N) table first ratio^j, j = 0 .. count - 1: a running product
-    down the rows, one multiply per entry. (np.cumprod gives the same table,
-    but its complex loop is 5x slower than a row of vector multiplies.)"""
-    table = np.empty((count, first.size), dtype=complex)
+    """(count, *first.shape) table first ratio^j, j = 0 .. count - 1, for a
+    first row of shape (N,) or (2, N) and ratio (N,): a running product down
+    the rows, one multiply per entry. (np.cumprod gives the same table, but
+    its complex loop is 5x slower than a row of vector multiplies.)"""
+    table = np.empty((count, *first.shape), dtype=complex)
     table[0] = first
     for j in range(1, count):
         np.multiply(table[j - 1], ratio, out=table[j])
@@ -398,12 +399,14 @@ def _grid_pass(smooth, mass: float, L: float, quad, times: np.ndarray):
     B = ceil(sqrt(n)) steps, t_{aB+b} = t_0 + (aB + b) h, and the kernel
     factors over them: e^{-iE t_{aB+b}} = e^{-iE t_{aB}} e^{-iE b h}, so with
     U[node, a] = e^{-iE t_{aB}} and V[node, b] = coeff e^{-iE b h} the sums
-    are (U^T V).ravel()[:n], one matrix product. V stacks the K15
-    coefficients beside the (K15 - G7) ones, so the same product gives both.
-    Both tables are powers of one exp per node: V[:, b] = coeff w^b with
-    w = e^{-iE h}, and U[:, a] = e^{-iE t_0} W^a with W = e^{-iE B h}, each
-    a running product (``_powers``), so the pass costs 3N complex exps and
-    N (A + B) multiplies where the direct tables took N (A + B) exps.
+    are (U^T V).ravel()[:n], one matrix product. Each block column of V
+    interleaves the K15 coefficient and the (K15 - G7) one, so the product's
+    even and odd columns give both. Both tables are running products
+    (``_powers``) of one exp per node: V[:, b] = coeff w^b, w = e^{-iE h},
+    starts from the coefficients, and U[:, a] = e^{-iE t_0} W^a with
+    W = e^{-iE B h}; so the pass costs 3N complex exps and N (A + 2B)
+    multiplies. Nodes go _KERNEL_CHUNK // (A + 2B) at a time, so U and V
+    together hold about 1 MB and no nodes x times table is formed.
 
     The tables are phased in E - E_c, E_c the midpoint of the node energies:
     the factor e^{-iE_c t} is common to every node, so it multiplies the K15
@@ -416,19 +419,17 @@ def _grid_pass(smooth, mass: float, L: float, quad, times: np.ndarray):
     A = -(-times.size // B)
     x, wk, wg = _quadrature.panel_nodes(quad.lo, quad.hi)
     s = smooth(x.ravel()).reshape(x.shape) * np.exp(1j * x * L)
-    coeff = np.stack([(wk * s).ravel(), ((wk - wg) * s).ravel()], axis=1)
+    coeff = np.stack([wk * s, (wk - wg) * s]).reshape(2, -1)
     E = relativistic_kinematics(x, mass).energy.ravel()
     E_c = 0.5 * (np.min(E) + np.max(E))
-    dE = E - E_c
     blocks = np.zeros((A, 2 * B), dtype=complex)
     chunk = max(1, int(_KERNEL_CHUNK // (A + 2 * B)))
     for i in range(0, E.size, chunk):
-        e = dE[i:i + chunk]
-        V = coeff[i:i + chunk, :, None]
+        e = E[i:i + chunk] - E_c
         UT = _powers(np.exp(-1j * e * times[0]), np.exp(-1j * e * (B * h)), A)
-        V = V * _powers(np.ones(e.size), np.exp(-1j * e * h), B).T[:, None, :]
-        blocks += UT @ V.reshape(e.size, 2 * B)
-    k15, diff = blocks.reshape(A, 2, B).transpose(1, 0, 2).reshape(2, A * B)[:, :times.size]
+        V = _powers(coeff[:, i:i + chunk], np.exp(-1j * e * h), B)
+        blocks += UT @ V.reshape(2 * B, e.size).T
+    k15, diff = blocks.reshape(A * B, 2)[:times.size].T
     return k15 * np.exp(-1j * E_c * times), np.abs(diff), [A, B]
 
 
@@ -451,10 +452,15 @@ def _shared_panel_amplitudes(smooth, spec: WavePacketSpec, mass: float, L: float
     edges = _initial_edges(spec, mass, L, float(times[0]), float(times[-1]))
     rep = times[np.unique(np.linspace(0, times.size - 1, min(_N_REP, times.size)).astype(int))]
 
-    def f(k):  # one column per representative time, then |g|
+    def f(k):  # one column per representative time, then |g|, built in place
         g = smooth(k)
-        kern = np.exp(-1j * relativistic_kinematics(k, mass).energy[:, None] * rep[None, :])
-        return np.column_stack([(g * np.exp(1j * k * L))[:, None] * kern, np.abs(g)])
+        out = np.empty((k.size, rep.size + 1), dtype=complex)
+        kern = out[:, :-1]
+        np.exp(np.multiply(relativistic_kinematics(k, mass).energy[:, None], -1j * rep,
+                           out=kern), out=kern)
+        np.multiply((g * np.exp(1j * k * L))[:, None], kern, out=kern)
+        out[:, -1] = np.abs(g)
+        return out
 
     rounds = rechecks = 0
     while True:
@@ -539,11 +545,10 @@ def arrival_density(times, spec: WavePacketSpec, profile: PotentialProfile,
 def total_transmission(spec: WavePacketSpec, profile: PotentialProfile,
                        alpha=None, rel_tol: float = 1e-10) -> float:
     """int dk/(2pi) alpha(k) |A_k|^2 |u~0(k - p)|^2 (no time integral)."""
-    mass = profile.mass
-    smooth = _smooth_part(spec, profile, alpha)
-
-    def f(k):  # |sqrt(alpha v) A_k psi0|^2 / v = alpha |A_k|^2 |u~0|^2
-        return (np.abs(smooth(k)) ** 2 / relativistic_kinematics(k, mass).velocity)[:, None]
+    def f(k):
+        a = 1.0 if alpha is None else np.asarray(alpha(k), dtype=float)
+        return (a * np.abs(detection_amplitude_scan(profile, k)) ** 2
+                * spec.envelope(k) ** 2)[:, None]
 
     lo, hi = spec.k_window
     quad = _quadrature.adaptive_quad(f, np.linspace(lo, hi, 65), rel_tol)

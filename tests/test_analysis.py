@@ -565,18 +565,23 @@ class TestFitting:
     def test_constant_data_degenerate(self):
         t = np.linspace(0.0, 10.0, 64)
         dist = ArrivalDistribution(times=t, density=np.ones_like(t))
-        with pytest.warns(RegimeWarning):
+        with pytest.warns(RegimeWarning) as rec:
             fit = fit_exponential(dist, (0.0, 10.0))
         assert fit.rate == 0.0
         assert fit.degenerate
+        assert rec[0].message.context == {"density": "direct", "window": (0.0, 10.0),
+                                          "n_points": 64}
 
     def test_low_r2_flagged(self):
         t = np.linspace(0.0, 10.0, 200)
         y = np.exp(-0.3 * t) * (1.0 + 0.9 * np.sin(40.0 * t)) + 1.0
-        dist = ArrivalDistribution(times=t, density=y)
-        with pytest.warns(RegimeWarning):
+        dist = ArrivalDistribution(times=t, density=y, metadata={"formula": "continuum"})
+        with pytest.warns(RegimeWarning) as rec:
             fit = fit_exponential(dist, (0.0, 10.0))
         assert fit.r_squared < 0.9
+        ctx = rec[0].message.context
+        assert (ctx["density"], ctx["n_points"], ctx["r_squared"]) == ("continuum", 200,
+                                                                      fit.r_squared)
 
     def test_rejects_sparse_window(self):
         t = np.linspace(0.0, 10.0, 64)

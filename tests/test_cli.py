@@ -710,6 +710,10 @@ class TestManifestAndDeterminism:
         found = json.loads((tmp_path / "out" / "once_manifest.json").read_text())["warnings"]
         assert [w["code"] for w in found].count("opacity") == 1
         assert all(w not in found[:i] for i, w in enumerate(found))
+        # the direct and the model fit of the tail each name their density
+        fits = [w["context"] for w in found if w["code"] == "fit_quality"]
+        assert sorted(c["density"] for c in fits) == ["direct", "resonance"]
+        assert all(c["n_points"] >= 10 and c["window"][0] < c["window"][1] for c in fits)
 
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
         # a double barrier too short to host any resonance: regime-compare

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from tunnelkit import NumericsError
+from tunnelkit import _quadrature
 from tunnelkit._quadrature import adaptive_quad, phase_panels
 
 OMEGAS = (1.0, 10.0, 100.0, 1e3)
@@ -115,3 +116,22 @@ def test_non_finite_integrand_raises_at_once():
         adaptive_quad(f, np.linspace(0.0, 1.0, 9), 1e-10)
     assert exc.value.diagnostics["refinement_rounds"] == 0
     assert exc.value.diagnostics["worst_panel"][0] >= 0.5
+
+
+@pytest.mark.parametrize("m", [1, 25])
+def test_panel_sums_match_weighted_node_sums(m):
+    # the stacked product against the explicit sums over weighted node values
+    rng = np.random.default_rng(m)
+    edges = np.sort(rng.uniform(0.0, 3.0, 358))
+    omegas = rng.uniform(0.0, 50.0, m)
+
+    def f(x):
+        return (1.0 + x[:, None]) * np.exp(1j * np.outer(x, omegas))
+
+    k15, g7 = _quadrature._panel_sums(f, edges[:-1], edges[1:])
+    x, wk, wg = _quadrature.panel_nodes(edges[:-1], edges[1:])
+    fv = f(x.ravel()).reshape(*x.shape, m)
+    for got, w in ((k15, wk), (g7, wg)):
+        ref = np.sum(w[:, :, None] * fv, axis=1)
+        assert got.shape == (357, m)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
