@@ -253,8 +253,7 @@ def _regime_setup(times, spec: WavePacketSpec, L: float, v0: float, a: float,
 def _regime_meta(report: RegimeReport, spec: WavePacketSpec, L: float,
                  formula: str) -> dict:
     return {"formula": formula, "report": report.to_dict(),
-            "packet": {"shape": spec.shape, "p": spec.p,
-                       "sigma_p": spec.sigma_p, "x0": spec.x0},
+            "packet": spec.to_dict(),
             "detector": {"position": L}}
 
 

@@ -149,6 +149,12 @@ class Scenario:
     params: dict
 
 
+def _below_window_edge(barrier: PotentialProfile, k: float, path: str) -> None:
+    """k must lie below the tunneling-window edge of the double barrier's height."""
+    k_max = tunneling_window(barrier.as_symmetric_double()[0], barrier.mass)[1]
+    _expect(k < k_max, path, f"must lie below the tunneling-window edge {k_max}")
+
+
 _SECTION_PARSERS = {"barrier": _parse_barrier, "packet": _parse_packet,
                     "detector": _parse_detector}
 
@@ -192,9 +198,11 @@ def parse_scenario(config: dict, out_override: str | None = None) -> Scenario:
         _expect(packet.shape == shape, "packet.shape",
                 f"regime {params['regime']!r} requires a {shape} packet, got {packet.shape!r}")
     if kind == "resonance-scan" and params["k_window"] is not None:
-        k_max = tunneling_window(barrier.as_symmetric_double()[0], barrier.mass)[1]
-        _expect(params["k_window"][1] < k_max, "task.k_max",
-                f"must lie below the tunneling-window edge {k_max}")
+        _below_window_edge(barrier, params["k_window"][1], "task.k_max")
+    if kind in ("decay-fit", "regime-compare"):
+        _below_window_edge(barrier, packet.p, "packet.p")
+    if params.get("k0") is not None:
+        _below_window_edge(barrier, params["k0"], "task.k0")
     if kind == "arrival-density" and "t_min" in params:
         n = prepanel_count(packet, barrier.mass, detector.position,
                            params["t_min"], params["t_max"])

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +80,9 @@ class WavePacketSpec:
         if not (self.x0 > 0 and math.isfinite(self.x0)):
             raise PhysicsDomainError(f"emission center x0 must be positive, got {self.x0}",
                                      field="x0")
+
+    def to_dict(self) -> dict:
+        return asdict(self)
 
     @property
     def sigma_x(self) -> float:
@@ -347,24 +350,32 @@ def _initial_edges(spec: WavePacketSpec, mass: float, L: float, t_lo: float, t_h
     return edges
 
 
+def _integrand(smooth, mass: float, L: float, times: np.ndarray):
+    """k -> the (k.size, T + 1) array, built in place, of g e^{ikL - iE_k t} at
+    each of the T ``times``, then |g|, g = smooth(k): every arrival integrand."""
+    def f(k):
+        g = smooth(k)
+        out = np.empty((k.size, times.size + 1), dtype=complex)
+        kern = out[:, :-1]
+        np.exp(np.multiply(relativistic_kinematics(k, mass).energy[:, None], -1j * times,
+                           out=kern), out=kern)
+        np.multiply((g * np.exp(1j * k * L))[:, None], kern, out=kern)
+        out[:, -1] = np.abs(g)
+        return out
+    return f
+
+
 def arrival_amplitude(L: float, t: float, spec: WavePacketSpec,
                       profile: PotentialProfile, rel_tol: float = DENSITY_REL_TOL) -> complex:
     """Arrival amplitude A(L, t) at a single detection time, alpha = 1: the
     single-time reference for arrival_density.
 
-    With g the integrand, the quadrature also integrates |g|: int |g| dk/2pi
-    bounds every |A(L, t)|, and rel_tol is relative to it rather than to the
-    amplitude, which is tiny in the tails.
+    It integrates ``_integrand`` at its one time on panels of its own, |g| too:
+    int |g| dk/2pi bounds every |A(L, t)|, and rel_tol is relative to it
+    rather than to the amplitude, which is tiny in the tails.
     """
-    mass = profile.mass
-    smooth = _smooth_part(spec, profile, None)
-
-    def f(k):
-        g = smooth(k)
-        E = relativistic_kinematics(k, mass).energy
-        return np.stack([g * np.exp(1j * (k * L - E * t)), np.abs(g)], axis=1)
-
-    quad = _quadrature.adaptive_quad(f, _initial_edges(spec, mass, L, t, t), rel_tol)
+    f = _integrand(_smooth_part(spec, profile, None), profile.mass, L, np.array([t], float))
+    quad = _quadrature.adaptive_quad(f, _initial_edges(spec, profile.mass, L, t, t), rel_tol)
     return complex(quad.value[0]) / (2.0 * math.pi)
 
 
@@ -437,33 +448,24 @@ def _shared_panel_amplitudes(smooth, spec: WavePacketSpec, mass: float, L: float
                              times: np.ndarray, rel_tol: float):
     """Amplitudes on a whole time grid from one adaptively refined panel set.
 
-    The panels are refined on 24 representative times and on |g|, the
-    integrand without its phase: int |g| dk bounds every |A|, and rel_tol is
-    relative to it, as in arrival_amplitude. Then one pass (``_grid_pass``)
-    evaluates K15 and the embedded |K15 - G7| estimate at every time of the
-    grid on the final panels. Every sample must hold
-    |K15 - G7| <= rel_tol int |g| dk; where any misses, its worst times join
-    the representative set and refinement resumes from the current panels,
-    within GRID_MAX_PANELS panels and GRID_MAX_ROUNDS rounds in all. The
+    The panels are refined on 24 representative samples, kept as a mask over
+    the grid, and on |g|, the integrand without its phase: int |g| dk bounds
+    every |A|, and rel_tol is relative to it, as in arrival_amplitude. Then
+    one pass (``_grid_pass``) evaluates K15 and the embedded |K15 - G7|
+    estimate at every time of the grid on the final panels. Every sample must
+    hold |K15 - G7| <= rel_tol int |g| dk; where any misses, its worst samples
+    join the representative set and refinement resumes from the current
+    panels, within GRID_MAX_PANELS panels and GRID_MAX_ROUNDS rounds in all. The
     reported ``error_estimate`` bounds |A| everywhere: the larger of the
     refinement's summed estimate and the worst per-sample one, over 2 pi.
     int |g| dk = 0 gives an exactly zero grid and a ``no_signal`` warning.
     """
     edges = _initial_edges(spec, mass, L, float(times[0]), float(times[-1]))
-    rep = times[np.unique(np.linspace(0, times.size - 1, min(_N_REP, times.size)).astype(int))]
-
-    def f(k):  # one column per representative time, then |g|, built in place
-        g = smooth(k)
-        out = np.empty((k.size, rep.size + 1), dtype=complex)
-        kern = out[:, :-1]
-        np.exp(np.multiply(relativistic_kinematics(k, mass).energy[:, None], -1j * rep,
-                           out=kern), out=kern)
-        np.multiply((g * np.exp(1j * k * L))[:, None], kern, out=kern)
-        out[:, -1] = np.abs(g)
-        return out
-
+    chosen = np.zeros(times.size, dtype=bool)  # the representative samples
+    chosen[np.linspace(0, times.size - 1, _N_REP).astype(int)] = True
     rounds = rechecks = 0
     while True:
+        f = _integrand(smooth, mass, L, times[chosen])
         try:
             quad = _quadrature.adaptive_quad(f, edges, rel_tol, max_panels=GRID_MAX_PANELS,
                                              max_rounds=GRID_MAX_ROUNDS - rounds)
@@ -477,14 +479,14 @@ def _shared_panel_amplitudes(smooth, spec: WavePacketSpec, mass: float, L: float
         miss = np.flatnonzero(err > tol)
         if miss.size == 0:
             break
-        worst = times[miss[np.argsort(err[miss])[::-1][:_N_REP]]]
-        if np.all(np.isin(worst, rep)):
+        worst = miss[np.argsort(err[miss])[::-1][:_N_REP]]
+        if chosen[worst].all():
             raise NumericsError(
                 "quadrature failed to converge on the full time grid",
                 diagnostics={"panels": int(quad.lo.size), "refinement_rounds": rounds,
                              "total_error": float(np.max(err)), "tolerance": tol,
-                             "worst_time": float(worst[0])})
-        rep = np.union1d(rep, worst)
+                             "worst_time": float(times[worst[0]])})
+        chosen[worst] = True
         edges = np.append(np.sort(quad.lo), np.max(quad.hi))
         rechecks += 1
     if quad.value[-1].real == 0.0:
@@ -532,8 +534,7 @@ def arrival_density(times, spec: WavePacketSpec, profile: PotentialProfile,
     amps, diagnostics = _shared_panel_amplitudes(smooth, spec, mass, L, times, rel_tol)
     density = np.abs(amps) ** 2
     meta = {
-        "packet": {"shape": spec.shape, "p": spec.p, "sigma_p": spec.sigma_p,
-                   "x0": spec.x0},
+        "packet": spec.to_dict(),
         "profile": profile.to_dict(),
         "detector": {"position": L},
         "quadrature": diagnostics,

@@ -6,7 +6,9 @@ import copy
 import importlib
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -40,6 +42,12 @@ def _small_double():
                    "sigma_p": 1.0 / (2 * sigma_x), "x0": 5 * sigma_x},
         "detector": {"position": 11.0 * (2 * a + r)},
     }
+
+
+def _readme_config():
+    """The config object of the README's JSON block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
 
 
 def _opaque_wall():
@@ -323,9 +331,28 @@ class TestValidate:
 
     def test_readme_config_validates(self, tmp_path):
         # the documented schema and the parser cannot drift apart unnoticed
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
-        assert main(["validate", _write(tmp_path, "c.json", json.loads(block))]) == 0
+        assert main(["validate", _write(tmp_path, "c.json", _readme_config())]) == 0
+
+    @pytest.mark.parametrize("task, section, key", [
+        pytest.param({"kind": "regime-compare", "regime": "resonance"}, "task", "k0",
+                     id="regime-compare:task.k0"),
+        pytest.param({"kind": "decay-fit"}, "packet", "p", id="decay-fit:packet.p"),
+        pytest.param({"kind": "regime-compare", "regime": "peaks"}, "packet", "p",
+                     id="regime-compare:packet.p"),
+    ])
+    def test_momentum_past_window_edge(self, tmp_path, capsys, task, section, key):
+        # the README double barrier's tunneling window ends at 0.9798; the
+        # closed forms fail past it (exit 2), so validate rejects the config
+        cfg = {**_readme_config(), "task": dict(task)}
+        if task.get("regime") == "resonance":
+            cfg["packet"]["shape"] = "lorentzian"
+        cfg[section][key] = 0.35
+        assert main(["validate", _write(tmp_path, "c.json", cfg)]) == 0
+        cfg[section][key] = 1.2
+        assert main(["validate", _write(tmp_path, "c.json", cfg)]) == 1
+        edge = math.sqrt(2 * 0.4 + 0.4 ** 2)
+        assert capsys.readouterr().err.endswith(
+            f"config error: {section}.{key}: must lie below the tunneling-window edge {edge}\n")
 
     def test_readme_task_table_matches_the_tasks(self):
         # the README's task-kind table lists the kinds of cli._TASKS in order,
@@ -483,6 +510,20 @@ class TestRunTasks:
         manifest = json.loads((tmp_path / "out" / "quickstart_manifest.json").read_text())
         quad = manifest["diagnostics"]["quadrature"]
         assert (quad["panels"], quad["refinement_rounds"], quad["grid_rechecks"]) == (73, 12, 0)
+
+    def test_readme_run_does_not_import_numpy_ma(self, tmp_path):
+        # numpy.ma loads on the first np.unique of a process, about 13 ms and
+        # 1.1 MB; a fresh run of the README config never needs it
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import sys\nfrom tunnelkit.cli import main\n"
+                "assert main(['run', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+                "assert 'numpy.ma' not in sys.modules\n")
+        res = subprocess.run([sys.executable, "-c", code,
+                              _write(tmp_path, "c.json", _readme_config()),
+                              str(tmp_path / "out")], env=env, capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
 
     def test_decay_fit(self, tmp_path):
         # wider gap keeps wave-packet dispersion from biasing the peak fit

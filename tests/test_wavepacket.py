@@ -428,8 +428,9 @@ class TestFactoredKernel:
     def test_item7_density_working_set(self):
         # the kernel tables go a node chunk at a time, the refinement integrand
         # is one (nodes, times + 1) array and the panel sums form no weighted
-        # copy: 2.7 MB traced (3.8 MB as a process's first call). Tables of
-        # 2^18 entries and those copies took 6.4 MB (7.5 MB)
+        # copy: 2.7 MB traced, a process's first call too, which importing
+        # numpy.ma (np.unique does) would raise to 3.8 MB. Tables of 2^18
+        # entries and those copies took 6.4 MB
         spec, prof, L, times = _item7_problem()
         tracemalloc.start()
         try:
