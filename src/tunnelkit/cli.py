@@ -258,6 +258,8 @@ def _validate_task_params(kind: str, t: dict) -> dict:
             v0 = _num(v0, f"task.v0_values[{i}]", positive=True)
             _expect(v0 < mass, f"task.v0_values[{i}]",
                     f"height {v0} must be below the mass {mass}")
+            _expect(v0 not in q["v0_values"], f"task.v0_values[{i}]",
+                    f"height {v0} repeats an earlier one")
             q["v0_values"].append(v0)
         q["n_p"] = _get(t, "n_p", "task", _int, 200, minimum=2)
     elif kind == "resonance-scan":
@@ -272,11 +274,14 @@ def _validate_task_params(kind: str, t: dict) -> dict:
         _expect(regime in ("peaks", "continuum", "resonance"), "task.regime",
                 "must be 'peaks', 'continuum' or 'resonance'")
         q["n_t"] = _get(t, "n_t", "task", _int, 1500, minimum=16)
-        q["n_peaks"] = _get(t, "n_peaks", "task", _int, 10, minimum=1)
-        q["decay_spans"] = _get(t, "decay_spans", "task", _num,
-                                {"continuum": 3.0, "resonance": 2.5}.get(regime), positive=True)
-        q["k0"] = _get(t, "k0", "task", _num, None, positive=True)
-        q["substitute_lorentzian"] = _get(t, "substitute_lorentzian", "task", _flag, True)
+        if regime == "peaks":
+            q["n_peaks"] = _get(t, "n_peaks", "task", _int, 10, minimum=1)
+        else:
+            q["decay_spans"] = _get(t, "decay_spans", "task", _num,
+                                    {"continuum": 3.0, "resonance": 2.5}[regime], positive=True)
+        if regime == "resonance":
+            q["k0"] = _get(t, "k0", "task", _num, None, positive=True)
+            q["substitute_lorentzian"] = _get(t, "substitute_lorentzian", "task", _flag, True)
     _unread(t, "task")
     return q
 

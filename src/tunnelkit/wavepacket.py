@@ -12,8 +12,8 @@ about sqrt(T) times into two thin tables, each the powers of one exp per node,
 so the T amplitudes are one matrix product of them. The tables are phased
 in E_k - E_c, E_c a reference energy of the nodes, so their rounding scales
 with the energy spread rather than with E_k t. The product also gives each
-sample's embedded K15 - G7 error, and the panels are refined until every
-sample, not only the ones refined on, meets rel_tol.
+sample's embedded K15 - G7 error, and a grid on which any sample, not only
+the ones refined on, misses rel_tol raises.
 
 Normalization: int |psi0(k)|^2 dk/(2pi) = 1, so the time-integrated density
 is a genuine detection probability (<= 1 for alpha <= 1).
@@ -41,9 +41,9 @@ GRID_SPAN_SIGMAS = 10.0  # recommended half-span of a time grid, in sigma_x/v_p
 DENSITY_REL_TOL = 1e-8  # default rel_tol of the arrival amplitude and density
 _WARN_L_OVER_D = 50.0
 _KERNEL_CHUNK = 2 ** 16  # bound on nodes x (A + 2B) kernel-table entries (1 MB) held at once
-_N_REP = 24  # representative times a time-grid refinement starts from
+_N_REP = 24  # representative times a time-grid refinement integrates
 GRID_MAX_PANELS = 60000  # panel limit of a time-grid refinement
-GRID_MAX_ROUNDS = 60  # bisection rounds of a time-grid refinement, resumptions included
+GRID_MAX_ROUNDS = 60  # bisection rounds of a time-grid refinement
 _CSV_BLOCK = 1024  # CSV rows formatted per write
 
 
@@ -448,54 +448,37 @@ def _shared_panel_amplitudes(smooth, spec: WavePacketSpec, mass: float, L: float
                              times: np.ndarray, rel_tol: float):
     """Amplitudes on a whole time grid from one adaptively refined panel set.
 
-    The panels are refined on 24 representative samples, kept as a mask over
-    the grid, and on |g|, the integrand without its phase: int |g| dk bounds
-    every |A|, and rel_tol is relative to it, as in arrival_amplitude. Then
-    one pass (``_grid_pass``) evaluates K15 and the embedded |K15 - G7|
-    estimate at every time of the grid on the final panels. Every sample must
-    hold |K15 - G7| <= rel_tol int |g| dk; where any misses, its worst samples
-    join the representative set and refinement resumes from the current
-    panels, within GRID_MAX_PANELS panels and GRID_MAX_ROUNDS rounds in all. The
-    reported ``error_estimate`` bounds |A| everywhere: the larger of the
-    refinement's summed estimate and the worst per-sample one, over 2 pi.
-    int |g| dk = 0 gives an exactly zero grid and a ``no_signal`` warning.
+    The panels are refined, within GRID_MAX_PANELS panels and GRID_MAX_ROUNDS
+    rounds, on up to 24 representative samples evenly spread over the grid and
+    on |g|, the integrand without its phase: int |g| dk bounds every |A|, and
+    rel_tol is relative to it, as in arrival_amplitude. Then one pass
+    (``_grid_pass``) evaluates K15 and the embedded |K15 - G7| estimate at
+    every time of the grid on the final panels. Every sample must hold
+    |K15 - G7| <= rel_tol int |g| dk; a miss raises NumericsError naming the
+    worst sample. The reported ``error_estimate`` bounds |A| everywhere: the
+    larger of the refinement's summed estimate and the worst per-sample one,
+    over 2 pi. int |g| dk = 0 gives an exactly zero grid and a ``no_signal``
+    warning.
     """
     edges = _initial_edges(spec, mass, L, float(times[0]), float(times[-1]))
-    chosen = np.zeros(times.size, dtype=bool)  # the representative samples
-    chosen[np.linspace(0, times.size - 1, _N_REP).astype(int)] = True
-    rounds = rechecks = 0
-    while True:
-        f = _integrand(smooth, mass, L, times[chosen])
-        try:
-            quad = _quadrature.adaptive_quad(f, edges, rel_tol, max_panels=GRID_MAX_PANELS,
-                                             max_rounds=GRID_MAX_ROUNDS - rounds)
-        except NumericsError as exc:
-            exc.diagnostics["refinement_rounds"] += rounds
-            raise
-        rounds += quad.rounds
-        amps, err, time_blocks = _grid_pass(smooth, mass, L, quad, times)
-        # an all-zero grid (alpha = 0) has err = tol = 0 and passes
-        tol = rel_tol * float(quad.value[-1].real)
-        miss = np.flatnonzero(err > tol)
-        if miss.size == 0:
-            break
-        worst = miss[np.argsort(err[miss])[::-1][:_N_REP]]
-        if chosen[worst].all():
-            raise NumericsError(
-                "quadrature failed to converge on the full time grid",
-                diagnostics={"panels": int(quad.lo.size), "refinement_rounds": rounds,
-                             "total_error": float(np.max(err)), "tolerance": tol,
-                             "worst_time": float(times[worst[0]])})
-        chosen[worst] = True
-        edges = np.append(np.sort(quad.lo), np.max(quad.hi))
-        rechecks += 1
+    rep_times = times[np.linspace(0, times.size - 1, min(_N_REP, times.size)).astype(int)]
+    quad = _quadrature.adaptive_quad(_integrand(smooth, mass, L, rep_times), edges, rel_tol,
+                                     max_panels=GRID_MAX_PANELS, max_rounds=GRID_MAX_ROUNDS)
+    amps, err, time_blocks = _grid_pass(smooth, mass, L, quad, times)
+    # an all-zero grid (alpha = 0) has err = tol = 0 and passes
+    tol = rel_tol * float(quad.value[-1].real)
+    if np.any(err > tol):
+        raise NumericsError(
+            "quadrature failed to converge on the full time grid",
+            diagnostics={"panels": int(quad.lo.size), "refinement_rounds": quad.rounds,
+                         "total_error": float(np.max(err)), "tolerance": tol,
+                         "worst_time": float(times[np.argmax(err)])})
     if quad.value[-1].real == 0.0:
         warn_regime("no_signal", "int |g| dk = 0 on the packet window (|A_k| underflows "
                     "or alpha = 0 there): the density is exactly 0")
     error = max(quad.error_estimate, float(np.max(err))) / (2.0 * math.pi)
-    diagnostics = {"panels": int(quad.lo.size), "refinement_rounds": rounds,
-                   "error_estimate": error, "grid_rechecks": rechecks,
-                   "time_blocks": time_blocks}
+    diagnostics = {"panels": int(quad.lo.size), "refinement_rounds": quad.rounds,
+                   "error_estimate": error, "time_blocks": time_blocks}
     return amps / (2.0 * math.pi), diagnostics
 
 

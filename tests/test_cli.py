@@ -171,6 +171,16 @@ _INPUT_RULES = [
     # an explicit window leaves span_sigmas unread
     _case(("task", "span_sigmas"), 8.0, "task.span_sigmas",
           task={"kind": "arrival-density", "t_min": 8000.0, "t_max": 9000.0}),
+    # a regime-compare field of another regime: n_peaks is read only for
+    # peaks, decay_spans for continuum and resonance, k0 and
+    # substitute_lorentzian for resonance
+    *(_case(("task", field), value, f"task.{field}") for field, value in (
+        ("k0", 0.5), ("substitute_lorentzian", False), ("decay_spans", 9.0))),
+    *(_case(("task", field), value, f"task.{field}",
+            task={"kind": "regime-compare", "regime": "continuum"})
+      for field, value in (("n_peaks", 99), ("k0", 0.3))),
+    # each height writes its own CSV, which a repeat would overwrite
+    _case(("task", "v0_values"), [0.5, 0.5, 0.2], "task.v0_values[1]", "tunneling-time-scan"),
 ]
 
 
@@ -261,7 +271,7 @@ class TestValidate:
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("task, absorption, path", [
-        pytest.param({"regime": "resonance", "n_peaks": "ten"}, None, "task.n_peaks",
+        pytest.param({"regime": "peaks", "n_peaks": "ten"}, None, "task.n_peaks",
                      id="n_peaks-ten"),
         pytest.param({"regime": "resonance", "k0": "abc"}, None, "task.k0", id="k0-abc"),
         pytest.param({"regime": "resonance", "decay_spans": -2.0}, None, "task.decay_spans",
@@ -509,7 +519,8 @@ class TestRunTasks:
         assert main(["run", cfg]) == 0
         manifest = json.loads((tmp_path / "out" / "quickstart_manifest.json").read_text())
         quad = manifest["diagnostics"]["quadrature"]
-        assert (quad["panels"], quad["refinement_rounds"], quad["grid_rechecks"]) == (73, 12, 0)
+        assert set(quad) == {"panels", "refinement_rounds", "error_estimate", "time_blocks"}
+        assert (quad["panels"], quad["refinement_rounds"]) == (73, 12)
 
     def test_readme_run_does_not_import_numpy_ma(self, tmp_path):
         # numpy.ma loads on the first np.unique of a process, about 13 ms and

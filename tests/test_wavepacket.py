@@ -500,51 +500,51 @@ class TestFullGridErrorControl:
         times = rep.t0 + rep.dt * np.append(np.arange(23)[:, None] + [-0.5, 0.0], 22.5)
         return spec, prof, det, times
 
-    @staticmethod
-    def _first_refinement_stops_at_pre_panels(monkeypatch):
-        calls = []
-        real = wavepacket._quadrature.adaptive_quad
-
-        def adaptive_quad(f, edges, rel_tol, **kw):
-            calls.append(rel_tol)
-            return real(f, edges, 1.0 if len(calls) == 1 else rel_tol, **kw)
-
-        monkeypatch.setattr(wavepacket._quadrature, "adaptive_quad", adaptive_quad)
-        return calls
-
-    def test_grid_check_re_refines_what_the_representative_times_missed(
-            self, trough_grid, monkeypatch):
-        # the first refinement sees nothing to refine; only the full-grid
-        # check can find that the pre-panels miss rel_tol at the peaks
+    @pytest.fixture(scope="class")
+    def trough_reference(self, trough_grid):
         spec, prof, det, times = trough_grid
-        rel_tol = 1e-8
-        calls = self._first_refinement_stops_at_pre_panels(monkeypatch)
+        return np.array([abs(arrival_amplitude(det.position, float(t), spec, prof,
+                                               rel_tol=1e-11)) for t in times])
+
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-8, 1e-10])
+    def test_every_sample_holds_the_error_estimate(self, trough_grid, trough_reference,
+                                                   rel_tol):
+        # the panels are refined on the troughs only, yet every sample,
+        # the peaks between them included, lies within error_estimate
+        spec, prof, det, times = trough_grid
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RegimeWarning)
             dist = arrival_density(times, spec, prof, det, rel_tol=rel_tol)
-        monkeypatch.undo()
-        quad = dist.metadata["quadrature"]
-        assert quad["grid_rechecks"] >= 1 and len(calls) == quad["grid_rechecks"] + 1
-        assert quad["refinement_rounds"] > 0
-        ref = np.array([abs(arrival_amplitude(det.position, float(t), spec, prof,
-                                              rel_tol=1e-11)) for t in times])
-        assert np.argmax(ref) % 2 == 1  # the highest sample is a peak sample
+        ref = trough_reference
+        assert times.size == 47 and np.argmax(ref) % 2 == 1  # the highest is a peak sample
         dev = np.abs(np.sqrt(dist.density) - ref)
+        assert np.max(dev) <= dist.metadata["quadrature"]["error_estimate"]
         assert np.max(dev) <= rel_tol * np.max(ref)
-        assert np.max(dev) <= quad["error_estimate"]
 
     def test_grid_miss_that_refinement_cannot_fix_raises(self, trough_grid, monkeypatch):
+        # refinement stopped at the pre-panels misses rel_tol at the peaks
         spec, prof, det, times = trough_grid
         real = wavepacket._quadrature.adaptive_quad
-        monkeypatch.setattr(wavepacket._quadrature, "adaptive_quad",
-                            lambda f, edges, rel_tol, **kw: real(f, edges, 1.0, **kw))
+        quads = []
+
+        def adaptive_quad(f, edges, rel_tol, **kw):
+            quads.append(real(f, edges, 1.0, **kw))
+            return quads[-1]
+
+        monkeypatch.setattr(wavepacket._quadrature, "adaptive_quad", adaptive_quad)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RegimeWarning)
             with pytest.raises(NumericsError, match="full time grid") as exc:
                 arrival_density(times, spec, prof, det, rel_tol=1e-8)
         diag = exc.value.diagnostics
+        assert set(diag) == {"panels", "refinement_rounds", "total_error", "tolerance",
+                             "worst_time"}
+        assert len(quads) == 1 and diag["panels"] == quads[0].lo.size
         assert diag["total_error"] > diag["tolerance"] > 0.0
-        assert diag["worst_time"] in times
+        smooth = wavepacket._smooth_part(spec, prof, det.absorption_at)
+        _, err, _ = wavepacket._grid_pass(smooth, M, det.position, quads[0], times)
+        assert diag["total_error"] == np.max(err)
+        assert diag["worst_time"] == times[np.argmax(err)]
 
     def test_grid_wholly_in_the_tails_converges(self, barrier_run):
         # t_bar + sigma_t [7, 7 1/3, 7 2/3, 8], uniform on one tail: every
