@@ -1,15 +1,16 @@
 """Adaptive Gauss-Kronrod quadrature for complex integrands.
 
 One routine, :func:`adaptive_quad`, integrates m integrands on a shared
-panel set. The (G7, K15) pair gives an embedded error estimate per panel.
-Oscillatory integrands are pre-panelled so a panel spans ~pi of phase at the
-caller-supplied worst-case phase rate, up to 20000 pre-panels; past that cap
-a pre-panel spans more (a single barrier (0.5, 5) over t in [0, 6e6] asks for
-43595 and converges on 20000 of about 2.2 pi in 0 rounds). On a pure phase
-e^{iwx} over pi the embedded G7 rule errs by 5.7e-13 of the panel's weight,
-and K15 only by rounding; adaptive bisection then refines wherever the embedded
-estimate misses the tolerance, which also finds the *amplitude* structure
-(narrow resonances, packet edges) the phase bound cannot see.
+panel set, within one budget of MAX_PANELS panels and MAX_ROUNDS rounds. The
+(G7, K15) pair gives an embedded error estimate per panel. Oscillatory
+integrands are pre-panelled so a panel spans ~pi of phase at the
+caller-supplied worst-case phase rate, 32 to MAX_PANELS // 3 pre-panels; past
+that cap a pre-panel spans more (a single barrier (0.5, 5) over t in [0, 6e6]
+asks for 43595 and converges on 20000 of about 2.2 pi in 0 rounds). On a pure
+phase e^{iwx} over pi the embedded G7 rule errs by 5.7e-13 of the panel's
+weight, and K15 only by rounding; adaptive bisection then refines wherever the
+embedded estimate misses the tolerance, which also finds the *amplitude*
+structure (narrow resonances, packet edges) the phase bound cannot see.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ _WG = np.array([
 _GAUSS_IDX = np.arange(1, 15, 2)
 
 NODES_PER_PANEL = 15
-# pre-panelling of oscillatory integrands: phase per panel, panel count cap
-_MAX_STEP_PHASE = math.pi
-_MAX_PHASE_PANELS = 20000
+MAX_PANELS = 60000  # panel limit of every adaptive_quad run
+MAX_ROUNDS = 60  # bisection rounds of every adaptive_quad run
+_MAX_STEP_PHASE = math.pi  # phase a pre-panel spans
 
 
 def panel_nodes(a: np.ndarray, b: np.ndarray):
@@ -92,17 +93,18 @@ def panel_nodes(a: np.ndarray, b: np.ndarray):
 
 
 def phase_panel_count(a: float, b: float, max_phase_rate: float) -> float:
-    """Panels on [a, b] that each span < _MAX_STEP_PHASE of phase, before the
-    _MAX_PHASE_PANELS cap; a float, inf when the phase overflows."""
+    """Panels on [a, b] that each span < _MAX_STEP_PHASE of phase, before
+    phase_panels clips the count; a float, inf when the phase overflows."""
     return float(np.ceil(abs(max_phase_rate) * (b - a) / _MAX_STEP_PHASE)) + 1.0
 
 
 def phase_panels(a: float, b: float, max_phase_rate: float) -> np.ndarray:
     """Panel edges on [a, b] so each panel spans < _MAX_STEP_PHASE (~pi) of
-    phase (at most _MAX_PHASE_PANELS panels)."""
+    phase, clipped to at least 32 panels, which resolve a packet envelope when
+    the phase is slow, and at most MAX_PANELS // 3, which leaves room to bisect."""
     if b <= a:
         raise NumericsError(f"empty integration interval [{a}, {b}]")
-    n = int(min(phase_panel_count(a, b, max_phase_rate), _MAX_PHASE_PANELS))
+    n = int(min(max(phase_panel_count(a, b, max_phase_rate), 32), MAX_PANELS // 3))
     return np.linspace(a, b, n + 1)
 
 
@@ -126,8 +128,7 @@ def _panel_sums(f, lo: np.ndarray, hi: np.ndarray):
     return sums[:, 0], sums[:, 1]
 
 
-def adaptive_quad(f, edges: np.ndarray, rel_tol: float, max_panels: int = 20000,
-                  max_rounds: int = 200) -> Quadrature:
+def adaptive_quad(f, edges: np.ndarray, rel_tol: float) -> Quadrature:
     """Integrate f over [edges[0], edges[-1]], starting from the given panels.
 
     f maps an array of n nodes to an (n, m) complex array: m integrands that
@@ -136,13 +137,13 @@ def adaptive_quad(f, edges: np.ndarray, rel_tol: float, max_panels: int = 20000,
     below rel_tol times the largest column integral; a column whose integral
     vanishes by cancellation counts as 1e-8 of its summed |K15|. Raises
     NumericsError on a non-finite error estimate, before a round whose
-    bisections would exceed max_panels panels, or when max_rounds rounds of
+    bisections would exceed MAX_PANELS panels, or when MAX_ROUNDS rounds of
     bisection leave the error above tolerance.
     """
     edges = np.asarray(edges, dtype=float)
     lo, hi = edges[:-1], edges[1:]
     k15, g7 = _panel_sums(f, lo, hi)
-    for rounds in range(max_rounds + 1):
+    for rounds in range(MAX_ROUNDS + 1):
         err = np.max(np.abs(k15 - g7), axis=1)
         total = float(np.sum(err))
         scale = np.maximum(np.abs(np.sum(k15, axis=0)), np.sum(np.abs(k15), axis=0) * 1e-8)
@@ -151,7 +152,7 @@ def adaptive_quad(f, edges: np.ndarray, rel_tol: float, max_panels: int = 20000,
             return Quadrature(np.sum(k15, axis=0), lo, hi, total, rounds)
         # split every panel contributing more than its fair share of budget
         bad = err > max(tol / lo.size, float(np.max(err)) * 0.25)
-        if not math.isfinite(total) or lo.size + np.sum(bad) > max_panels or rounds == max_rounds:
+        if not math.isfinite(total) or lo.size + np.sum(bad) > MAX_PANELS or rounds == MAX_ROUNDS:
             worst = int(np.argmax(np.where(np.isfinite(err), err, np.inf)))
             reason = ("error estimate is not finite" if not math.isfinite(total)
                       else "failed to converge")

@@ -24,13 +24,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__, analysis
-from .errors import ConfigError, NumericsError, PhysicsDomainError, RegimeWarning, TunnelKitError
+from . import __version__, _quadrature, analysis
+from .errors import ConfigError, PhysicsDomainError, RegimeWarning, TunnelKitError
 from .kinematics import relativistic_kinematics
 from .scattering import PotentialProfile, piecewise_amplitudes, tunneling_window
-from .wavepacket import (DENSITY_REL_TOL, GRID_MAX_PANELS, GRID_SPAN_SIGMAS, DetectorSpec,
-                         WavePacketSpec, _write_csv, _write_json, arrival_density,
-                         prepanel_count, stationary_phase_time)
+from .wavepacket import (DENSITY_REL_TOL, GRID_SPAN_SIGMAS, DetectorSpec, WavePacketSpec,
+                         _write_csv, _write_json, arrival_density, prepanel_count,
+                         stationary_phase_time)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +164,9 @@ def parse_scenario(config: dict, out_override: str | None = None) -> Scenario:
     rest = dict(config)
     name = _get(rest, "name", "")
     _expect(isinstance(name, str) and name != "", "name", "must be a non-empty string")
+    # every artifact path is <out>/<name>_<suffix>
+    _expect("/" not in name and "\\" not in name, "name",
+            f"must not contain '/' or '\\', got {name!r}")
     fields = _get(rest, "task", "", _object)
     kind = _get(fields, "kind", "task")
     _expect(kind in _TASKS, "task.kind", f"must be one of {', '.join(_TASKS)}; got {kind!r}")
@@ -203,12 +206,17 @@ def parse_scenario(config: dict, out_override: str | None = None) -> Scenario:
         _below_window_edge(barrier, packet.p, "packet.p")
     if params.get("k0") is not None:
         _below_window_edge(barrier, params["k0"], "task.k0")
+    elif params.get("regime") == "resonance":  # the runner takes the nearest resonance
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the search warns again at run time
+            n = analysis.find_resonances(*barrier.as_symmetric_double(), barrier.mass).size
+        _expect(n > 0, "task.k0", "no resonances inside the tunneling window")
     if kind == "arrival-density" and "t_min" in params:
         n = prepanel_count(packet, barrier.mass, detector.position,
                            params["t_min"], params["t_max"])
-        _expect(n <= GRID_MAX_PANELS, "task.t_max",
+        _expect(n <= _quadrature.MAX_PANELS, "task.t_max",
                 f"the time window needs {n:.3g} phase panels, above the panel "
-                f"limit {GRID_MAX_PANELS}")
+                f"limit {_quadrature.MAX_PANELS}")
 
     out = out_override or out or "."
     return Scenario(name=name, kind=kind, barrier=barrier, packet=packet,
@@ -421,8 +429,6 @@ def _run_regime_compare(sc: Scenario) -> tuple[list[Path], dict]:
         k0 = q["k0"]
         if k0 is None:
             res = analysis.find_resonances(v0, a, r, m)
-            if res.size == 0:
-                raise NumericsError("no resonances inside the tunneling window")
             k0 = float(res[int(np.argmin(np.abs(res - spec.p)))])
         gamma_k0 = analysis.decay_rate(k0, v0, a, r, m)
         t_hi = rep.t0 + q["decay_spans"] / gamma_k0

@@ -42,8 +42,6 @@ DENSITY_REL_TOL = 1e-8  # default rel_tol of the arrival amplitude and density
 _WARN_L_OVER_D = 50.0
 _KERNEL_CHUNK = 2 ** 16  # bound on nodes x (A + 2B) kernel-table entries (1 MB) held at once
 _N_REP = 24  # representative times a time-grid refinement integrates
-GRID_MAX_PANELS = 60000  # panel limit of a time-grid refinement
-GRID_MAX_ROUNDS = 60  # bisection rounds of a time-grid refinement
 _CSV_BLOCK = 1024  # CSV rows formatted per write
 
 
@@ -338,16 +336,14 @@ def _phase_rate(spec: WavePacketSpec, mass: float, L: float, t_lo: float, t_hi: 
 def prepanel_count(spec: WavePacketSpec, mass: float, L: float, t_lo: float,
                    t_hi: float) -> float:
     """Phase pre-panels of the times [t_lo, t_hi] at a detector at L, before
-    any cap. A window above GRID_MAX_PANELS cannot converge."""
+    phase_panels clips them to a third of the panel limit, so a window above
+    that limit can still converge."""
     return _quadrature.phase_panel_count(*spec.k_window,
                                          _phase_rate(spec, mass, L, t_lo, t_hi))
 
 
 def _initial_edges(spec: WavePacketSpec, mass: float, L: float, t_lo: float, t_hi: float):
-    edges = _quadrature.phase_panels(*spec.k_window, _phase_rate(spec, mass, L, t_lo, t_hi))
-    if edges.size - 1 < 32:  # resolve the packet envelope even when slow
-        edges = np.linspace(*spec.k_window, 33)
-    return edges
+    return _quadrature.phase_panels(*spec.k_window, _phase_rate(spec, mass, L, t_lo, t_hi))
 
 
 def _integrand(smooth, mass: float, L: float, times: np.ndarray):
@@ -448,9 +444,9 @@ def _shared_panel_amplitudes(smooth, spec: WavePacketSpec, mass: float, L: float
                              times: np.ndarray, rel_tol: float):
     """Amplitudes on a whole time grid from one adaptively refined panel set.
 
-    The panels are refined, within GRID_MAX_PANELS panels and GRID_MAX_ROUNDS
-    rounds, on up to 24 representative samples evenly spread over the grid and
-    on |g|, the integrand without its phase: int |g| dk bounds every |A|, and
+    The panels are refined, within the panel and round limits of
+    ``_quadrature``, on up to 24 representative samples evenly spread over the
+    grid and on |g|, the integrand without its phase: int |g| dk bounds every |A|, and
     rel_tol is relative to it, as in arrival_amplitude. Then one pass
     (``_grid_pass``) evaluates K15 and the embedded |K15 - G7| estimate at
     every time of the grid on the final panels. Every sample must hold
@@ -462,8 +458,7 @@ def _shared_panel_amplitudes(smooth, spec: WavePacketSpec, mass: float, L: float
     """
     edges = _initial_edges(spec, mass, L, float(times[0]), float(times[-1]))
     rep_times = times[np.linspace(0, times.size - 1, min(_N_REP, times.size)).astype(int)]
-    quad = _quadrature.adaptive_quad(_integrand(smooth, mass, L, rep_times), edges, rel_tol,
-                                     max_panels=GRID_MAX_PANELS, max_rounds=GRID_MAX_ROUNDS)
+    quad = _quadrature.adaptive_quad(_integrand(smooth, mass, L, rep_times), edges, rel_tol)
     amps, err, time_blocks = _grid_pass(smooth, mass, L, quad, times)
     # an all-zero grid (alpha = 0) has err = tol = 0 and passes
     tol = rel_tol * float(quad.value[-1].real)

@@ -17,8 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tunnelkit import (DetectorSpec, PhysicsDomainError, PotentialProfile, cli, decay_rate,
-                       double_barrier_report, find_resonances, piecewise_amplitudes)
+from tunnelkit import (DetectorSpec, PhysicsDomainError, PotentialProfile, _quadrature, cli,
+                       decay_rate, double_barrier_report, find_resonances,
+                       piecewise_amplitudes)
 from tunnelkit.cli import main
 
 
@@ -338,6 +339,36 @@ class TestValidate:
                                           **_resonance_double(substitute_lorentzian="no")})
         assert main(["validate", cfg]) == 1
         assert "task.substitute_lorentzian" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("name", ["../escaped", "sub/scan", "sub\\scan"])
+    def test_name_with_a_path_separator(self, tmp_path, capsys, command, name):
+        # the name prefixes every artifact, which must stay inside the output dir
+        out = tmp_path / "out"
+        cfg = _write(tmp_path, "c.json", {
+            "name": name, **_sections("transmission-scan"),
+            "task": {"kind": "transmission-scan", "k_min": 0.1, "k_max": 0.6, "n_k": 4}})
+        assert main([command, cfg, *(["--out", str(out)] if command == "run" else [])]) == 1
+        assert "config error: name: " in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_resonance_regime_without_resonances(self, tmp_path, capsys, command):
+        # the (0.4, 0.5, 1.0) double has no resonance in its tunneling window,
+        # so a run without k0 has none to take; with k0 it is a valid config
+        cfg = {"name": "nores",
+               "barrier": {"mass": 1.0, "segments": [{"v": 0.4, "w": 0.5}, {"v": 0.0, "w": 1.0},
+                                                     {"v": 0.4, "w": 0.5}]},
+               "packet": {"shape": "lorentzian", "p": 0.5, "sigma_p": 0.01, "x0": 500.0},
+               "detector": {"position": 200.0},
+               "task": {"kind": "regime-compare", "regime": "resonance", "k0": 0.5},
+               "output": {"dir": str(tmp_path / "out")}}
+        assert main(["validate", _write(tmp_path, "c.json", cfg)]) == 0
+        del cfg["task"]["k0"]
+        assert main([command, _write(tmp_path, "c.json", cfg)]) == 1
+        assert capsys.readouterr().err.endswith(
+            "config error: task.k0: no resonances inside the tunneling window\n")
+        assert not (tmp_path / "out").exists()
 
     def test_readme_config_validates(self, tmp_path):
         # the documented schema and the parser cannot drift apart unnoticed
@@ -767,19 +798,13 @@ class TestManifestAndDeterminism:
         assert sorted(c["density"] for c in fits) == ["direct", "resonance"]
         assert all(c["n_points"] >= 10 and c["window"][0] < c["window"][1] for c in fits)
 
-    def test_numeric_failure_exit_code(self, tmp_path, capsys):
-        # a double barrier too short to host any resonance: regime-compare
-        # in resonance mode has nothing to lock onto
-        cfg = _write(tmp_path, "c.json", {
-            "name": "nores",
-            "barrier": {"mass": 1.0, "segments": [{"v": 0.05, "w": 0.3},
-                                                  {"v": 0.0, "w": 0.4},
-                                                  {"v": 0.05, "w": 0.3}]},
-            "packet": {"shape": "lorentzian", "p": 0.2, "sigma_p": 0.01, "x0": 500.0},
-            "detector": {"position": 100.0},
-            "task": {"kind": "regime-compare", "regime": "resonance", "n_t": 64},
-            "output": {"dir": str(tmp_path / "out")},
-        })
+    def test_numeric_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        # the README quickstart converges in 7 rounds, so a 2-round limit
+        # leaves a quadrature that cannot meet its tolerance
+        monkeypatch.setattr(_quadrature, "MAX_ROUNDS", 2)
+        cfg = _write(tmp_path, "c.json", {**_readme_config(),
+                                          "output": {"dir": str(tmp_path / "out")}})
+        assert main(["validate", cfg]) == 0
         assert main(["run", cfg]) == 2
         assert "numeric failure" in capsys.readouterr().err
 

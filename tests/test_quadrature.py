@@ -39,6 +39,11 @@ def test_phase_panels_reject_empty_interval(a, b):
         phase_panels(a, b, 10.0)
 
 
+def test_phase_panels_keep_a_floor_of_32():
+    # one radian of phase asks for 2 panels; the packet envelope needs more
+    assert phase_panels(0.0, 1.0, 1.0).size == 33
+
+
 def test_phase_panels_hold_rel_tol_with_few_panels():
     # pi of phase per pre-panel gives a quarter of the pi/4 panels; on a pure
     # phase the one refinement round at 1e-10 bisects them all (640 of 1275)
@@ -83,9 +88,10 @@ def test_cancelling_column_uses_absolute_floor():
     assert abs(quad.value[0]) < 1e-12
 
 
-def test_panel_cap_raises_with_diagnostics():
+def test_panel_cap_raises_with_diagnostics(monkeypatch):
+    monkeypatch.setattr(_quadrature, "MAX_PANELS", 16)
     with pytest.raises(NumericsError, match="failed to converge") as exc:
-        adaptive_quad(_wave([1e3]), np.linspace(0.0, 1.0, 9), 1e-10, max_panels=16)
+        adaptive_quad(_wave([1e3]), np.linspace(0.0, 1.0, 9), 1e-10)
     diag = exc.value.diagnostics
     assert diag["panels"] >= 16
     assert diag["panels"] <= 16  # never above the cap
@@ -94,17 +100,19 @@ def test_panel_cap_raises_with_diagnostics():
     assert 0.0 <= lo < hi <= 1.0 and err > 0.0
 
 
-def test_panel_cap_is_not_overshot():
+def test_panel_cap_is_not_overshot(monkeypatch):
     # the cap is checked before each round: a round that would bisect the
     # 64 panels to 128 is not run, so the failing run reports 64, not 128
+    monkeypatch.setattr(_quadrature, "MAX_PANELS", 100)
     with pytest.raises(NumericsError, match="failed to converge") as exc:
-        adaptive_quad(_wave([1e3]), np.linspace(0.0, 1.0, 9), 1e-10, max_panels=100)
+        adaptive_quad(_wave([1e3]), np.linspace(0.0, 1.0, 9), 1e-10)
     assert 50 < exc.value.diagnostics["panels"] <= 100
 
 
-def test_round_cap_raises():
+def test_round_cap_raises(monkeypatch):
+    monkeypatch.setattr(_quadrature, "MAX_ROUNDS", 2)
     with pytest.raises(NumericsError, match="failed to converge") as exc:
-        adaptive_quad(_wave([1e3]), np.linspace(0.0, 1.0, 9), 1e-10, max_rounds=2)
+        adaptive_quad(_wave([1e3]), np.linspace(0.0, 1.0, 9), 1e-10)
     assert exc.value.diagnostics["refinement_rounds"] == 2
 
 

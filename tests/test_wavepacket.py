@@ -527,8 +527,8 @@ class TestFullGridErrorControl:
         real = wavepacket._quadrature.adaptive_quad
         quads = []
 
-        def adaptive_quad(f, edges, rel_tol, **kw):
-            quads.append(real(f, edges, 1.0, **kw))
+        def adaptive_quad(f, edges, rel_tol):
+            quads.append(real(f, edges, 1.0))
             return quads[-1]
 
         monkeypatch.setattr(wavepacket._quadrature, "adaptive_quad", adaptive_quad)
@@ -655,6 +655,24 @@ class TestUnconvergedRunsFail:
         diag = exc.value.diagnostics
         assert diag["refinement_rounds"] == 60
         assert diag["total_error"] > diag["tolerance"]
+
+    @pytest.mark.parametrize("integral", ["amplitude", "transmission", "density"])
+    def test_every_integral_keeps_the_round_limit(self, integral, monkeypatch):
+        # each converges in 9 to 12 rounds under the real limit
+        spec = WavePacketSpec("gaussian", p=0.35, sigma_p=0.004, x0=700.0)
+        prof = PotentialProfile.double(M, 0.4, 2.5, 300.0)
+        det = DetectorSpec(position=16000.0)
+        t_bar = stationary_phase_time(spec, prof, det.position)
+        sig_t = spec.sigma_x / _velocity(spec.p)
+        run = {"amplitude": lambda: arrival_amplitude(det.position, t_bar, spec, prof),
+               "transmission": lambda: total_transmission(spec, prof),
+               "density": lambda: arrival_density(
+                   np.linspace(t_bar - 10.5 * sig_t, t_bar + 10.5 * sig_t, 64),
+                   spec, prof, det)}[integral]
+        monkeypatch.setattr(wavepacket._quadrature, "MAX_ROUNDS", 2)
+        with pytest.raises(NumericsError, match="failed to converge") as exc:
+            run()
+        assert exc.value.diagnostics["refinement_rounds"] == 2
 
     def test_non_finite_integrand_raises(self):
         spec = WavePacketSpec("gaussian", p=0.35, sigma_p=0.004, x0=700.0)
