@@ -264,34 +264,41 @@ def _segment_product(segments, k, E, m: float):
     E, c = k F(k^2): the transfer denominator D = Dr + i Di = c^2 m12 - m21 +
     ic(m11 + m22) and the reflection numerator NR = NRr + i NRi = m21 + c^2 m12
     + ic(m22 - m11). Each part is real at real (k, E) and analytic in both, so
-    a complex step carries the derivatives in the imaginary parts."""
+    a complex step carries the derivatives in the imaginary parts.
+
+    A segment is evaluated at each node on its own branch only: cos and sin
+    where it propagates (ksq >= 0), the scaled cosh and sinh and the log-scale
+    where it is evanescent. The product starts from the first segment's
+    matrix; the empty profile gives the identity."""
     c = k * matching_weight(k * k, m)
-    m11 = np.ones_like(k)
-    m12 = np.zeros_like(k)
-    m21 = np.zeros_like(k)
-    m22 = np.ones_like(k)
-    logscale = np.zeros_like(k)
-    for v, w in segments:
+    m11 = m22 = np.ones_like(k)
+    m12 = m21 = logscale = np.zeros_like(k)
+    for i, (v, w) in enumerate(segments):
         ksq = (E - v) ** 2 - m * m
         F = matching_weight(ksq, m)
         prop = ksq.real >= 0
+        ev = ~prop
         kap = np.sqrt(np.where(prop, ksq, -ksq))
         phase = kap * w
-        em = np.exp(-2.0 * np.minimum(phase, 400.0))
-        cs = np.where(prop, np.cos(phase), 0.5 * (1.0 + em))
+        cs, snw, scale = np.empty_like(phase), np.empty_like(phase), np.zeros_like(phase)
+        p, kp = phase[prop], kap[prop]
+        cs[prop] = np.cos(p)
         # sin(w kap)/kap, or sinh(w kap)/kap scaled by e^{-w kap}: sin and expm1
         # hold full relative accuracy at tiny phases; 0/0 only at kap = 0 (prop)
         with np.errstate(divide="ignore", invalid="ignore"):
-            snw = np.where(prop, np.where(kap == 0, w, np.sin(phase) / kap),
-                           -np.expm1(-2.0 * phase) / (2.0 * kap))
+            snw[prop] = np.where(kp == 0, w, np.sin(p) / kp)
+        p, kp = phase[ev], kap[ev]
+        cs[ev] = 0.5 * (1.0 + np.exp(-2.0 * np.minimum(p, 400.0)))
+        snw[ev] = -np.expm1(-2.0 * p) / (2.0 * kp)
+        scale[ev] = p
         a12 = snw / F
         a21 = -ksq * F * snw
-        n11 = cs * m11 + a12 * m21
-        n12 = cs * m12 + a12 * m22
-        n21 = a21 * m11 + cs * m21
-        n22 = a21 * m12 + cs * m22
-        m11, m12, m21, m22 = n11, n12, n21, n22
-        logscale = logscale + np.where(prop, 0.0, phase)
+        if i == 0:
+            m11, m12, m21, m22, logscale = cs, a12, a21, cs, scale
+            continue
+        m11, m12, m21, m22 = (cs * m11 + a12 * m21, cs * m12 + a12 * m22,
+                              a21 * m11 + cs * m21, a21 * m12 + cs * m22)
+        logscale = logscale + scale
     return c, c * c * m12 - m21, c * (m11 + m22), m21 + c * c * m12, c * (m22 - m11), logscale
 
 

@@ -6,14 +6,15 @@ The arrival amplitude is the oscillatory momentum integral
 
 evaluated over the packet window [max(0, p - 8 sigma_p), p + 8 sigma_p] with
 adaptive Gauss-Kronrod panels. A time grid shares one refined panel set, and
-so one evaluation of the detection amplitude A_k per node, across all samples.
-The grid must be uniform, and the kernel e^{-iE_k t} factors over blocks of
-about sqrt(T) times into two thin tables, each the powers of one exp per node,
-so the T amplitudes are one matrix product of them. The tables are phased
-in E_k - E_c, E_c a reference energy of the nodes, so their rounding scales
-with the energy spread rather than with E_k t. The product also gives each
-sample's embedded K15 - G7 error, and a grid on which any sample, not only
-the ones refined on, misses rel_tol raises.
+so one evaluation of the detection amplitude A_k per node, across all samples:
+the refinement keeps A_k at every node it evaluates, and the final pass finds
+its nodes among them. The grid must be uniform, and the kernel e^{-iE_k t}
+factors over blocks of about sqrt(T) times into two thin tables, each the
+powers of one exp per node, so the T amplitudes are one matrix product of
+them. The tables are phased in E_k - E_c, E_c a reference energy of the
+nodes, so their rounding scales with the energy spread rather than with
+E_k t. The product also gives each sample's embedded K15 - G7 error, and a
+grid on which any sample, not only the ones refined on, misses rel_tol raises.
 
 Normalization: int |psi0(k)|^2 dk/(2pi) = 1, so the time-integrated density
 is a genuine detection probability (<= 1 for alpha <= 1).
@@ -399,10 +400,19 @@ def _powers(first: np.ndarray, ratio: np.ndarray, count: int) -> np.ndarray:
     return table
 
 
-def _grid_pass(smooth, mass: float, L: float, quad, times: np.ndarray):
+def _grid_pass(mids: np.ndarray, g: np.ndarray, mass: float, L: float, quad,
+               times: np.ndarray, h: float):
     """K15 amplitudes and |K15 - G7| error estimates at every time of the grid.
 
-    The uniform grid (step h, ``_uniform_step``) is read as A blocks of
+    ``mids`` are the midpoints of the panels the refinement evaluated, and
+    ``g`` the integrand without its phase at their nodes, 15 a panel in the
+    ``_quadrature.panel_nodes`` layout. Each final panel is found among them
+    by exact lookup, so no node is evaluated again: panel_nodes is a fixed
+    function of (lo, hi), so a final node is bit-identical to the one its
+    round evaluated, and x[:, 7] (_XK[7] = 0) is each panel's exact midpoint,
+    a unique key. A final panel missing from ``mids`` is an internal error.
+
+    The uniform grid (step h, from ``_uniform_step``) is read as A blocks of
     B = ceil(sqrt(n)) steps, t_{aB+b} = t_0 + (aB + b) h, and the kernel
     factors over them: e^{-iE t_{aB+b}} = e^{-iE t_{aB}} e^{-iE b h}, so with
     U[node, a] = e^{-iE t_{aB}} and V[node, b] = coeff e^{-iE b h} the sums
@@ -421,11 +431,14 @@ def _grid_pass(smooth, mass: float, L: float, quad, times: np.ndarray):
     arguments, and their rounding, to the energy spread times t rather than
     E t, which reaches 1e6 rad on long peak trains.
     """
-    h = _uniform_step(times)
     B = math.ceil(math.sqrt(times.size))
     A = -(-times.size // B)
     x, wk, wg = _quadrature.panel_nodes(quad.lo, quad.hi)
-    s = smooth(x.ravel()).reshape(x.shape) * np.exp(1j * x * L)
+    order = np.argsort(mids)
+    found = order[np.minimum(np.searchsorted(mids[order], x[:, 7]), order.size - 1)]
+    if not np.array_equal(mids[found], x[:, 7]):
+        raise RuntimeError("internal error: a final panel was never evaluated")
+    s = g.reshape(-1, _quadrature.NODES_PER_PANEL)[found] * np.exp(1j * x * L)
     coeff = np.stack([wk * s, (wk - wg) * s]).reshape(2, -1)
     E = relativistic_kinematics(x, mass).energy.ravel()
     E_c = 0.5 * (np.min(E) + np.max(E))
@@ -441,15 +454,17 @@ def _grid_pass(smooth, mass: float, L: float, quad, times: np.ndarray):
 
 
 def _shared_panel_amplitudes(smooth, spec: WavePacketSpec, mass: float, L: float,
-                             times: np.ndarray, rel_tol: float):
+                             times: np.ndarray, h: float, rel_tol: float):
     """Amplitudes on a whole time grid from one adaptively refined panel set.
 
     The panels are refined, within the panel and round limits of
     ``_quadrature``, on up to 24 representative samples evenly spread over the
     grid and on |g|, the integrand without its phase: int |g| dk bounds every |A|, and
-    rel_tol is relative to it, as in arrival_amplitude. Then one pass
-    (``_grid_pass``) evaluates K15 and the embedded |K15 - G7| estimate at
-    every time of the grid on the final panels. Every sample must hold
+    rel_tol is relative to it, as in arrival_amplitude. The refinement keeps
+    g = smooth(k) at every node it evaluates, once each. Then one pass
+    (``_grid_pass``) finds the final panels' values among them and evaluates
+    K15 and the embedded |K15 - G7| estimate at every time of the grid (step
+    h) on the final panels. Every sample must hold
     |K15 - G7| <= rel_tol int |g| dk; a miss raises NumericsError naming the
     worst sample. The reported ``error_estimate`` bounds |A| everywhere: the
     larger of the refinement's summed estimate and the worst per-sample one,
@@ -458,8 +473,17 @@ def _shared_panel_amplitudes(smooth, spec: WavePacketSpec, mass: float, L: float
     """
     edges = _initial_edges(spec, mass, L, float(times[0]), float(times[-1]))
     rep_times = times[np.linspace(0, times.size - 1, min(_N_REP, times.size)).astype(int)]
-    quad = _quadrature.adaptive_quad(_integrand(smooth, mass, L, rep_times), edges, rel_tol)
-    amps, err, time_blocks = _grid_pass(smooth, mass, L, quad, times)
+    # (panel midpoints, g) of every panel batch the refinement evaluates; the
+    # midpoints, not the node arrays: holding those too fragments the heap by
+    # about 3 KB of RSS per arrival density that a caller keeps
+    evaluated = []
+
+    def kept(k):
+        evaluated.append((k[7::_quadrature.NODES_PER_PANEL].copy(), smooth(k)))
+        return evaluated[-1][1]
+    quad = _quadrature.adaptive_quad(_integrand(kept, mass, L, rep_times), edges, rel_tol)
+    mids, g = (np.concatenate(a) for a in zip(*evaluated))
+    amps, err, time_blocks = _grid_pass(mids, g, mass, L, quad, times, h)
     # an all-zero grid (alpha = 0) has err = tol = 0 and passes
     tol = rel_tol * float(quad.value[-1].real)
     if np.any(err > tol):
@@ -491,7 +515,7 @@ def arrival_density(times, spec: WavePacketSpec, profile: PotentialProfile,
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 4 or np.any(np.diff(times) <= 0):
         raise PhysicsDomainError("need an increasing time grid with >= 4 points")
-    _uniform_step(times)
+    h = _uniform_step(times)
     detector.check_far_field(profile)
     mass = profile.mass
     L = detector.position
@@ -509,7 +533,7 @@ def arrival_density(times, spec: WavePacketSpec, profile: PotentialProfile,
                     t_peak=t_bar, recommended_halfspan=span)
 
     smooth = _smooth_part(spec, profile, detector.absorption_at, detection_amplitude)
-    amps, diagnostics = _shared_panel_amplitudes(smooth, spec, mass, L, times, rel_tol)
+    amps, diagnostics = _shared_panel_amplitudes(smooth, spec, mass, L, times, h, rel_tol)
     density = np.abs(amps) ** 2
     meta = {
         "packet": spec.to_dict(),

@@ -301,6 +301,37 @@ class TestPiecewise:
             assert abs(scan.A[i] - one.A) < 1e-14
 
 
+def _bits(z):
+    """The two 64-bit patterns of a complex number: -0.0 differs from 0.0."""
+    return np.array([z], dtype=complex).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("segments, ks", [
+    # both heights' windows end inside the scan (0.8307 and 1.2490), and the
+    # second k is the first segment's threshold itself
+    (((0.3, 4.0), (0.6, 1.5)),
+     np.append(np.linspace(0.7, 1.35, 40), tunneling_window(0.3, 1.0)[1])),
+    (((0.4, 2.5), (0.0, 120.0), (0.4, 2.5)), np.linspace(0.9, 1.05, 31)),
+    ((), np.linspace(0.05, 2.0, 9)),
+    (((0.9, 2000.0),), np.linspace(1.55, 1.68, 27)),  # opaque: T underflows below 1.6155
+], ids=["steps", "double", "empty", "opaque-wall"])
+def test_mixed_branch_scan_matches_single_momenta_bit_for_bit(segments, ks):
+    # one _segment_product call holds propagating and evanescent nodes of the
+    # same segment; each node must come out as if evaluated alone. Alone is a
+    # one-element array: numpy rounds complex scalar arithmetic differently
+    prof = PotentialProfile(1.0, segments)
+    for v, _ in segments:
+        edge = tunneling_window(v, 1.0)[1]
+        assert v == 0.0 or ks.min() < edge < ks.max()
+    scan = piecewise_amplitudes(prof, ks)
+    theta = detection_phase_derivative(prof, ks)
+    for i, k in enumerate(ks):
+        one = piecewise_amplitudes(prof, ks[i:i + 1])
+        for name in ("T", "R", "A"):
+            assert _bits(getattr(scan, name)[i]) == _bits(getattr(one, name)[0]), (name, k)
+        assert theta[i] == detection_phase_derivative(prof, float(k)), k
+
+
 def _transfer_oracle(segments, k, m):
     """T, R of the carried vector (g, F g') at 50 digits. A complex kappa
     covers propagating and evanescent segments with one formula."""

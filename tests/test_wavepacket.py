@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from collections import namedtuple
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from tunnelkit import wavepacket
+from tunnelkit import cli, wavepacket
 from tunnelkit import (
     ArrivalDistribution,
     DetectorSpec,
@@ -51,6 +53,14 @@ def _free_amplitude_oracle(L, t, spec, n=200_001):
     v = k / E
     integrand = np.sqrt(v) * spec.envelope(k) * np.exp(1j * (k * (L + spec.x0) - E * t))
     return np.trapezoid(integrand, k) / (2 * np.pi)
+
+
+def _grid_pass_on(smooth, L, quad, times):
+    """wavepacket._grid_pass on the final panels ``quad``, every node of which
+    is evaluated here once, as the refinement keeps them."""
+    x = wavepacket._quadrature.panel_nodes(quad.lo, quad.hi)[0]
+    return wavepacket._grid_pass(x[:, 7], smooth(x.ravel()), M, L, quad, times,
+                                 wavepacket._uniform_step(times))
 
 
 def _item7_problem():
@@ -399,9 +409,9 @@ class TestFactoredKernel:
         quad = _Panels(edges[:-1], edges[1:])
         smooth = wavepacket._smooth_part(spec, prof, None)
         assert 15 * quad.lo.size >= 3 * (wavepacket._KERNEL_CHUNK // (53 + 2 * 53))
-        k15, diff, _ = wavepacket._grid_pass(smooth, M, L, quad, times)
+        k15, diff, _ = _grid_pass_on(smooth, L, quad, times)
         monkeypatch.setattr(wavepacket, "_KERNEL_CHUNK", 1e12)
-        k15_one, diff_one, _ = wavepacket._grid_pass(smooth, M, L, quad, times)
+        k15_one, diff_one, _ = _grid_pass_on(smooth, L, quad, times)
         peak = np.max(np.abs(k15_one))
         assert np.max(np.abs(k15 - k15_one)) <= 1e-13 * peak
         assert np.max(np.abs(diff - diff_one)) <= 1e-13 * peak
@@ -452,7 +462,7 @@ class TestFactoredKernel:
         edges = wavepacket._initial_edges(spec, M, L, times[0], times[-1])
         quad = _Panels(edges[:-1], edges[1:])
         smooth = wavepacket._smooth_part(spec, prof, None)
-        k15, _, blocks = wavepacket._grid_pass(smooth, M, L, quad, times)
+        k15, _, blocks = _grid_pass_on(smooth, L, quad, times)
         assert blocks == [53, 53]
         density = np.abs(k15) ** 2
         x, wk, _ = wavepacket._quadrature.panel_nodes(quad.lo, quad.hi)
@@ -479,6 +489,51 @@ class TestFactoredKernel:
             assert grid[j] < 1e-12 * np.max(grid)
             amp = arrival_amplitude(det.position, float(t[j]), spec, prof)
             assert abs(amp) ** 2 == pytest.approx(grid[j], rel=1e-4)
+
+
+class TestOneEvaluationPerNode:
+    """A time grid evaluates A_k once per node: the final pass finds its nodes
+    among the ones the refinement evaluated."""
+
+    @staticmethod
+    def _record(monkeypatch):
+        momenta, quads = [], []
+        scan, grid_pass = wavepacket.detection_amplitude_scan, wavepacket._grid_pass
+
+        def scan_recorded(profile, k):
+            momenta.append(np.array(k, dtype=float))
+            return scan(profile, k)
+
+        def grid_pass_recorded(*args):
+            quads.append(args[4])
+            return grid_pass(*args)
+        monkeypatch.setattr(wavepacket, "detection_amplitude_scan", scan_recorded)
+        monkeypatch.setattr(wavepacket, "_grid_pass", grid_pass_recorded)
+        return momenta, quads
+
+    @staticmethod
+    def _assert_once_per_node(momenta, quads):
+        k = np.sort(np.concatenate(momenta))
+        assert np.all(np.diff(k) > 0)  # no momentum evaluated twice
+        (quad,) = quads
+        final = wavepacket._quadrature.panel_nodes(quad.lo, quad.hi)[0].ravel()
+        assert np.all(np.isin(final, k))
+
+    def test_item7_density(self, monkeypatch):
+        spec, prof, L, times = _item7_problem()
+        momenta, quads = self._record(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)  # L = 10 d is marginal
+            arrival_density(times, spec, prof, DetectorSpec(position=L), rel_tol=1e-7)
+        self._assert_once_per_node(momenta, quads)
+
+    def test_readme_quickstart(self, monkeypatch, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        cfg = tmp_path / "readme.json"
+        cfg.write_text(re.search(r"```json\n(.*?)```", readme, re.S).group(1), encoding="utf-8")
+        momenta, quads = self._record(monkeypatch)
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        self._assert_once_per_node(momenta, quads)
 
 
 class TestFullGridErrorControl:
@@ -542,7 +597,7 @@ class TestFullGridErrorControl:
         assert len(quads) == 1 and diag["panels"] == quads[0].lo.size
         assert diag["total_error"] > diag["tolerance"] > 0.0
         smooth = wavepacket._smooth_part(spec, prof, det.absorption_at)
-        _, err, _ = wavepacket._grid_pass(smooth, M, det.position, quads[0], times)
+        _, err, _ = _grid_pass_on(smooth, det.position, quads[0], times)
         assert diag["total_error"] == np.max(err)
         assert diag["worst_time"] == times[np.argmax(err)]
 
