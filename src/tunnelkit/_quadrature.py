@@ -110,13 +110,15 @@ def phase_panels(a: float, b: float, max_phase_rate: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Quadrature:
-    """Result of :func:`adaptive_quad`: the m integrals and the final panels."""
+    """Result of :func:`adaptive_quad`: the m integrals and the final panels,
+    each with its position among the panels in the order f evaluated them."""
 
     value: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     error_estimate: float
     rounds: int
+    evaluated_at: np.ndarray
 
 
 def _panel_sums(f, lo: np.ndarray, hi: np.ndarray):
@@ -142,6 +144,7 @@ def adaptive_quad(f, edges: np.ndarray, rel_tol: float) -> Quadrature:
     """
     edges = np.asarray(edges, dtype=float)
     lo, hi = edges[:-1], edges[1:]
+    at = np.arange(lo.size)
     k15, g7 = _panel_sums(f, lo, hi)
     for rounds in range(MAX_ROUNDS + 1):
         err = np.max(np.abs(k15 - g7), axis=1)
@@ -149,7 +152,7 @@ def adaptive_quad(f, edges: np.ndarray, rel_tol: float) -> Quadrature:
         scale = np.maximum(np.abs(np.sum(k15, axis=0)), np.sum(np.abs(k15), axis=0) * 1e-8)
         tol = rel_tol * max(float(np.max(scale)), 1e-300)
         if total <= tol:
-            return Quadrature(np.sum(k15, axis=0), lo, hi, total, rounds)
+            return Quadrature(np.sum(k15, axis=0), lo, hi, total, rounds, at)
         # split every panel contributing more than its fair share of budget
         bad = err > max(tol / lo.size, float(np.max(err)) * 0.25)
         if not math.isfinite(total) or lo.size + np.sum(bad) > MAX_PANELS or rounds == MAX_ROUNDS:
@@ -167,5 +170,7 @@ def adaptive_quad(f, edges: np.ndarray, rel_tol: float) -> Quadrature:
                                 np.concatenate([mid, hi[bad]]))
         k15 = np.concatenate([k15[~bad], nk15])
         g7 = np.concatenate([g7[~bad], ng7])
+        # at still holds the whole last batch, so at.max() + 1 panels were evaluated
+        at = np.concatenate([at[~bad], at.max() + 1 + np.arange(2 * mid.size)])
         lo, hi = (np.concatenate([lo[~bad], lo[bad], mid]),
                   np.concatenate([hi[~bad], mid, hi[bad]]))

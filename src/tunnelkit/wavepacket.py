@@ -7,8 +7,8 @@ The arrival amplitude is the oscillatory momentum integral
 evaluated over the packet window [max(0, p - 8 sigma_p), p + 8 sigma_p] with
 adaptive Gauss-Kronrod panels. A time grid shares one refined panel set, and
 so one evaluation of the detection amplitude A_k per node, across all samples:
-the refinement keeps A_k at every node it evaluates, and the final pass finds
-its nodes among them. The grid must be uniform, and the kernel e^{-iE_k t}
+the refinement keeps A_k at every node it evaluates, and the final pass reads
+them by evaluation order. The grid must be uniform, and the kernel e^{-iE_k t}
 factors over blocks of about sqrt(T) times into two thin tables, each the
 powers of one exp per node, so the T amplitudes are one matrix product of
 them. The tables are phased in E_k - E_c, E_c a reference energy of the
@@ -400,17 +400,13 @@ def _powers(first: np.ndarray, ratio: np.ndarray, count: int) -> np.ndarray:
     return table
 
 
-def _grid_pass(mids: np.ndarray, g: np.ndarray, mass: float, L: float, quad,
-               times: np.ndarray, h: float):
+def _grid_pass(g: np.ndarray, mass: float, L: float, quad, times: np.ndarray, h: float):
     """K15 amplitudes and |K15 - G7| error estimates at every time of the grid.
 
-    ``mids`` are the midpoints of the panels the refinement evaluated, and
-    ``g`` the integrand without its phase at their nodes, 15 a panel in the
-    ``_quadrature.panel_nodes`` layout. Each final panel is found among them
-    by exact lookup, so no node is evaluated again: panel_nodes is a fixed
-    function of (lo, hi), so a final node is bit-identical to the one its
-    round evaluated, and x[:, 7] (_XK[7] = 0) is each panel's exact midpoint,
-    a unique key. A final panel missing from ``mids`` is an internal error.
+    ``g`` is the integrand without its phase at the nodes of every panel the
+    refinement evaluated, in evaluation order, 15 a panel in the
+    ``_quadrature.panel_nodes`` layout. Final panel i takes the values of
+    panel ``quad.evaluated_at[i]``, so no node is evaluated again.
 
     The uniform grid (step h, from ``_uniform_step``) is read as A blocks of
     B = ceil(sqrt(n)) steps, t_{aB+b} = t_0 + (aB + b) h, and the kernel
@@ -434,11 +430,7 @@ def _grid_pass(mids: np.ndarray, g: np.ndarray, mass: float, L: float, quad,
     B = math.ceil(math.sqrt(times.size))
     A = -(-times.size // B)
     x, wk, wg = _quadrature.panel_nodes(quad.lo, quad.hi)
-    order = np.argsort(mids)
-    found = order[np.minimum(np.searchsorted(mids[order], x[:, 7]), order.size - 1)]
-    if not np.array_equal(mids[found], x[:, 7]):
-        raise RuntimeError("internal error: a final panel was never evaluated")
-    s = g.reshape(-1, _quadrature.NODES_PER_PANEL)[found] * np.exp(1j * x * L)
+    s = g.reshape(-1, _quadrature.NODES_PER_PANEL)[quad.evaluated_at] * np.exp(1j * x * L)
     coeff = np.stack([wk * s, (wk - wg) * s]).reshape(2, -1)
     E = relativistic_kinematics(x, mass).energy.ravel()
     E_c = 0.5 * (np.min(E) + np.max(E))
@@ -461,10 +453,10 @@ def _shared_panel_amplitudes(smooth, spec: WavePacketSpec, mass: float, L: float
     ``_quadrature``, on up to 24 representative samples evenly spread over the
     grid and on |g|, the integrand without its phase: int |g| dk bounds every |A|, and
     rel_tol is relative to it, as in arrival_amplitude. The refinement keeps
-    g = smooth(k) at every node it evaluates, once each. Then one pass
-    (``_grid_pass``) finds the final panels' values among them and evaluates
-    K15 and the embedded |K15 - G7| estimate at every time of the grid (step
-    h) on the final panels. Every sample must hold
+    g = smooth(k) of each panel batch it evaluates, once each. Then one pass
+    (``_grid_pass``) takes the final panels' values from them by evaluation
+    order and evaluates K15 and the embedded |K15 - G7| estimate at every time
+    of the grid (step h) on the final panels. Every sample must hold
     |K15 - G7| <= rel_tol int |g| dk; a miss raises NumericsError naming the
     worst sample. The reported ``error_estimate`` bounds |A| everywhere: the
     larger of the refinement's summed estimate and the worst per-sample one,
@@ -473,17 +465,13 @@ def _shared_panel_amplitudes(smooth, spec: WavePacketSpec, mass: float, L: float
     """
     edges = _initial_edges(spec, mass, L, float(times[0]), float(times[-1]))
     rep_times = times[np.linspace(0, times.size - 1, min(_N_REP, times.size)).astype(int)]
-    # (panel midpoints, g) of every panel batch the refinement evaluates; the
-    # midpoints, not the node arrays: holding those too fragments the heap by
-    # about 3 KB of RSS per arrival density that a caller keeps
-    evaluated = []
+    evaluated = []  # g of every panel batch the refinement evaluates
 
     def kept(k):
-        evaluated.append((k[7::_quadrature.NODES_PER_PANEL].copy(), smooth(k)))
-        return evaluated[-1][1]
+        evaluated.append(smooth(k))
+        return evaluated[-1]
     quad = _quadrature.adaptive_quad(_integrand(kept, mass, L, rep_times), edges, rel_tol)
-    mids, g = (np.concatenate(a) for a in zip(*evaluated))
-    amps, err, time_blocks = _grid_pass(mids, g, mass, L, quad, times, h)
+    amps, err, time_blocks = _grid_pass(np.concatenate(evaluated), mass, L, quad, times, h)
     # an all-zero grid (alpha = 0) has err = tol = 0 and passes
     tol = rel_tol * float(quad.value[-1].real)
     if np.any(err > tol):

@@ -21,6 +21,7 @@ from tunnelkit import (DetectorSpec, PhysicsDomainError, PotentialProfile, _quad
                        decay_rate, double_barrier_report, find_resonances,
                        piecewise_amplitudes)
 from tunnelkit.cli import main
+from tunnelkit.errors import warn_regime
 
 
 def _write(tmp_path, name, payload):
@@ -350,6 +351,21 @@ class TestValidate:
             "task": {"kind": "transmission-scan", "k_min": 0.1, "k_max": 0.6, "n_k": 4}})
         assert main([command, cfg, *(["--out", str(out)] if command == "run" else [])]) == 1
         assert "config error: name: " in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("field", ["name", "output.dir"])
+    def test_nul_character_in_name_or_output_dir(self, tmp_path, capsys, command, field):
+        # a NUL would reach the file system as an embedded null byte
+        cfg = {"name": "scan", **_sections("transmission-scan"),
+               "task": {"kind": "transmission-scan", "k_min": 0.1, "k_max": 0.6, "n_k": 4},
+               "output": {"dir": str(tmp_path / "out")}}
+        if field == "name":
+            cfg["name"] = "sc\0an"
+        else:
+            cfg["output"]["dir"] = str(tmp_path / "o\0ut")
+        assert main([command, _write(tmp_path, "c.json", cfg)]) == 1
+        assert f"config error: {field}: " in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
     @pytest.mark.parametrize("command", ["validate", "run"])
@@ -797,6 +813,30 @@ class TestManifestAndDeterminism:
         fits = [w["context"] for w in found if w["code"] == "fit_quality"]
         assert sorted(c["density"] for c in fits) == ["direct", "resonance"]
         assert all(c["n_points"] >= 10 and c["window"][0] < c["window"][1] for c in fits)
+
+    def test_resonance_regime_without_k0_searches_once(self, tmp_path, monkeypatch):
+        # parsing picks the resonance nearest p and the run takes it from there;
+        # a warning of that one search reaches the manifest once, with the
+        # far-field one before it: the parser's warnings come first
+        cfg = _resonance_double()
+        search, calls = cli.analysis.find_resonances, []
+
+        def warns(*args, **kwargs):
+            calls.append(args)
+            warn_regime("resonance_verification", "1 resonance candidate dropped",
+                        dropped=[0.5])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(cli.analysis, "find_resonances", warns)
+        path = _write(tmp_path, "c.json", {"name": "k0", **cfg,
+                                           "output": {"dir": str(tmp_path / "out")}})
+        assert main(["run", path]) == 0
+        assert len(calls) == 1
+        manifest = json.loads((tmp_path / "out" / "k0_manifest.json").read_text())
+        codes = [w["code"] for w in manifest["warnings"]]
+        assert codes.count("resonance_verification") == 1
+        assert codes[:2] == ["far_field_marginal", "resonance_verification"]
+        assert manifest["diagnostics"]["k0"] == pytest.approx(cfg["packet"]["p"], abs=1e-9)
 
     def test_numeric_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         # the README quickstart converges in 7 rounds, so a 2-round limit

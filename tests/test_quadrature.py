@@ -81,6 +81,23 @@ def test_repeated_column_reproduces_one_column_run():
     np.testing.assert_allclose(triple.value, single.value[0], rtol=1e-13, atol=0)
 
 
+def test_evaluated_at_points_each_final_panel_at_its_evaluation():
+    # a narrow peak bisects a few panels round after round, so the final
+    # panels mix every round's batches out of evaluation order
+    evaluated = []
+
+    def peak(x):
+        evaluated.append(x.reshape(-1, _quadrature.NODES_PER_PANEL).copy())
+        return (1.0 / ((x - 0.3) ** 2 + 1e-6))[:, None] + 0j
+
+    quad = adaptive_quad(peak, np.linspace(0.0, 1.0, 9), 1e-10)
+    assert quad.rounds >= 2
+    nodes = np.concatenate(evaluated)
+    assert np.unique(quad.evaluated_at).size == quad.lo.size
+    final = _quadrature.panel_nodes(quad.lo, quad.hi)[0]
+    np.testing.assert_array_equal(nodes[quad.evaluated_at], final)
+
+
 def test_cancelling_column_uses_absolute_floor():
     # int_0^{2 pi} sin x dx = 0: relative accuracy is meaningless, the
     # 1e-8 sum|K15| floor lets the run converge instead of refining forever

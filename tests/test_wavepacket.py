@@ -38,7 +38,7 @@ from tunnelkit import (
 
 M = 1.0
 FREE = PotentialProfile(M, ())  # free propagation: the empty profile
-_Panels = namedtuple("_Panels", "lo hi")
+_Panels = namedtuple("_Panels", "lo hi evaluated_at", defaults=(None,))
 
 
 def _velocity(p):
@@ -57,9 +57,10 @@ def _free_amplitude_oracle(L, t, spec, n=200_001):
 
 def _grid_pass_on(smooth, L, quad, times):
     """wavepacket._grid_pass on the final panels ``quad``, every node of which
-    is evaluated here once, as the refinement keeps them."""
+    is evaluated here once, in panel order, as the refinement keeps them."""
     x = wavepacket._quadrature.panel_nodes(quad.lo, quad.hi)[0]
-    return wavepacket._grid_pass(x[:, 7], smooth(x.ravel()), M, L, quad, times,
+    in_order = _Panels(quad.lo, quad.hi, np.arange(quad.lo.size))
+    return wavepacket._grid_pass(smooth(x.ravel()), M, L, in_order, times,
                                  wavepacket._uniform_step(times))
 
 
@@ -492,8 +493,8 @@ class TestFactoredKernel:
 
 
 class TestOneEvaluationPerNode:
-    """A time grid evaluates A_k once per node: the final pass finds its nodes
-    among the ones the refinement evaluated."""
+    """A time grid evaluates A_k once per node: the final pass takes its nodes
+    from the ones the refinement evaluated."""
 
     @staticmethod
     def _record(monkeypatch):
@@ -505,7 +506,7 @@ class TestOneEvaluationPerNode:
             return scan(profile, k)
 
         def grid_pass_recorded(*args):
-            quads.append(args[4])
+            quads.append(args[3])
             return grid_pass(*args)
         monkeypatch.setattr(wavepacket, "detection_amplitude_scan", scan_recorded)
         monkeypatch.setattr(wavepacket, "_grid_pass", grid_pass_recorded)
