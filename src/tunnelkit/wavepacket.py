@@ -22,6 +22,8 @@ is a genuine detection probability (<= 1 for alpha <= 1).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 import os
@@ -43,7 +45,7 @@ DENSITY_REL_TOL = 1e-8  # default rel_tol of the arrival amplitude and density
 _WARN_L_OVER_D = 50.0
 _KERNEL_CHUNK = 2 ** 16  # bound on nodes x (A + 2B) kernel-table entries (1 MB) held at once
 _N_REP = 24  # representative times a time-grid refinement integrates
-_CSV_BLOCK = 1024  # CSV rows formatted per write
+_CSV_BLOCK = 512  # CSV rows formatted per write
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +244,11 @@ class ArrivalDistribution:
 
 
 def _write_atomic(path, write) -> None:
-    """Call ``write(f)`` on the sibling ``<path>.part``, then move it over ``path``;
-    if ``write`` raises, the part file is removed and ``path`` left as it was."""
+    """Call ``write(f)`` on the sibling ``<path>.part``, open for bytes, then move it
+    over ``path``; if ``write`` raises, the part file is removed and ``path`` kept."""
     part = f"{path}.part"
     try:
-        with open(part, "w", encoding="utf-8", newline="") as f:
+        with open(part, "wb") as f:
             write(f)
         os.replace(part, path)
     except BaseException:
@@ -254,20 +256,118 @@ def _write_atomic(path, write) -> None:
         raise
 
 
+_P10 = 290  # _g17_tables holds 10^j for |j| <= _P10, all normal doubles
+_G17_RANGE = 1e270  # |x| the vectorized %.17g rounds: 10^(16 - e) stays in the table
+_G17_TIE = 2.0 ** -30  # fractions this near 1/2 go to Python's correctly rounded dtoa
+
+
+@functools.cache
+def _g17_tables():
+    """Built on first use. Indexed by j + _P10: 10^j = hi + lo from exact integers,
+    hi's split, the word "+016" and the layout class (e + 4 if -4 <= e < 17, else
+    21 or 22 for 2 or 3 exponent digits). By n < 10^4: the word "%04d" and its
+    trailing zeros. By (class 17 + last digit) 2 + sign: a field's 24 source bytes."""
+    hi, lo = np.empty(2 * _P10 + 1), np.empty(2 * _P10 + 1)
+    for i, j in enumerate(range(-_P10, _P10 + 1)):
+        a, b = (10 ** j, 1) if j >= 0 else (1, 10 ** -j)
+        num, den = (a / b).as_integer_ratio()
+        hi[i], lo[i] = a / b, (a * den - num * b) / (b * den)
+    e, n = np.arange(-_P10, _P10 + 1), np.arange(10000)
+    exps = np.c_[np.where(e < 0, 45, 43), np.abs(e)[:, None] // [100, 10, 1] % 10 + 48]
+    quads = n[:, None] // [1000, 100, 10, 1] % 10 + 48
+    cls = np.where((e >= -4) & (e < 17), e + 4, np.where(np.abs(e) < 100, 21, 22))
+    layout = []  # source bytes: digit j at 3 + j, "-.0e" at 20, the exponent word, NUL at 28
+    for c, last, sign in itertools.product(range(23), range(17), range(2)):
+        x, digits = c - 4, list(range(3, last + 4))
+        if c >= 21:
+            cols = digits[:1] + [21] * (last > 0) + digits[1:] + [23, 24] \
+                + [25] * (c == 22) + [26, 27]
+        elif x >= 0:
+            cols = list(range(3, x + 4)) + [21] * (last > x) + digits[x + 1:]
+        else:
+            cols = [22, 21] + [22] * (-x - 1) + digits
+        layout.append(bytes([20] * sign + cols).ljust(24, b"\x1c"))
+    words = [np.ascontiguousarray(w, np.uint8).view(np.uint32).ravel() for w in (exps, quads)]
+    return (hi, lo, *_split(hi), *words, sum(n % 10 ** j == 0 for j in (1, 2, 3)), cls,
+            np.frombuffer(b"".join(layout), np.uint8).reshape(-1, 24))
+
+
+def _split(v):
+    """Veltkamp's split v = h + l, exact, h and l of at most 26 bits each."""
+    t = 134217729.0 * v
+    h = t - (t - v)
+    return h, v - h
+
+
+def _g17_fields(x: np.ndarray) -> np.ndarray:
+    """``'%.17g' % v`` of each float64 ``v`` as a NUL-padded row of 24 bytes.
+
+    With 10^e <= |x| < 10^(e+1), exact against the table, the digits are
+    N = round(|x| 10^(16 - e)) from a double-double (Dekker) product, and one
+    gather lays out each value's source bytes. Python formats the rest:
+    non-finite values, |x| outside [1/_G17_RANGE, _G17_RANGE), near-ties."""
+    hi, lo, hih, hil, exps, quads, tz, cls, layout = _g17_tables()
+    a = np.abs(x)
+    fast = (a >= 1.0 / _G17_RANGE) & (a < _G17_RANGE)
+    a = np.where(fast, a, 1.0)
+    i = np.floor(np.log10(a)).astype(np.intp) + _P10  # e + _P10, maybe 1 off
+    i -= (a < hi[i]) | (a == hi[i]) & (lo[i] > 0.0)
+    i += (a > hi[i + 1]) | (a == hi[i + 1]) & (lo[i + 1] <= 0.0)
+    k = 2 * _P10 + 16 - i  # 16 - e + _P10
+    ah, al = _split(a)
+    p = a * hi[k]  # |x| 10^(16 - e) = p + r
+    r = ((ah * hih[k] - p) + ah * hil[k] + al * hih[k]) + al * hil[k] + a * lo[k]
+    fast &= np.abs(r - np.floor(r) - 0.5) >= _G17_TIE
+    # zero prints as 0 (i is _P10 there); the other values not fast are overwritten
+    n = np.where(fast, p.astype(np.int64) + np.floor(r + 0.5).astype(np.int64), 0)
+    i += n == 10 ** 17  # N = 10^17 carries into e
+    n[n == 10 ** 17] = 10 ** 16
+    g = np.empty((x.size, 5), np.int64)  # N in groups of 1, 4, 4, 4, 4 digits
+    for j in range(4, 0, -1):
+        q = n // 10 ** 4
+        g[:, j], n = n - q * 10 ** 4, q
+    g[:, 0] = n
+    last = np.zeros(x.size, np.intp)  # the last nonzero digit
+    for j in range(1, 5):
+        last = np.where(g[:, j] > 0, 4 * j - tz[g[:, j]], last)
+    src = np.zeros((x.size, 8), np.uint32)
+    src[:, :5], src[:, 5], src[:, 6] = quads[g], np.frombuffer(b"-.0e", np.uint32)[0], exps[i]
+    rows = np.take(layout, (cls[i] * 17 + last) * 2 + np.signbit(x), axis=0)
+    out = np.take(src.view(np.uint8).ravel(), rows + np.arange(0, 32 * x.size, 32)[:, None])
+    for j in np.flatnonzero(~fast & (x != 0.0)):
+        out[j] = np.frombuffer((b"%.17g" % float(x[j])).ljust(24, b"\0"), np.uint8)
+    return out
+
+
+def _csv_rows(cols) -> bytes:
+    """Equal-length columns as CSV rows: NUL-padded fields of one width, each
+    with its separator last, joined by dropping the NULs."""
+    num = [j for j, c in enumerate(cols) if c.dtype.kind != "U"]
+    text = {j: np.char.encode(c, "utf-8") for j, c in enumerate(cols) if j not in num}
+    width = max([24] + [b.itemsize for b in text.values()]) + 1
+    buf = np.zeros((cols[0].size, len(cols), width), np.uint8)
+    if num:
+        x = np.stack([cols[j] for j in num], axis=1).astype(np.float64).ravel()
+        buf[:, num, :24] = _g17_fields(x).reshape(-1, len(num), 24)
+    for j, b in text.items():
+        buf[:, j, :b.itemsize] = b.view(np.uint8).reshape(b.size, b.itemsize)
+    buf[:, :, -1] = ord(",")
+    buf[:, -1, -1] = ord("\n")
+    return buf[buf != 0].tobytes()
+
+
 def _write_csv(path, header: list[str], blocks) -> None:
     """Write ``blocks``, each a sequence of equal-length columns, as rows under
-    ``header``, one format string per row: %.17g for numbers, %s for a str
-    column. A scan passes a generator of blocks, so it never holds more than
-    one; rows are written _CSV_BLOCK at a time, by ``_write_atomic``."""
+    ``header``: numbers as ``'%.17g' % v`` (int columns through float64), str
+    columns verbatim. A scan passes a generator of blocks, so it never holds
+    more than one; rows are formatted and written _CSV_BLOCK at a time."""
     def write(f):
-        f.write(",".join(header) + "\n")
+        f.write((",".join(header) + "\n").encode("utf-8"))
         for block in blocks:
             cols = [np.asarray(c) for c in block]
-            line = ",".join("%s" if c.dtype.kind == "U" else "%.17g" for c in cols) + "\n"
             n = cols[0].size if cols else 0
             for i in range(0, n, _CSV_BLOCK):
-                rows = zip(*(c[i:i + _CSV_BLOCK].tolist() for c in cols))
-                f.write("".join([line % row for row in rows]))
+                f.write(_csv_rows([c[i:i + _CSV_BLOCK] for c in cols]))
     _write_atomic(path, write)
 
 
@@ -280,7 +380,7 @@ def _json_default(obj):
 def _write_json(path, obj) -> None:
     """Write obj as indented JSON with sorted keys; numpy values as Python ones."""
     text = json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n"
-    _write_atomic(path, lambda f: f.write(text))
+    _write_atomic(path, lambda f: f.write(text.encode("utf-8")))
 
 
 # ---------------------------------------------------------------------------

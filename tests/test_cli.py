@@ -765,6 +765,61 @@ class TestRunTasks:
         assert "gamma_direct" in summary and "gamma_model" in summary
 
 
+# a run of each task kind, and the label column of each key-value CSV it writes
+_CSV_RUNS = {
+    "transmission-scan": ({"k_min": 1e-300, "k_max": 0.9, "n_k": 40}, {}),
+    "arrival-density": ({"n_t": 64, "rel_tol": 1e-6}, {}),
+    "tunneling-time-scan": ({"d": 5.0, "v0_values": [0.5]}, {}),
+    "resonance-scan": ({"k_min": 0.3, "k_max": 0.4}, {}),
+    "decay-fit": ({"rel_tol": 1e-6},
+                  {"decay_fit.csv": ["t0", "dt", "gamma_fit", "gamma_formula", "r2"]}),
+    "regime-compare": ({"regime": "peaks", "n_peaks": 6, "n_t": 600, "rel_tol": 1e-6},
+                       {"regime_summary.csv": [
+                           "t0_formula", "dt_formula", "gamma_formula", "t0_direct", "t0_model",
+                           "dt_direct", "gamma_direct", "r2_direct",
+                           "dt_model", "gamma_model", "r2_model"]}),
+}
+
+
+class TestCsvFields:
+    def _run(self, tmp_path, kind):
+        """The rows of each CSV of a run of ``kind``, split into fields, with the
+        label column of a key-value CSV checked and dropped."""
+        task, labels = _CSV_RUNS[kind]
+        cfg = _write(tmp_path, "c.json", {"name": "r", **_sections(kind),
+                                          "task": {"kind": kind, **task},
+                                          "output": {"dir": str(tmp_path / "out")}})
+        assert main(["run", cfg]) == 0
+        out = {}
+        for path in sorted((tmp_path / "out").glob("*.csv")):
+            rows = [line.split(",") for line in
+                    path.read_text(encoding="utf-8").splitlines()[1:]]
+            want = labels.get(path.name.removeprefix("r_"))
+            if want is not None:
+                assert [row.pop(0) for row in rows] == want
+            out[path.name] = rows
+        return out
+
+    @pytest.mark.parametrize("kind", list(_CSV_RUNS))
+    def test_every_number_reads_back_as_written(self, tmp_path, kind):
+        # each field s is '%.17g' % v of the value v it parses to
+        for name, rows in self._run(tmp_path, kind).items():
+            assert rows, name
+            for row in rows:
+                assert ["%.17g" % float(s) for s in row] == row, name
+
+    def test_int_column_of_resonance_scan(self, tmp_path):
+        rows = self._run(tmp_path, "resonance-scan")["r_resonance_scan.csv"]
+        assert [row[0] for row in rows] == [str(n) for n in range(len(rows))]
+
+    def test_transmission_scan_from_1e_300(self, tmp_path):
+        # -0 is the vectorized path's zero; the three values below 1e-270 are
+        # formatted by Python
+        first = self._run(tmp_path, "transmission-scan")["r_transmission_scan.csv"][0]
+        assert first[:2] == ["1e-300", "-0"]
+        assert sum(0.0 < abs(float(s)) < 1e-270 for s in first) == 3
+
+
 class TestManifestAndDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         base = _small_double()

@@ -1,5 +1,6 @@
 """Property tests: erfc identities, transfer-matrix unitarity and reciprocity,
-closed forms against the transfer-matrix path.
+closed forms against the transfer-matrix path, and CSV fields against
+Python's '%.17g'.
 
 Examples are derandomized, so every run draws the same cases.
 """
@@ -10,12 +11,14 @@ import math
 
 import mpmath as mp
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tunnelkit import PotentialProfile, double_barrier_T, square_barrier_amplitudes
 from tunnelkit.kinematics import faddeeva_w
 from tunnelkit.scattering import _transfer_TR
+from tunnelkit.wavepacket import _csv_rows
 
 M = 1.0
 _PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -125,3 +128,68 @@ def test_double_closed_form_matches_transfer(v0, a, r, frac):
     closed = double_barrier_T(k, v0, a, r, M)
     T, _ = _transfer_TR(PotentialProfile.double(M, v0, a, r).segments, np.array([k]), M)
     assert abs(closed.T - T[0]) <= _cancellation_tol(k, v0) * max(abs(T[0]), 1e-300)
+
+
+def _percent_rows(cols) -> str:
+    """Rows of columns through Python: '%.17g' for numbers, '%s' for str."""
+    cols = [np.asarray(c) for c in cols]
+    line = ",".join("%s" if c.dtype.kind == "U" else "%.17g" for c in cols) + "\n"
+    return "".join(line % row for row in zip(*(c.tolist() for c in cols)))
+
+
+def _csv_text(cols) -> str:
+    return _csv_rows([np.asarray(c) for c in cols]).decode("utf-8")
+
+
+@_PROPERTY
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=1, max_size=20))
+def test_csv_numbers_are_percent_17g(values):
+    assert _csv_text([values]) == _percent_rows([values])
+
+
+def _exact_ties() -> list[float]:
+    """Doubles halfway between two 17-digit decimals: x = odd / 2^(j+1) with
+    odd 5^j in [2e16, 2e17) and odd < 2^53, so x 10^j = odd 5^j / 2 exactly."""
+    rng = np.random.default_rng(1)
+    ties = [123456789012345.125]
+    for j in range(2, 23):
+        lo, hi = -(-2 * 10 ** 16 // 5 ** j), 2 * 10 ** 17 // 5 ** j
+        ties += [int(odd) / 2 ** (j + 1) for odd in rng.integers(lo, hi, 20) | 1]
+    return ties
+
+
+_POWERS = np.array([float(f"1e{k}") for k in range(-308, 309)])
+
+
+def test_csv_numbers_match_percent_17g_on_a_sweep():
+    bits = np.random.default_rng(0).integers(0, 2 ** 64, 100_000, dtype=np.uint64)
+    switch = [1e-5, 1e-4, np.nextafter(1e-4, 0.0), 1e16, 1e17, np.nextafter(1e17, 0.0),
+              99999999999999999.0]
+    extremes = [5e-324, np.finfo(float).max, 0.0, -0.0, math.nan, math.inf, -math.inf]
+    values = np.concatenate([bits.view(np.float64), _POWERS, np.nextafter(_POWERS, 0.0),
+                             np.nextafter(_POWERS, math.inf), switch, _exact_ties(), extremes])
+    values = np.concatenate([values, -values])
+    assert _csv_text([values]) == _percent_rows([values])
+
+
+@pytest.mark.parametrize("shift", [-0.5, 0.5])
+def test_csv_exponent_is_exact_when_log10_is_a_decade_off(monkeypatch, shift):
+    # the decade estimate floor(log10 |x|) is corrected against the table of
+    # powers of ten, so an estimate one decade off either way changes nothing
+    values = np.concatenate([_POWERS, np.nextafter(_POWERS, 0.0), np.nextafter(_POWERS, math.inf),
+                             np.random.default_rng(2).lognormal(0.0, 50.0, 2000)])
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda v: log10(v) + shift)
+    assert _csv_text([values]) == _percent_rows([values])
+
+
+def test_csv_int_str_and_empty_columns():
+    ints = np.array([0, 7, -12, 2 ** 53, 2 ** 53 + 1, -(2 ** 62) - 1, 2 ** 63 - 1])
+    labels = np.array(["t0", "", "gamma_fit", "ü", "a label longer than twenty-four bytes",
+                       "r2", "x,y"])
+    # as uint64 the negative ints wrap to values near 2^64
+    cols = [labels, ints, ints.astype(np.uint64), np.linspace(0.0, 1.0, ints.size)]
+    assert _csv_text(cols) == _percent_rows(cols)
+    assert _csv_text([np.arange(3)]) == "0\n1\n2\n"
+    assert _csv_text([np.array([]), np.array([], dtype=str)]) == ""
