@@ -8,9 +8,12 @@ caller-supplied worst-case phase rate, 32 to MAX_PANELS // 3 pre-panels; past
 that cap a pre-panel spans more (a single barrier (0.5, 5) over t in [0, 6e6]
 asks for 43595 and converges on 20000 of about 2.2 pi in 0 rounds). On a pure
 phase e^{iwx} over pi the embedded G7 rule errs by 5.7e-13 of the panel's
-weight, and K15 only by rounding; adaptive bisection then refines wherever the
+weight, and K15 only by rounding; adaptive refinement then splits wherever the
 embedded estimate misses the tolerance, which also finds the *amplitude*
-structure (narrow resonances, packet edges) the phase bound cannot see.
+structure (narrow resonances, packet edges) the phase bound cannot see. The
+first round bisects and later rounds quarter, so a resonance one bisection
+left unresolved is chased two levels a round, and fewer rounds, each with its
+fixed cost of numpy calls, are run.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ _GAUSS_IDX = np.arange(1, 15, 2)
 
 NODES_PER_PANEL = 15
 MAX_PANELS = 60000  # panel limit of every adaptive_quad run
-MAX_ROUNDS = 60  # bisection rounds of every adaptive_quad run
+MAX_ROUNDS = 31  # refinement rounds of every adaptive_quad run: 1 + 2 * 30 = 61 levels
 _MAX_STEP_PHASE = math.pi  # phase a pre-panel spans
 
 
@@ -101,7 +104,7 @@ def phase_panel_count(a: float, b: float, max_phase_rate: float) -> float:
 def phase_panels(a: float, b: float, max_phase_rate: float) -> np.ndarray:
     """Panel edges on [a, b] so each panel spans < _MAX_STEP_PHASE (~pi) of
     phase, clipped to at least 32 panels, which resolve a packet envelope when
-    the phase is slow, and at most MAX_PANELS // 3, which leaves room to bisect."""
+    the phase is slow, and at most MAX_PANELS // 3, which leaves room to split."""
     if b <= a:
         raise NumericsError(f"empty integration interval [{a}, {b}]")
     n = int(min(max(phase_panel_count(a, b, max_phase_rate), 32), MAX_PANELS // 3))
@@ -135,12 +138,16 @@ def adaptive_quad(f, edges: np.ndarray, rel_tol: float) -> Quadrature:
 
     f maps an array of n nodes to an (n, m) complex array: m integrands that
     share one panel set. A panel's error is the worst |K15 - G7| over the m
-    columns. Each round bisects the worst panels until the summed error falls
+    columns. Each round splits the worst panels until the summed error falls
     below rel_tol times the largest column integral; a column whose integral
-    vanishes by cancellation counts as 1e-8 of its summed |K15|. Raises
-    NumericsError on a non-finite error estimate, before a round whose
-    bisections would exceed MAX_PANELS panels, or when MAX_ROUNDS rounds of
-    bisection leave the error above tolerance.
+    vanishes by cancellation counts as 1e-8 of its summed |K15|. The first
+    round bisects each bad panel [a, b] at m = (a + b)/2; every later round
+    quarters it at m, (a + m)/2 and (m + b)/2, so each cut is a midpoint of
+    two existing edges and the panels tile [edges[0], edges[-1]] bit for bit.
+    A round's new panels go to f in one call, every parent's first piece
+    first, then every second piece, and so on. Raises NumericsError on a non-finite error estimate, before a
+    round whose splits would exceed MAX_PANELS panels, or when MAX_ROUNDS
+    rounds leave the error above tolerance.
     """
     edges = np.asarray(edges, dtype=float)
     lo, hi = edges[:-1], edges[1:]
@@ -155,7 +162,11 @@ def adaptive_quad(f, edges: np.ndarray, rel_tol: float) -> Quadrature:
             return Quadrature(np.sum(k15, axis=0), lo, hi, total, rounds, at)
         # split every panel contributing more than its fair share of budget
         bad = err > max(tol / lo.size, float(np.max(err)) * 0.25)
-        if not math.isfinite(total) or lo.size + np.sum(bad) > MAX_PANELS or rounds == MAX_ROUNDS:
+        a, b = lo[bad], hi[bad]
+        mid = 0.5 * (a + b)
+        cuts = [a, mid, b] if rounds == 0 else [a, 0.5 * (a + mid), mid, 0.5 * (mid + b), b]
+        added = (len(cuts) - 2) * a.size  # a bisection adds 1 panel, a quartering 3
+        if not math.isfinite(total) or lo.size + added > MAX_PANELS or rounds == MAX_ROUNDS:
             worst = int(np.argmax(np.where(np.isfinite(err), err, np.inf)))
             reason = ("error estimate is not finite" if not math.isfinite(total)
                       else "failed to converge")
@@ -165,12 +176,10 @@ def adaptive_quad(f, edges: np.ndarray, rel_tol: float) -> Quadrature:
                              "total_error": total, "tolerance": float(tol),
                              "worst_panel": (float(lo[worst]), float(hi[worst]),
                                              float(err[worst]))})
-        mid = 0.5 * (lo[bad] + hi[bad])
-        nk15, ng7 = _panel_sums(f, np.concatenate([lo[bad], mid]),
-                                np.concatenate([mid, hi[bad]]))
+        new_lo, new_hi = np.concatenate(cuts[:-1]), np.concatenate(cuts[1:])
+        nk15, ng7 = _panel_sums(f, new_lo, new_hi)
         k15 = np.concatenate([k15[~bad], nk15])
         g7 = np.concatenate([g7[~bad], ng7])
         # at still holds the whole last batch, so at.max() + 1 panels were evaluated
-        at = np.concatenate([at[~bad], at.max() + 1 + np.arange(2 * mid.size)])
-        lo, hi = (np.concatenate([lo[~bad], lo[bad], mid]),
-                  np.concatenate([hi[~bad], mid, hi[bad]]))
+        at = np.concatenate([at[~bad], at.max() + 1 + np.arange(new_lo.size)])
+        lo, hi = np.concatenate([lo[~bad], new_lo]), np.concatenate([hi[~bad], new_hi])

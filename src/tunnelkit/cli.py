@@ -13,6 +13,7 @@ byte-identical CSVs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -531,7 +532,9 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"invalid JSON: {exc}", path=path) from exc
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call of a process."""
     parser = argparse.ArgumentParser(
         prog="tunnelkit",
         description="Arrival-time densities for relativistic tunneling "
@@ -542,7 +545,11 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--out", default=None, help="output directory override")
     p_val = sub.add_parser("validate", help="schema-check a scenario config")
     p_val.add_argument("config")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         scenario = parse_scenario(_load_config(args.config),

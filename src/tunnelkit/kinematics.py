@@ -57,7 +57,7 @@ def matching_weight(kappa_sq, m: float):
     x = np.asarray(kappa_sq)
     if not math.isfinite(m) or m <= 0:
         raise PhysicsDomainError(f"mass must be finite and positive, got {m}")
-    if np.any(x.real < -m * m):
+    if (x.real < -m * m).any():
         raise PhysicsDomainError("kappa_sq < -m^2: no real energy branch (lambda^2 > m^2)")
     return (1.0 / (np.sqrt(m * m + x) + m))[()]
 

@@ -13,6 +13,8 @@ from the left, T multiplies e^{ikx} on the right, R multiplies e^{-ikx} on
 the left. Evanescent segments are composed in scaled form (e^{lambda w}
 factored out per segment) so opaque profiles never overflow; the phase
 derivative of A_k is exact, by one complex step through the same product.
+Each segment's branch is decided once per batch of momenta, and a batch
+and any split of it give the same bits.
 """
 
 from __future__ import annotations
@@ -124,7 +126,7 @@ def detection_coefficient(T, R):
     """Overlap w = Re(T* R) and detection amplitude A = (T - wR)/(1 - w^2)."""
     T = np.asarray(T, dtype=complex)
     R = np.asarray(R, dtype=complex)
-    flux_dev = np.max(np.abs(np.abs(T) ** 2 + np.abs(R) ** 2 - 1.0), initial=0.0)
+    flux_dev = np.abs(np.abs(T) ** 2 + np.abs(R) ** 2 - 1.0).max(initial=0.0)
     if flux_dev > _UNITARITY_TOL:
         raise PhysicsDomainError(f"|T|^2 + |R|^2 deviates from 1 by {flux_dev:.3e}")
     w = np.real(np.conj(T) * R)  # |w| <= |T| |R| <= (|T|^2 + |R|^2)/2 < 1
@@ -259,6 +261,17 @@ def double_barrier_T(k, v0: float, a: float, r: float, m: float) -> ScatteringDa
 # generic transfer-matrix path
 
 
+def _propagating(p, kap, w: float):
+    """cos p and sin(p)/kap (w at kap = 0) at phase p = kap w; sin keeps tiny p exact."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.cos(p), np.where(kap == 0, w, np.sin(p) / kap)
+
+
+def _evanescent(p, kap):
+    """cosh p and sinh(p)/kap times e^{-p}, finite at any p; expm1 keeps tiny p exact."""
+    return 0.5 * (1.0 + np.exp(-2.0 * np.minimum(p, 400.0))), -np.expm1(-2.0 * p) / (2.0 * kap)
+
+
 def _segment_product(segments, k, E, m: float):
     """(c, Dr, Di, NRr, NRi, logscale) of the scaled segment product M at k and
     E, c = k F(k^2): the transfer denominator D = Dr + i Di = c^2 m12 - m21 +
@@ -266,40 +279,55 @@ def _segment_product(segments, k, E, m: float):
     + ic(m22 - m11). Each part is real at real (k, E) and analytic in both, so
     a complex step carries the derivatives in the imaginary parts.
 
-    A segment is evaluated at each node on its own branch only: cos and sin
-    where it propagates (ksq >= 0), the scaled cosh and sinh and the log-scale
-    where it is evanescent. The product starts from the first segment's
-    matrix; the empty profile gives the identity."""
-    c = k * matching_weight(k * k, m)
-    m11 = m22 = np.ones_like(k)
-    m12 = m21 = logscale = np.zeros_like(k)
+    One matching_weight call weights the table of k^2 and the distinct
+    segments' ksq = (E - V)^2 - m^2. Each distinct segment is evaluated once,
+    on a branch decided for the whole batch: cos and sin on its whole row if
+    it propagates (ksq >= 0) at every node, the scaled cosh and sinh if it is
+    evanescent at every node, and a gather and scatter of the two kinds only
+    if it holds both. Each node meets the same arithmetic on every path, so a
+    batch and any split of it agree bit for bit. The product starts from the
+    first segment's matrix; the empty profile gives the identity."""
+    distinct = list(dict.fromkeys((v, w) for v, w in segments))  # a double's walls once
+    # row by row: a scalar momentum's ** is libm pow, which rounds unlike an array's x*x
+    ksq = np.array([k * k] + [(E - v) ** 2 - m * m for v, _ in distinct])
+    F = matching_weight(ksq, m)
+    c = k * F[0]
+    matrices = {}  # (v, w) -> (cos, sin/kap / F, -ksq F sin/kap, log-scale or None)
+    for (v, w), q, f in zip(distinct, ksq[1:], F[1:]):
+        prop = q.real >= 0
+        scale = None
+        if prop.all():
+            kap = np.sqrt(q)
+            cs, snw = _propagating(kap * w, kap, w)
+        elif not prop.any():
+            kap = np.sqrt(-q)
+            scale = kap * w
+            cs, snw = _evanescent(scale, kap)
+        else:
+            ev = ~prop
+            kap = np.sqrt(np.where(prop, q, -q))
+            phase = kap * w
+            cs, snw, scale = np.empty_like(phase), np.empty_like(phase), np.zeros_like(phase)
+            cs[prop], snw[prop] = _propagating(phase[prop], kap[prop], w)
+            cs[ev], snw[ev] = _evanescent(phase[ev], kap[ev])
+            scale[ev] = phase[ev]
+        matrices[v, w] = cs, snw / f, -q * f * snw, scale
+    logscale = None
     for i, (v, w) in enumerate(segments):
-        ksq = (E - v) ** 2 - m * m
-        F = matching_weight(ksq, m)
-        prop = ksq.real >= 0
-        ev = ~prop
-        kap = np.sqrt(np.where(prop, ksq, -ksq))
-        phase = kap * w
-        cs, snw, scale = np.empty_like(phase), np.empty_like(phase), np.zeros_like(phase)
-        p, kp = phase[prop], kap[prop]
-        cs[prop] = np.cos(p)
-        # sin(w kap)/kap, or sinh(w kap)/kap scaled by e^{-w kap}: sin and expm1
-        # hold full relative accuracy at tiny phases; 0/0 only at kap = 0 (prop)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            snw[prop] = np.where(kp == 0, w, np.sin(p) / kp)
-        p, kp = phase[ev], kap[ev]
-        cs[ev] = 0.5 * (1.0 + np.exp(-2.0 * np.minimum(p, 400.0)))
-        snw[ev] = -np.expm1(-2.0 * p) / (2.0 * kp)
-        scale[ev] = p
-        a12 = snw / F
-        a21 = -ksq * F * snw
+        cs, a12, a21, scale = matrices[v, w]
         if i == 0:
-            m11, m12, m21, m22, logscale = cs, a12, a21, cs, scale
-            continue
-        m11, m12, m21, m22 = (cs * m11 + a12 * m21, cs * m12 + a12 * m22,
-                              a21 * m11 + cs * m21, a21 * m12 + cs * m22)
-        logscale = logscale + scale
-    return c, c * c * m12 - m21, c * (m11 + m22), m21 + c * c * m12, c * (m22 - m11), logscale
+            m11, m12, m21, m22 = cs, a12, a21, cs
+        else:
+            m11, m12, m21, m22 = (cs * m11 + a12 * m21, cs * m12 + a12 * m22,
+                                  a21 * m11 + cs * m21, a21 * m12 + cs * m22)
+        if scale is not None:
+            logscale = scale if logscale is None else logscale + scale
+    if not segments:
+        m11 = m22 = np.ones_like(k)
+        m12 = m21 = np.zeros_like(k)
+    cc = c * c
+    return (c, cc * m12 - m21, c * (m11 + m22), m21 + cc * m12, c * (m22 - m11),
+            np.zeros_like(k) if logscale is None else logscale)
 
 
 def _transfer_TR(segments, k, m: float) -> tuple[np.ndarray, np.ndarray]:
@@ -310,8 +338,7 @@ def _transfer_TR(segments, k, m: float) -> tuple[np.ndarray, np.ndarray]:
     d = float(sum(w for _, w in segments))
     D, NR = Dr + 1j * Di, NRr + 1j * NRi
     phase_out = np.exp(-1j * k * d)
-    damp = np.exp(-np.minimum(logscale, 745.0))
-    damp = np.where(logscale > 745.0, 0.0, damp)
+    damp = np.where(logscale > 745.0, 0.0, np.exp(-logscale))
     T = 2j * c * phase_out * damp / D
     R = phase_out * NR / D
     return T, R
@@ -336,8 +363,7 @@ def piecewise_amplitudes(profile: PotentialProfile, k) -> ScatteringData:
 
 def detection_amplitude_scan(profile: PotentialProfile, k_grid) -> np.ndarray:
     """A_k on a grid; the empty profile (free propagation) gives 1 to rounding."""
-    k = np.asarray(k_grid, dtype=float)
-    return detection_coefficient(*_transfer_TR(profile.segments, k, profile.mass))[1]
+    return detection_coefficient(*_transfer_TR(profile.segments, k_grid, profile.mass))[1]
 
 
 def detection_phase_derivative(profile: PotentialProfile, p):

@@ -552,7 +552,8 @@ class TestRunTasks:
         assert manifest["diagnostics"]["quadrature"]["time_blocks"] == [11, 12]
 
     def test_readme_quickstart_panel_work_is_pinned(self, tmp_path):
-        # pi pre-panels: 73 panels in 12 rounds (157 in 7 at pi/4)
+        # pi pre-panels: 88 panels in 8 rounds, one bisection and then
+        # quarterings (73 in 12 bisections alone, 157 in 7 at pi/4)
         cfg = _write(tmp_path, "c.json", {
             "name": "quickstart",
             "barrier": {"mass": 1.0, "segments": [{"v": 0.4, "w": 2.5},
@@ -567,7 +568,7 @@ class TestRunTasks:
         manifest = json.loads((tmp_path / "out" / "quickstart_manifest.json").read_text())
         quad = manifest["diagnostics"]["quadrature"]
         assert set(quad) == {"panels", "refinement_rounds", "error_estimate", "time_blocks"}
-        assert (quad["panels"], quad["refinement_rounds"]) == (73, 12)
+        assert (quad["panels"], quad["refinement_rounds"]) == (88, 8)
 
     def test_readme_run_does_not_import_numpy_ma(self, tmp_path):
         # numpy.ma loads on the first np.unique of a process, about 13 ms and
@@ -821,6 +822,34 @@ class TestCsvFields:
 
 
 class TestManifestAndDeterminism:
+    def test_one_process_matches_fresh_calls(self, tmp_path):
+        # main builds its parser once per process: validate, run and a failing
+        # validate in one process give the exit codes and files of fresh processes
+        good = _write(tmp_path, "good.json", _readme_config())
+        bad = _write(tmp_path, "bad.json", {**_readme_config(), "task": {"kind": "nope"}})
+        calls = [["validate", good], ["run", good, "--out", "{out}"], ["validate", bad]]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys\nfrom tunnelkit.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        fresh = [subprocess.run([sys.executable, "-c", code,
+                                 *(a.format(out=tmp_path / "fresh") for a in argv)],
+                                env=env, capture_output=True).returncode for argv in calls]
+        same = [main([a.format(out=tmp_path / "same") for a in argv]) for argv in calls]
+        assert same == fresh == [0, 0, 1]
+
+        def outputs(d):
+            files = {}
+            for path in sorted(d.iterdir()):
+                if path.name.endswith("_manifest.json"):
+                    manifest = json.loads(path.read_text(encoding="utf-8"))
+                    manifest.pop("timings")
+                    files[path.name] = json.dumps(manifest).replace(str(d), "<out>")
+                else:
+                    files[path.name] = path.read_bytes()
+            return files
+        assert outputs(tmp_path / "same") == outputs(tmp_path / "fresh")
+
     def test_byte_identical_reruns(self, tmp_path):
         base = _small_double()
         for sub in ("a", "b"):
@@ -894,7 +923,7 @@ class TestManifestAndDeterminism:
         assert manifest["diagnostics"]["k0"] == pytest.approx(cfg["packet"]["p"], abs=1e-9)
 
     def test_numeric_failure_exit_code(self, tmp_path, capsys, monkeypatch):
-        # the README quickstart converges in 7 rounds, so a 2-round limit
+        # the README quickstart converges in 8 rounds, so a 2-round limit
         # leaves a quadrature that cannot meet its tolerance
         monkeypatch.setattr(_quadrature, "MAX_ROUNDS", 2)
         cfg = _write(tmp_path, "c.json", {**_readme_config(),

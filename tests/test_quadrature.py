@@ -27,7 +27,7 @@ def _exact(omega):
 @pytest.mark.parametrize("omega", OMEGAS)
 @pytest.mark.parametrize("rel_tol", [1e-6, 1e-10])
 def test_oscillatory_integral_holds_to_rel_tol(omega, rel_tol):
-    # eight coarse panels: every oscillation beyond them is found by bisection
+    # eight coarse panels: every oscillation beyond them is found by refinement
     quad = adaptive_quad(_wave([omega]), np.linspace(0.0, 1.0, 9), rel_tol)
     assert abs(quad.value[0] - _exact(omega)) <= rel_tol * abs(_exact(omega))
     assert quad.error_estimate <= rel_tol * abs(quad.value[0])
@@ -82,7 +82,7 @@ def test_repeated_column_reproduces_one_column_run():
 
 
 def test_evaluated_at_points_each_final_panel_at_its_evaluation():
-    # a narrow peak bisects a few panels round after round, so the final
+    # a narrow peak splits a few panels round after round, so the final
     # panels mix every round's batches out of evaluation order
     evaluated = []
 
@@ -96,6 +96,36 @@ def test_evaluated_at_points_each_final_panel_at_its_evaluation():
     assert np.unique(quad.evaluated_at).size == quad.lo.size
     final = _quadrature.panel_nodes(quad.lo, quad.hi)[0]
     np.testing.assert_array_equal(nodes[quad.evaluated_at], final)
+
+
+def test_split_panels_tile_the_interval_bit_for_bit(monkeypatch):
+    # a narrow peak is bisected once and then quartered round after round.
+    # Sorted, the final panels must tile [a, b] with shared edges, bit for
+    # bit. [0.1, 0.4] is quartered, and 0.1 + (0.4 - 0.1) != 0.4, so quarter
+    # points formed as lo + (hi - lo) j / 4 would leave a gap
+    a, b = 0.1, 0.7
+    batches = []
+    panel_nodes = _quadrature.panel_nodes
+
+    def recording(lo, hi):
+        batches.append((lo.copy(), hi.copy()))
+        return panel_nodes(lo, hi)
+
+    monkeypatch.setattr(_quadrature, "panel_nodes", recording)
+    quad = adaptive_quad(lambda x: (1.0 / ((x - 0.31) ** 2 + 1e-8))[:, None] + 0j,
+                         np.array([a, b]), 1e-10)
+    assert quad.rounds >= 3
+    order = np.argsort(quad.lo)
+    lo, hi = quad.lo[order], quad.hi[order]
+    assert lo[0] == a and hi[-1] == b
+    np.testing.assert_array_equal(lo[1:], hi[:-1])
+    evaluated_lo, evaluated_hi = (np.concatenate(e) for e in zip(*batches))
+    np.testing.assert_array_equal(evaluated_lo[quad.evaluated_at], quad.lo)
+    np.testing.assert_array_equal(evaluated_hi[quad.evaluated_at], quad.hi)
+    # batches after the first refinement are quarterings, laid out as the
+    # parents' lo, then three rows of quarter points: some parent is inexact
+    quartered = [(lo[: lo.size // 4], hi[-(hi.size // 4):]) for lo, hi in batches[2:]]
+    assert any((lo + (hi - lo) != hi).any() for lo, hi in quartered)
 
 
 def test_cancelling_column_uses_absolute_floor():
@@ -118,8 +148,8 @@ def test_panel_cap_raises_with_diagnostics(monkeypatch):
 
 
 def test_panel_cap_is_not_overshot(monkeypatch):
-    # the cap is checked before each round: a round that would bisect the
-    # 64 panels to 128 is not run, so the failing run reports 64, not 128
+    # the cap is checked before each round: a round that would quarter the
+    # 64 panels to 256 is not run, so the failing run reports 64, not 256
     monkeypatch.setattr(_quadrature, "MAX_PANELS", 100)
     with pytest.raises(NumericsError, match="failed to converge") as exc:
         adaptive_quad(_wave([1e3]), np.linspace(0.0, 1.0, 9), 1e-10)

@@ -332,6 +332,31 @@ def test_mixed_branch_scan_matches_single_momenta_bit_for_bit(segments, ks):
         assert theta[i] == detection_phase_derivative(prof, float(k)), k
 
 
+@pytest.mark.parametrize("segments, ks", [
+    (((0.4, 2.5), (0.0, 300.0), (0.4, 2.5)), np.linspace(0.5, 1.5, 41)),  # the README double
+    (((0.9, 2000.0),), np.linspace(1.2, 2.0, 33)),
+    ((), np.linspace(0.05, 2.0, 17)),
+], ids=["readme-double", "opaque-wall", "empty"])
+def test_mixed_batch_matches_single_branch_batches_bit_for_bit(segments, ks):
+    # a batch that mixes tunneling and above-barrier momenta takes the gather
+    # and scatter path of each wall; the same momenta split at the walls'
+    # threshold take the whole-row paths. Both must run one arithmetic
+    prof = PotentialProfile(1.0, segments)
+    edge = tunneling_window(max(v for v, _ in segments), 1.0)[1] if segments else 1.0
+    ks = np.random.default_rng(3).permutation(ks)  # interleave the two kinds
+    below = ks < edge
+    assert below.any() and not below.all()
+    mixed = piecewise_amplitudes(prof, ks)
+    mixed_A = detection_amplitude_scan(prof, ks)
+    mixed_theta = detection_phase_derivative(prof, ks)
+    for part in (below, ~below):
+        split = piecewise_amplitudes(prof, ks[part])
+        for name in ("T", "R", "w", "A"):
+            assert _bits(getattr(mixed, name)[part]) == _bits(getattr(split, name)), name
+        assert _bits(mixed_A[part]) == _bits(detection_amplitude_scan(prof, ks[part]))
+        assert _bits(mixed_theta[part]) == _bits(detection_phase_derivative(prof, ks[part]))
+
+
 def _transfer_oracle(segments, k, m):
     """T, R of the carried vector (g, F g') at 50 digits. A complex kappa
     covers propagating and evanescent segments with one formula."""

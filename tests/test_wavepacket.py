@@ -698,7 +698,7 @@ class TestAsymmetricSuppression:
 
 class TestUnconvergedRunsFail:
     def test_unresolvable_model_amplitude_hits_round_cap(self, narrow_gaussian):
-        # a Lorentzian of width 1e-15 cannot be resolved in 60 rounds; the
+        # a Lorentzian of width 1e-15 cannot be resolved in MAX_ROUNDS rounds; the
         # run must fail instead of returning an estimate far above tolerance
         spec = narrow_gaussian
         det = DetectorSpec(position=500.0)
@@ -709,12 +709,12 @@ class TestUnconvergedRunsFail:
             arrival_density(times, spec, FREE, det,
                             detection_amplitude=lambda k: 1.0 / (1.0 - 1j * (k - spec.p) / 1e-15))
         diag = exc.value.diagnostics
-        assert diag["refinement_rounds"] == 60
+        assert diag["refinement_rounds"] == wavepacket._quadrature.MAX_ROUNDS
         assert diag["total_error"] > diag["tolerance"]
 
     @pytest.mark.parametrize("integral", ["amplitude", "transmission", "density"])
     def test_every_integral_keeps_the_round_limit(self, integral, monkeypatch):
-        # each converges in 9 to 12 rounds under the real limit
+        # each converges in 7 to 10 rounds under the real limit
         spec = WavePacketSpec("gaussian", p=0.35, sigma_p=0.004, x0=700.0)
         prof = PotentialProfile.double(M, 0.4, 2.5, 300.0)
         det = DetectorSpec(position=16000.0)
