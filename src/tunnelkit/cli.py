@@ -567,6 +567,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # any other exception is a bug: one line and exit 4
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     print(f"wrote {len(manifest['artifacts'])} artifacts + manifest to "
           f"{scenario.out_dir}")
     return 0

@@ -259,37 +259,46 @@ def _write_atomic(path, write) -> None:
 _P10 = 290  # _g17_tables holds 10^j for |j| <= _P10, all normal doubles
 _G17_RANGE = 1e270  # |x| the vectorized %.17g rounds: 10^(16 - e) stays in the table
 _G17_TIE = 2.0 ** -30  # fractions this near 1/2 go to Python's correctly rounded dtoa
+_G17_SLOT = 48  # bytes of a field: "-0.000", digits 0-16 each with a "." slot, "e+016", separator
+_G17_SEP = 45  # the byte of a field that takes its separator
 
 
 @functools.cache
 def _g17_tables():
     """Built on first use. Indexed by j + _P10: 10^j = hi + lo from exact integers,
-    hi's split, the word "+016" and the layout class (e + 4 if -4 <= e < 17, else
-    21 or 22 for 2 or 3 exponent digits). By n < 10^4: the word "%04d" and its
-    trailing zeros. By (class 17 + last digit) 2 + sign: a field's 24 source bytes."""
+    hi's split, and 34 c for the layout class c (e + 4 if -4 <= e < 17, else 21
+    or 22 for 2 or 3 exponent digits). By n < 10^4: 16 - the trailing zeros of
+    "%04d", the last nonzero digit of N when n is its lowest group; 0 for n = 0.
+    One word table: "d.d.d.d." of "%04d" by n < 10^4, then "-0.000d." by d < 10,
+    then "e+016" by j + _P10. By the key (17 c + last nonzero digit) 2 + sign:
+    the six words of a field's keep-mask."""
     hi, lo = np.empty(2 * _P10 + 1), np.empty(2 * _P10 + 1)
     for i, j in enumerate(range(-_P10, _P10 + 1)):
         a, b = (10 ** j, 1) if j >= 0 else (1, 10 ** -j)
         num, den = (a / b).as_integer_ratio()
         hi[i], lo[i] = a / b, (a * den - num * b) / (b * den)
-    e, n = np.arange(-_P10, _P10 + 1), np.arange(10000)
-    exps = np.c_[np.where(e < 0, 45, 43), np.abs(e)[:, None] // [100, 10, 1] % 10 + 48]
-    quads = n[:, None] // [1000, 100, 10, 1] % 10 + 48
+    e, n, d = np.arange(-_P10, _P10 + 1), np.arange(10000), np.arange(10)
     cls = np.where((e >= -4) & (e < 17), e + 4, np.where(np.abs(e) < 100, 21, 22))
-    layout = []  # source bytes: digit j at 3 + j, "-.0e" at 20, the exponent word, NUL at 28
-    for c, last, sign in itertools.product(range(23), range(17), range(2)):
-        x, digits = c - 4, list(range(3, last + 4))
+    quads = np.full((n.size, 8), 46)
+    quads[:, ::2] = n[:, None] // [1000, 100, 10, 1] % 10 + 48
+    lead = np.c_[np.tile(np.frombuffer(b"-0.000", np.uint8), (10, 1)), d + 48, d * 0 + 46]
+    exps = np.c_[e * 0 + 101, np.where(e < 0, 45, 43),
+                 np.abs(e)[:, None] // [100, 10, 1] % 10 + 48, np.zeros((e.size, 3), int)]
+    masks = bytearray(23 * 17 * 2 * _G17_SLOT)  # digit j at 6 + 2j, its "." at 7 + 2j
+    for key, (c, last, sign) in enumerate(itertools.product(range(23), range(17), range(2))):
+        x, digits = c - 4, list(range(6, 7 + 2 * last, 2))
         if c >= 21:
-            cols = digits[:1] + [21] * (last > 0) + digits[1:] + [23, 24] \
-                + [25] * (c == 22) + [26, 27]
+            keep = digits + [7] * (last > 0) + [40, 41] + [42] * (c == 22) + [43, 44]
         elif x >= 0:
-            cols = list(range(3, x + 4)) + [21] * (last > x) + digits[x + 1:]
+            keep = list(range(6, 7 + 2 * max(x, last), 2)) + [7 + 2 * x] * (last > x)
         else:
-            cols = [22, 21] + [22] * (-x - 1) + digits
-        layout.append(bytes([20] * sign + cols).ljust(24, b"\x1c"))
-    words = [np.ascontiguousarray(w, np.uint8).view(np.uint32).ravel() for w in (exps, quads)]
-    return (hi, lo, *_split(hi), *words, sum(n % 10 ** j == 0 for j in (1, 2, 3)), cls,
-            np.frombuffer(b"".join(layout), np.uint8).reshape(-1, 24))
+            keep = list(range(1, 2 - x)) + digits
+        for byte in [0] * sign + keep:
+            masks[key * _G17_SLOT + byte] = 255
+    words = np.concatenate([quads, lead, exps]).astype(np.uint8).view(np.uint64).ravel()
+    last16 = np.where(n > 0, 16 - sum(n % 10 ** j == 0 for j in (1, 2, 3)), 0)
+    return (hi, lo, *_split(hi), 34 * cls, last16,
+            words, np.frombuffer(masks, np.uint64).reshape(-1, _G17_SLOT // 8))
 
 
 def _split(v):
@@ -300,67 +309,86 @@ def _split(v):
 
 
 def _g17_fields(x: np.ndarray) -> np.ndarray:
-    """``'%.17g' % v`` of each float64 ``v`` as a NUL-padded row of 24 bytes.
+    """``'%.17g' % v`` of each float64 ``v`` as a NUL-padded field of _G17_SLOT
+    bytes, six uint64 words, with byte _G17_SEP left NUL for a separator.
 
     With 10^e <= |x| < 10^(e+1), exact against the table, the digits are
-    N = round(|x| 10^(16 - e)) from a double-double (Dekker) product, and one
-    gather lays out each value's source bytes. Python formats the rest:
-    non-finite values, |x| outside [1/_G17_RANGE, _G17_RANGE), near-ties."""
-    hi, lo, hih, hil, exps, quads, tz, cls, layout = _g17_tables()
+    N = round(|x| 10^(16 - e)) from a double-double (Dekker) product. The field
+    is the template "-0.000" d0 "." d1 "." ... d16 "." "e+016" from the word
+    table, ANDed with the keep-mask of its layout class, last nonzero digit and
+    sign. Python formats the rest: non-finite values, |x| outside
+    [1/_G17_RANGE, _G17_RANGE), near-ties."""
+    hi, lo, hih, hil, base, last16, words, masks = _g17_tables()
+    shape, x = x.shape, x.ravel()
     a = np.abs(x)
     fast = (a >= 1.0 / _G17_RANGE) & (a < _G17_RANGE)
     a = np.where(fast, a, 1.0)
     i = np.floor(np.log10(a)).astype(np.intp) + _P10  # e + _P10, maybe 1 off
-    i -= (a < hi[i]) | (a == hi[i]) & (lo[i] > 0.0)
-    i += (a > hi[i + 1]) | (a == hi[i + 1]) & (lo[i + 1] <= 0.0)
+    h, l = hi[i], lo[i]
+    i -= (a < h) | (a == h) & (l > 0.0)
+    h, l = hi[i + 1], lo[i + 1]
+    i += (a > h) | (a == h) & (l <= 0.0)
     k = 2 * _P10 + 16 - i  # 16 - e + _P10
     ah, al = _split(a)
-    p = a * hi[k]  # |x| 10^(16 - e) = p + r
-    r = ((ah * hih[k] - p) + ah * hil[k] + al * hih[k]) + al * hil[k] + a * lo[k]
+    h, hh, hl, l = hi[k], hih[k], hil[k], lo[k]
+    p = a * h  # |x| 10^(16 - e) = p + r
+    r = ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * l
     fast &= np.abs(r - np.floor(r) - 0.5) >= _G17_TIE
     # zero prints as 0 (i is _P10 there); the other values not fast are overwritten
     n = np.where(fast, p.astype(np.int64) + np.floor(r + 0.5).astype(np.int64), 0)
     i += n == 10 ** 17  # N = 10^17 carries into e
     n[n == 10 ** 17] = 10 ** 16
-    g = np.empty((x.size, 5), np.int64)  # N in groups of 1, 4, 4, 4, 4 digits
-    for j in range(4, 0, -1):
+    w = np.empty((x.size, _G17_SLOT // 8), np.intp)  # rows of the word table
+    for j in range(4, 0, -1):  # N's 4-digit groups
         q = n // 10 ** 4
-        g[:, j], n = n - q * 10 ** 4, q
-    g[:, 0] = n
-    last = np.zeros(x.size, np.intp)  # the last nonzero digit
-    for j in range(1, 5):
-        last = np.where(g[:, j] > 0, 4 * j - tz[g[:, j]], last)
-    src = np.zeros((x.size, 8), np.uint32)
-    src[:, :5], src[:, 5], src[:, 6] = quads[g], np.frombuffer(b"-.0e", np.uint32)[0], exps[i]
-    rows = np.take(layout, (cls[i] * 17 + last) * 2 + np.signbit(x), axis=0)
-    out = np.take(src.view(np.uint8).ravel(), rows + np.arange(0, 32 * x.size, 32)[:, None])
-    for j in np.flatnonzero(~fast & (x != 0.0)):
-        out[j] = np.frombuffer((b"%.17g" % float(x[j])).ljust(24, b"\0"), np.uint8)
-    return out
+        np.subtract(n, q * 10 ** 4, out=w[:, j])
+        n = q
+    w[:, 0], w[:, 5] = n + 10 ** 4, i + (10 ** 4 + 10)
+    last = last16[w[:, 4]]  # the last nonzero digit; 0 where the lowest group is 0
+    z = np.flatnonzero(last == 0)
+    if z.size:
+        last[z] = np.maximum(last16[w[z, 1:4]] - [12, 8, 4], 0).max(axis=1)
+    out = np.take(words, w)
+    out &= np.take(masks, base[i] + 2 * last + np.signbit(x), axis=0)
+    slow = np.flatnonzero(~fast & (x != 0.0))
+    if slow.size:
+        text = b"".join((b"%.17g" % v).ljust(_G17_SLOT, b"\0") for v in x[slow].tolist())
+        out[slow] = np.frombuffer(text, np.uint64).reshape(-1, _G17_SLOT // 8)
+    return out.reshape(*shape, _G17_SLOT // 8)
 
 
 def _csv_rows(cols) -> bytes:
-    """Equal-length columns as CSV rows: NUL-padded fields of one width, each
-    with its separator last, joined by dropping the NULs."""
+    """Equal-length columns as CSV rows. Each field has a slot of whole uint64
+    words in one row buffer: a number's _G17_SLOT bytes, or a str's UTF-8 bytes
+    NUL-padded, with the separator in a NUL byte after the text. The rows are
+    joined by deleting the NULs."""
     num = [j for j, c in enumerate(cols) if c.dtype.kind != "U"]
     text = {j: np.char.encode(c, "utf-8") for j, c in enumerate(cols) if j not in num}
-    width = max([24] + [b.itemsize for b in text.values()]) + 1
-    buf = np.zeros((cols[0].size, len(cols), width), np.uint8)
+    width = [_G17_SLOT if j in num else text[j].itemsize // 8 * 8 + 8 for j in range(len(cols))]
+    start = [0, *itertools.accumulate(width)]
     if num:
-        x = np.stack([cols[j] for j in num], axis=1).astype(np.float64).ravel()
-        buf[:, num, :24] = _g17_fields(x).reshape(-1, len(num), 24)
-    for j, b in text.items():
-        buf[:, j, :b.itemsize] = b.view(np.uint8).reshape(b.size, b.itemsize)
-    buf[:, :, -1] = ord(",")
-    buf[:, -1, -1] = ord("\n")
-    return buf[buf != 0].tobytes()
+        x = np.stack([cols[j] for j in num], axis=1).astype(np.float64)
+        fields = _g17_fields(x).view(np.uint8).reshape(len(x), _G17_SLOT * len(num))
+    if not text:
+        buf = fields
+    else:
+        buf = np.zeros((cols[0].size, start[-1]), np.uint8)
+        for m, j in enumerate(num):
+            buf[:, start[j]:start[j + 1]] = fields[:, m * _G17_SLOT:(m + 1) * _G17_SLOT]
+        for j, b in text.items():
+            buf[:, start[j]:start[j] + b.itemsize] = b.view(np.uint8).reshape(b.size, b.itemsize)
+    sep = [start[j] + (_G17_SEP if j in num else width[j] - 1) for j in range(len(cols))]
+    buf[:, sep[:-1]], buf[:, sep[-1]] = ord(","), ord("\n")
+    return buf.tobytes().translate(None, b"\0")
 
 
 def _write_csv(path, header: list[str], blocks) -> None:
     """Write ``blocks``, each a sequence of equal-length columns, as rows under
     ``header``: numbers as ``'%.17g' % v`` (int columns through float64), str
-    columns verbatim. A scan passes a generator of blocks, so it never holds
-    more than one; rows are formatted and written _CSV_BLOCK at a time."""
+    columns verbatim (a NUL in a str is dropped). A scan passes a generator of
+    blocks, so it never holds more than one. Rows are formatted and written
+    _CSV_BLOCK at a time, each block one row buffer of 48-byte number
+    templates and NUL-padded str slots (``_csv_rows``) with its NULs deleted."""
     def write(f):
         f.write((",".join(header) + "\n").encode("utf-8"))
         for block in blocks:

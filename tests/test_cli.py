@@ -949,6 +949,18 @@ class TestManifestAndDeterminism:
         assert "unitarity check failed" in capsys.readouterr().err
         assert list((tmp_path / "out").iterdir()) == []
 
+    def test_unexpected_exception_exit_code(self, tmp_path, capsys, monkeypatch):
+        # an exception of no tunnelkit class is a bug: exit 4 with one line on
+        # stderr, not a traceback with exit 1, and no CSV or temporary file
+        def fails(profile, k):
+            raise RuntimeError("not a tunnelkit error")
+
+        monkeypatch.setattr(cli, "piecewise_amplitudes", fails)
+        assert main(["run", _scan(tmp_path, 8)]) == 4
+        err = capsys.readouterr().err
+        assert err == "internal error: RuntimeError: not a tunnelkit error\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_other_warning_reaches_manifest_as_generic(self, tmp_path, monkeypatch):
         def warns(profile, k):
             warnings.warn("not a regime warning", UserWarning)

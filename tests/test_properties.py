@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from tunnelkit import PotentialProfile, double_barrier_T, square_barrier_amplitudes
 from tunnelkit.kinematics import faddeeva_w
 from tunnelkit.scattering import _transfer_TR
-from tunnelkit.wavepacket import _csv_rows
+from tunnelkit.wavepacket import _CSV_BLOCK, _csv_rows, _write_csv
 
 M = 1.0
 _PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -146,6 +146,41 @@ def _csv_text(cols) -> str:
                 min_size=1, max_size=20))
 def test_csv_numbers_are_percent_17g(values):
     assert _csv_text([values]) == _percent_rows([values])
+
+
+_FIELD_FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) \
+    | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.225073858507201e-308])
+
+
+@settings(_PROPERTY, max_examples=200)
+@given(st.data())
+def test_csv_rows_of_several_columns_are_percent_17g(data):
+    # separators and newlines: 1-6 float columns and maybe a str column
+    # anywhere among them, last included
+    n_rows = data.draw(st.integers(0, 8))
+    rows = st.lists(_FIELD_FLOATS, min_size=n_rows, max_size=n_rows)
+    cols = [np.array(data.draw(rows), dtype=np.float64) for _ in range(data.draw(st.integers(1, 6)))]
+    if data.draw(st.booleans()):
+        labels = st.lists(st.text(st.characters(exclude_characters="\0"), max_size=30),
+                          min_size=n_rows, max_size=n_rows)
+        cols.insert(data.draw(st.integers(0, len(cols))), np.array(data.draw(labels), dtype=str))
+    assert _csv_text(cols) == _percent_rows(cols)
+
+
+@pytest.mark.parametrize("text_at", ["first", "last"])
+@pytest.mark.parametrize("n_rows", [_CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 0])
+def test_write_csv_across_block_edges(tmp_path, n_rows, text_at):
+    # rows go out _CSV_BLOCK at a time; the file is the header and every row
+    # of '%.17g' and '%s' fields, byte for byte
+    rng = np.random.default_rng(n_rows)
+    cols = [rng.integers(0, 2 ** 64, n_rows, dtype=np.uint64).view(np.float64),
+            rng.lognormal(0.0, 30.0, n_rows), np.arange(n_rows)]
+    labels = np.array([f"row {j}, ü" for j in range(n_rows)], dtype=str)
+    cols.insert(0 if text_at == "first" else len(cols), labels)
+    header = ["a", "b", "c", "d"]
+    _write_csv(tmp_path / "t.csv", header, [cols])
+    want = ",".join(header) + "\n" + _percent_rows(cols)
+    assert (tmp_path / "t.csv").read_bytes() == want.encode("utf-8")
 
 
 def _exact_ties() -> list[float]:
