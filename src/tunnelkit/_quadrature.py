@@ -74,7 +74,8 @@ _GAUSS_IDX = np.arange(1, 15, 2)
 
 NODES_PER_PANEL = 15
 MAX_PANELS = 60000  # panel limit of every adaptive_quad run
-MAX_ROUNDS = 31  # refinement rounds of every adaptive_quad run: 1 + 2 * 30 = 61 levels
+MAX_ROUNDS = 31  # refinement rounds of every adaptive_quad run: 1 + 2 * 30 = 61 levels,
+# and the cap is also what keeps a feature narrower than ulp(k) from converging to a wrong value
 _MAX_STEP_PHASE = math.pi  # phase a pre-panel spans
 
 
@@ -84,8 +85,6 @@ def panel_nodes(a: np.ndarray, b: np.ndarray):
     Returns arrays of shape (npanels, 15); the G7 weights are zero-padded to
     the Kronrod node layout so both rules share one integrand evaluation.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
     half = 0.5 * (b - a)[:, None]
     mid = 0.5 * (b + a)[:, None]
     x = mid + half * _XK[None, :]

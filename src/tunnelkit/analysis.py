@@ -134,16 +134,13 @@ def find_resonances(v0: float, a: float, r: float, m: float,
     vals = psi(grid)
     targets_lo = int(math.floor((vals[0] - math.pi) / (2 * math.pi))) + 1
     targets_hi = int(math.floor((vals[-1] - math.pi) / (2 * math.pi)))
-    if targets_hi < targets_lo:
-        return np.array([])
     targets = (2.0 * np.arange(targets_lo, targets_hi + 1) + 1.0) * math.pi
 
-    idx = np.searchsorted(vals, targets)
-    idx = np.clip(idx, 1, grid.size - 1)
-    klo = grid[idx - 1].copy()
-    khi = grid[idx].copy()
+    # vals[0] < targets <= vals[-1] but for rounding when a window end lies on a root
+    idx = np.clip(np.searchsorted(vals, targets), 1, grid.size - 1)
+    klo, khi = grid[idx - 1], grid[idx]
     for _ in range(64):
-        if np.max(khi - klo) < 1e-10:
+        if np.max(khi - klo, initial=0.0) < 1e-10:
             break
         mid = 0.5 * (klo + khi)
         below = psi(mid) < targets

@@ -148,7 +148,6 @@ class Scenario:
     raw: dict
     # task fields parsed by _validate_task_params, defaults filled in (k0 by parse_scenario)
     params: dict
-    parse_warnings: list  # the warnings parse_scenario recorded, first in the manifest
 
 
 def _below_window_edge(barrier: PotentialProfile, k: float, path: str) -> None:
@@ -162,71 +161,68 @@ _SECTION_PARSERS = {"barrier": _parse_barrier, "packet": _parse_packet,
 
 
 def parse_scenario(config: dict, out_override: str | None = None) -> Scenario:
-    """The checked scenario of ``config``; the warnings its checks raise are
-    recorded in ``Scenario.parse_warnings``, not shown."""
-    with warnings.catch_warnings(record=True) as recorded:
-        warnings.simplefilter("always")
-        _expect(isinstance(config, dict), "", "config root must be a JSON object")
-        rest = dict(config)
-        name = _get(rest, "name", "")
-        _expect(isinstance(name, str) and name != "", "name", "must be a non-empty string")
-        # every artifact path is <out>/<name>_<suffix>
-        _expect("/" not in name and "\\" not in name, "name",
-                f"must not contain '/' or '\\', got {name!r}")
-        _expect("\0" not in name, "name", "must not contain a NUL character")
-        fields = _get(rest, "task", "", _object)
-        kind = _get(fields, "kind", "task")
-        _expect(kind in _TASKS, "task.kind", f"must be one of {', '.join(_TASKS)}; got {kind!r}")
+    """The checked scenario of ``config``."""
+    _expect(isinstance(config, dict), "", "config root must be a JSON object")
+    rest = dict(config)
+    name = _get(rest, "name", "")
+    _expect(isinstance(name, str) and name != "", "name", "must be a non-empty string")
+    # every artifact path is <out>/<name>_<suffix>
+    _expect("/" not in name and "\\" not in name, "name",
+            f"must not contain '/' or '\\', got {name!r}")
+    _expect("\0" not in name, "name", "must not contain a NUL character")
+    fields = _get(rest, "task", "", _object)
+    kind = _get(fields, "kind", "task")
+    _expect(kind in _TASKS, "task.kind", f"must be one of {', '.join(_TASKS)}; got {kind!r}")
 
-        sections = dict.fromkeys(_SECTION_PARSERS)
-        for key in _TASKS[kind].sections:
-            data = _get(rest, key, "", default=None)
-            _expect(data is not None or (kind, key) == ("arrival-density", "barrier"),
-                    key, f"required by task kind {kind!r}")
-            if data is not None:
-                sections[key] = _SECTION_PARSERS[key](data)
-        barrier, packet, detector = sections.values()
-        output = _object(_get(rest, "output", "", default=None) or {}, "output")
-        out = _get(output, "dir", "output", default=None)
-        _expect(out is None or isinstance(out, str), "output.dir", "expected a string")
-        _expect(out is None or "\0" not in out, "output.dir", "must not contain a NUL character")
-        _unread(output, "output")
-        _unread(rest, "")
-        if barrier is None:  # a free run, in units of the particle mass
-            barrier = PotentialProfile(1.0, ())
-        if kind in ("resonance-scan", "decay-fit", "regime-compare"):
-            _expect(barrier.as_symmetric_double() is not None, "barrier",
-                    f"task {kind!r} requires a symmetric double barrier "
-                    "(segments [barrier, gap, barrier])")
-        if detector is not None:
-            _build(detector.check_far_field, "detector", profile=barrier)
+    sections = dict.fromkeys(_SECTION_PARSERS)
+    for key in _TASKS[kind].sections:
+        data = _get(rest, key, "", default=None)
+        _expect(data is not None or (kind, key) == ("arrival-density", "barrier"),
+                key, f"required by task kind {kind!r}")
+        if data is not None:
+            sections[key] = _SECTION_PARSERS[key](data)
+    barrier, packet, detector = sections.values()
+    output = _get(rest, "output", "", default=None)
+    output = _object({} if output is None else output, "output")
+    out = _get(output, "dir", "output", default=None)
+    _expect(out is None or isinstance(out, str), "output.dir", "expected a string")
+    _expect(out is None or "\0" not in out, "output.dir", "must not contain a NUL character")
+    _unread(output, "output")
+    _unread(rest, "")
+    if barrier is None:  # a free run, in units of the particle mass
+        barrier = PotentialProfile(1.0, ())
+    if kind in ("resonance-scan", "decay-fit", "regime-compare"):
+        _expect(barrier.as_symmetric_double() is not None, "barrier",
+                f"task {kind!r} requires a symmetric double barrier "
+                "(segments [barrier, gap, barrier])")
+    if detector is not None:
+        _build(detector.check_far_field, "detector", profile=barrier)
 
-        params = _validate_task_params(kind, fields)
-        if kind == "regime-compare":
-            shape = analysis.REGIME_SHAPES.get(params["regime"], packet.shape)
-            _expect(packet.shape == shape, "packet.shape",
-                    f"regime {params['regime']!r} requires a {shape} packet, got {packet.shape!r}")
-        if kind == "resonance-scan" and params["k_window"] is not None:
-            _below_window_edge(barrier, params["k_window"][1], "task.k_max")
-        if kind in ("decay-fit", "regime-compare"):
-            _below_window_edge(barrier, packet.p, "packet.p")
-        if params.get("k0") is not None:
-            _below_window_edge(barrier, params["k0"], "task.k0")
-        elif params.get("regime") == "resonance":
-            res = analysis.find_resonances(*barrier.as_symmetric_double(), barrier.mass)
-            _expect(res.size > 0, "task.k0", "no resonances inside the tunneling window")
-            params["k0"] = float(res[int(np.argmin(np.abs(res - packet.p)))])
-        if kind == "arrival-density" and "t_min" in params:
-            n = prepanel_count(packet, barrier.mass, detector.position,
-                               params["t_min"], params["t_max"])
-            _expect(n <= _quadrature.MAX_PANELS, "task.t_max",
-                    f"the time window needs {n:.3g} phase panels, above the panel "
-                    f"limit {_quadrature.MAX_PANELS}")
+    params = _validate_task_params(kind, fields)
+    if kind == "regime-compare":
+        shape = analysis.REGIME_SHAPES.get(params["regime"], packet.shape)
+        _expect(packet.shape == shape, "packet.shape",
+                f"regime {params['regime']!r} requires a {shape} packet, got {packet.shape!r}")
+    if kind == "resonance-scan" and params["k_window"] is not None:
+        _below_window_edge(barrier, params["k_window"][1], "task.k_max")
+    if kind in ("decay-fit", "regime-compare"):
+        _below_window_edge(barrier, packet.p, "packet.p")
+    if params.get("k0") is not None:
+        _below_window_edge(barrier, params["k0"], "task.k0")
+    elif params.get("regime") == "resonance":
+        res = analysis.find_resonances(*barrier.as_symmetric_double(), barrier.mass)
+        _expect(res.size > 0, "task.k0", "no resonances inside the tunneling window")
+        params["k0"] = float(res[int(np.argmin(np.abs(res - packet.p)))])
+    if kind == "arrival-density" and "t_min" in params:
+        n = prepanel_count(packet, barrier.mass, detector.position,
+                           params["t_min"], params["t_max"])
+        _expect(n <= _quadrature.MAX_PANELS, "task.t_max",
+                f"the time window needs {n:.3g} phase panels, above the panel "
+                f"limit {_quadrature.MAX_PANELS}")
 
-        out = out_override or out or "."
-        return Scenario(name=name, kind=kind, barrier=barrier, packet=packet,
-                        detector=detector, out_dir=Path(out), raw=config, params=params,
-                        parse_warnings=recorded)
+    out = out_override or out or "."
+    return Scenario(name=name, kind=kind, barrier=barrier, packet=packet,
+                    detector=detector, out_dir=Path(out), raw=config, params=params)
 
 
 # tightest rel_tol they meet: 1e-13 no longer converges on single or double barriers
@@ -498,16 +494,14 @@ _TASKS = {
 # entry points
 
 
-def run_scenario(sc: Scenario) -> dict:
-    """Execute one scenario; returns the manifest dict (also written to disk)."""
+def run_scenario(sc: Scenario, recorded: list) -> dict:
+    """Run one scenario; return and write its manifest, listing the warnings ``recorded``."""
     sc.out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    with warnings.catch_warnings(record=True) as wrec:
-        warnings.simplefilter("always")
-        artifacts, diagnostics = _TASKS[sc.kind].run(sc)
+    artifacts, diagnostics = _TASKS[sc.kind].run(sc)
     payloads = [w.message.payload() if isinstance(w.message, RegimeWarning) else
                 {"code": "generic", "message": str(w.message), "context": {}}
-                for w in sc.parse_warnings + wrec]  # the parser's first
+                for w in recorded]
     captured = [p for i, p in enumerate(payloads) if p not in payloads[:i]]  # each warning once
     elapsed = time.perf_counter() - start
     manifest = {
@@ -552,12 +546,14 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
 
     try:
-        scenario = parse_scenario(_load_config(args.config),
-                                  out_override=getattr(args, "out", None))
-        if args.command == "validate":
-            print(f"ok: {scenario.name} ({scenario.kind})")
-            return 0
-        manifest = run_scenario(scenario)
+        with warnings.catch_warnings(record=True) as recorded:  # shown only in the manifest
+            warnings.simplefilter("always")
+            scenario = parse_scenario(_load_config(args.config),
+                                      out_override=getattr(args, "out", None))
+            if args.command == "validate":
+                print(f"ok: {scenario.name} ({scenario.kind})")
+                return 0
+            manifest = run_scenario(scenario, recorded)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

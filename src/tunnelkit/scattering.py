@@ -286,7 +286,7 @@ def _segment_product(segments, k, E, m: float):
     evanescent at every node, and a gather and scatter of the two kinds only
     if it holds both. Each node meets the same arithmetic on every path, so a
     batch and any split of it agree bit for bit. The product starts from the
-    first segment's matrix; the empty profile gives the identity."""
+    identity, which the first segment's matrix replaces, and the log-scale from 0."""
     distinct = list(dict.fromkeys((v, w) for v, w in segments))  # a double's walls once
     # row by row: a scalar momentum's ** is libm pow, which rounds unlike an array's x*x
     ksq = np.array([k * k] + [(E - v) ** 2 - m * m for v, _ in distinct])
@@ -312,7 +312,7 @@ def _segment_product(segments, k, E, m: float):
             cs[ev], snw[ev] = _evanescent(phase[ev], kap[ev])
             scale[ev] = phase[ev]
         matrices[v, w] = cs, snw / f, -q * f * snw, scale
-    logscale = None
+    m11, m12, m21, m22, logscale = 1.0, 0.0, 0.0, 1.0, 0.0
     for i, (v, w) in enumerate(segments):
         cs, a12, a21, scale = matrices[v, w]
         if i == 0:
@@ -321,13 +321,9 @@ def _segment_product(segments, k, E, m: float):
             m11, m12, m21, m22 = (cs * m11 + a12 * m21, cs * m12 + a12 * m22,
                                   a21 * m11 + cs * m21, a21 * m12 + cs * m22)
         if scale is not None:
-            logscale = scale if logscale is None else logscale + scale
-    if not segments:
-        m11 = m22 = np.ones_like(k)
-        m12 = m21 = np.zeros_like(k)
+            logscale = logscale + scale
     cc = c * c
-    return (c, cc * m12 - m21, c * (m11 + m22), m21 + cc * m12, c * (m22 - m11),
-            np.zeros_like(k) if logscale is None else logscale)
+    return c, cc * m12 - m21, c * (m11 + m22), m21 + cc * m12, c * (m22 - m11), logscale
 
 
 def _transfer_TR(segments, k, m: float) -> tuple[np.ndarray, np.ndarray]:

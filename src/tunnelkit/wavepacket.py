@@ -208,8 +208,6 @@ class DetectorSpec:
 
     def check_far_field(self, profile: PotentialProfile) -> None:
         d = profile.width
-        if d == 0.0:
-            return
         if self.position < MIN_L_OVER_D * d:
             raise PhysicsDomainError(
                 f"detector at L = {self.position} violates the far-field "

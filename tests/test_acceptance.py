@@ -39,15 +39,13 @@ from tunnelkit import (
     tunneling_window,
 )
 
+from _helpers import _velocity
+
 M = 1.0
 
 
 def _report(n: int, message: str) -> None:
     print(f"ACCEPTANCE {n:2d} PASS: {message}")
-
-
-def _velocity(p: float, m: float = M) -> float:
-    return p / math.hypot(p, m)
 
 
 def _quiet_density(*args, **kwargs):

@@ -38,11 +38,9 @@ from tunnelkit import (
     tunneling_window,
 )
 
+from _helpers import _velocity
+
 M = 1.0
-
-
-def _velocity(p, m=M):
-    return p / math.hypot(p, m)
 
 
 class TestDelayTime:
@@ -168,6 +166,18 @@ class TestResonances:
     def test_window_validation(self):
         with pytest.raises(PhysicsDomainError):
             find_resonances(0.5, 3.0, 10.0, M, k_window=(0.1, 5.0))
+
+    @pytest.mark.parametrize("window", [(0.1, 0.21540812726851968),
+                                        (0.18464323474442637, 0.3)])
+    def test_window_end_on_a_root(self, window):
+        # one end lies on a root of the (0.4, 2.5, 100) double to the last bit,
+        # where psi rounds so that the root's odd multiple of pi falls just
+        # outside the grid's phases. The search must not index past its grid
+        # at the upper end, nor warn and drop the root at the lower end
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ks = find_resonances(0.4, 2.5, 100.0, M, k_window=window)
+        assert ks.size > 0 and window[0] < ks.min() and ks.max() < window[1]
 
     def test_no_barrier_has_no_tunneling_window(self):
         ks = find_resonances(0.0, 3.0, 10.0, M)

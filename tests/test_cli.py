@@ -157,6 +157,8 @@ _INPUT_RULES = [
     _case(("detector", "absorption", "beta"), [0.1], "detector.absorption.beta"),
     _case(("output", "directory"), "out", "output.directory"),
     _case(("output", "dir"), 5, "output.dir"),
+    # only a missing or null output means the default
+    *(_case(("output",), value, "output") for value in (0, False, "", [])),
     _case(("task", "reltol"), 1e-6, "task.reltol"),
     # only the kinds that integrate read rel_tol
     *(_case(("task", "rel_tol"), 1e-6, "task.rel_tol", kind) for kind in (
@@ -975,14 +977,14 @@ class TestManifestAndDeterminism:
     def test_opaque_wall_peaks_run_is_no_config_error(self, tmp_path, capsys):
         # |R0p|^2 rounds to 1.0 at a = 28, where the peak-series model died
         # with a bare ZeroDivisionError. The run now ends as a numeric result:
-        # today exit 2, because at the refinement node k = 0.3505714898429169,
-        # next to a resonance (|T| = 4.3e-10), |T|^2 + |R|^2 misses 1 by
-        # 2.19e-8, above the unitarity tolerance 1e-8. The digits go where
+        # today exit 2, because at the refinement node k = 0.35057148984268105,
+        # next to a resonance (|T| = 1.3e-9), |T|^2 + |R|^2 misses 1 by
+        # 2.93e-8, above the unitarity tolerance 1e-8. The digits go where
         # _segment_product composes the two opaque barriers: the entries of
-        # the scaled product are 1.6e-9 of the summed size of their terms,
-        # while |D| is 0.60 of its terms. 1e-10 away the ratio is 4.6e-7 and
-        # the miss 2.1e-11; a uniform 2M-point scan of the packet window
-        # stays at or below 2.0e-11
+        # the scaled product are 3.1e-10 of the summed size of their terms,
+        # while |D| is 0.60 of its terms. 1e-10 away the ratio is 2.6e-7 and
+        # the miss at most 2.9e-11; a uniform 2M-point scan of the packet's
+        # k_window stays below 7.6e-12
         cfg = _write(tmp_path, "c.json", {
             "name": "wall",
             "barrier": {"mass": 1.0, "segments": [{"v": 0.4, "w": 28.0},

@@ -16,15 +16,7 @@ from tunnelkit import (
 )
 from tunnelkit.kinematics import faddeeva_w
 
-
-def _erfc(z):
-    """erfc through the Faddeeva function: erfc(z) = e^{-z^2} w(iz) for
-    Re z >= 0, where iz lies in the upper half plane; otherwise, by
-    w(-z) = 2 e^{-z^2} - w(z), erfc(z) = 2 - e^{-z^2} w(-iz)."""
-    z = np.asarray(z, dtype=complex)
-    if z.real >= 0.0:
-        return (np.exp(-z * z) * faddeeva_w(1j * z))[()]
-    return (2.0 - np.exp(-z * z) * faddeeva_w(-1j * z))[()]
+from _helpers import _erfc
 
 
 def _erfc_taylor_oracle(z: complex, terms: int = 50) -> complex:

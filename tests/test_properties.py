@@ -16,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tunnelkit import PotentialProfile, double_barrier_T, square_barrier_amplitudes
-from tunnelkit.kinematics import faddeeva_w
 from tunnelkit.scattering import _transfer_TR
 from tunnelkit.wavepacket import _CSV_BLOCK, _csv_rows, _write_csv
+
+from _helpers import _erfc
 
 M = 1.0
 _PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -28,16 +29,6 @@ heights = st.floats(0.0, 0.95)
 barrier_heights = st.floats(0.05, 0.95)
 widths = st.floats(0.1, 30.0)
 segments = st.lists(st.tuples(heights, widths), min_size=1, max_size=4)
-
-
-def _erfc(z: complex) -> complex:
-    """erfc through the Faddeeva function: erfc(z) = e^{-z^2} w(iz) for
-    Re z >= 0, where iz lies in the upper half plane; otherwise, by
-    w(-z) = 2 e^{-z^2} - w(z), erfc(z) = 2 - e^{-z^2} w(-iz)."""
-    z = np.asarray(z, dtype=complex)
-    if z.real >= 0.0:
-        return complex(np.exp(-z * z) * faddeeva_w(1j * z))
-    return complex(2.0 - np.exp(-z * z) * faddeeva_w(-1j * z))
 
 
 @_PROPERTY

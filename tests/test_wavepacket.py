@@ -36,13 +36,11 @@ from tunnelkit import (
     total_transmission,
 )
 
+from _helpers import _velocity
+
 M = 1.0
 FREE = PotentialProfile(M, ())  # free propagation: the empty profile
 _Panels = namedtuple("_Panels", "lo hi evaluated_at", defaults=(None,))
-
-
-def _velocity(p):
-    return p / math.hypot(p, M)
 
 
 def _free_amplitude_oracle(L, t, spec, n=200_001):
@@ -697,9 +695,12 @@ class TestAsymmetricSuppression:
 
 
 class TestUnconvergedRunsFail:
-    def test_unresolvable_model_amplitude_hits_round_cap(self, narrow_gaussian):
-        # a Lorentzian of width 1e-15 cannot be resolved in MAX_ROUNDS rounds; the
-        # run must fail instead of returning an estimate far above tolerance
+    @pytest.mark.parametrize("width", [1e-15, 1e-17])
+    def test_unresolvable_model_amplitude_hits_round_cap(self, narrow_gaussian, width):
+        # a Lorentzian this narrow cannot be resolved in MAX_ROUNDS rounds; the
+        # run must fail instead of returning an estimate far above tolerance.
+        # 1e-17 lies below ulp(p) = 5.6e-17, where no panel resolves it at all:
+        # a split rule that lets that run converge returns a wrong density
         spec = narrow_gaussian
         det = DetectorSpec(position=500.0)
         t_bar = (spec.x0 + det.position) / _velocity(spec.p)
@@ -707,7 +708,7 @@ class TestUnconvergedRunsFail:
         times = np.linspace(t_bar - 10.5 * sig_t, t_bar + 10.5 * sig_t, 64)
         with pytest.raises(NumericsError, match="failed to converge") as exc:
             arrival_density(times, spec, FREE, det,
-                            detection_amplitude=lambda k: 1.0 / (1.0 - 1j * (k - spec.p) / 1e-15))
+                            detection_amplitude=lambda k: 1.0 / (1.0 - 1j * (k - spec.p) / width))
         diag = exc.value.diagnostics
         assert diag["refinement_rounds"] == wavepacket._quadrature.MAX_ROUNDS
         assert diag["total_error"] > diag["tolerance"]
