@@ -35,6 +35,7 @@ from .wavepacket import (ArrivalDistribution, WavePacketSpec, _first_peak_phase_
 REGIME_SHAPES = {"continuum": "gaussian", "resonance": "lorentzian"}
 _PEAK_FLOOR = 1e-6        # detect_peaks: ignore maxima below this x global max
 _FIT_FLOOR = 1e-12        # fit_exponential: ignore samples below this x peak
+FIT_MIN_SAMPLES = 10      # fit_exponential: samples the raw-sample fit needs
 _TAIL_BOUND = 1e-8        # peak series truncation: |R0p|^(2 n_max) < this
 _SERIES_CHUNK = 1 << 18   # peak series: times x offsets entries held at once
 
@@ -487,9 +488,9 @@ def fit_exponential(dist: ArrivalDistribution, window: tuple[float, float],
         floor = _FIT_FLOOR * float(np.max(dist.density))
         keep = yy > floor
         tt, yy = tt[keep], yy[keep]
-        if tt.size < 10:
+        if tt.size < FIT_MIN_SAMPLES:
             raise PhysicsDomainError(
-                f"need >= 10 samples above {floor:.3e} in the window, got {tt.size}")
+                f"need >= {FIT_MIN_SAMPLES} samples above {floor:.3e} in the window, got {tt.size}")
     if np.any(yy <= 0.0):
         raise PhysicsDomainError("non-positive densities in fit window")
     ly = np.log(yy)

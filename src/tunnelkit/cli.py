@@ -213,6 +213,17 @@ def parse_scenario(config: dict, out_override: str | None = None) -> Scenario:
         res = analysis.find_resonances(*barrier.as_symmetric_double(), barrier.mass)
         _expect(res.size > 0, "task.k0", "no resonances inside the tunneling window")
         params["k0"] = float(res[int(np.argmin(np.abs(res - packet.p)))])
+    if "decay_spans" in params:
+        # the run's own grid: its warnings are the run's to record
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            rep = _report(barrier, packet, detector)
+            _, times, (start, end) = _decay_grid(barrier, packet, rep, params)
+        n = int(np.count_nonzero((times >= start) & (times <= end)))
+        _expect(n >= analysis.FIT_MIN_SAMPLES, "task.decay_spans",
+                f"the decay fit needs {analysis.FIT_MIN_SAMPLES} of the n_t = {params['n_t']} "
+                f"times in its window [{start:.6g}, {end:.6g}], and {n} lie there: "
+                "raise decay_spans or n_t")
     if kind == "arrival-density" and "t_min" in params:
         n = prepanel_count(packet, barrier.mass, detector.position,
                            params["t_min"], params["t_max"])
@@ -365,12 +376,31 @@ def _run_resonance_scan(sc: Scenario) -> tuple[list[Path], dict]:
     return [path], {"n_resonances": int(ks.size)}
 
 
-def _report(sc: Scenario) -> analysis.RegimeReport:
-    """The double-barrier report of the scenario's packet at its detector."""
-    v0, a, r = sc.barrier.as_symmetric_double()
-    return analysis.double_barrier_report(sc.packet.p, v0, a, r, sc.barrier.mass,
-                                          L=sc.detector.position, x0=sc.packet.x0,
-                                          sigma_p=sc.packet.sigma_p)
+def _report(barrier: PotentialProfile, packet: WavePacketSpec,
+            detector: DetectorSpec) -> analysis.RegimeReport:
+    """The double-barrier report of the packet at the detector."""
+    v0, a, r = barrier.as_symmetric_double()
+    return analysis.double_barrier_report(packet.p, v0, a, r, barrier.mass,
+                                          L=detector.position, x0=packet.x0,
+                                          sigma_p=packet.sigma_p)
+
+
+def _decay_grid(barrier: PotentialProfile, packet: WavePacketSpec, rep, q: dict):
+    """(gamma, times, fit window) of a continuum or resonance regime-compare
+    run: gamma the escape rate at p (continuum) or k0 (resonance); n_t times
+    from 4 (continuum) or 3 (resonance) packet transients before t0 to
+    decay_spans decay times 1/gamma past it; the fit window from past the
+    transient, but over at least the last 60% of that tail, to the last time."""
+    v0, a, r = barrier.as_symmetric_double()
+    m = barrier.mass
+    trans = 1.0 / (packet.sigma_p * relativistic_kinematics(packet.p, m).velocity)
+    if q["regime"] == "continuum":
+        gamma, lead = rep.gamma_p, 4.0
+    else:
+        gamma, lead = analysis.decay_rate(q["k0"], v0, a, r, m), 3.0
+    times = np.linspace(rep.t0 - lead * trans, rep.t0 + q["decay_spans"] / gamma, q["n_t"])
+    t_end = float(times[-1])
+    return gamma, times, (rep.t0 + min(8.0 * trans, 0.4 * (t_end - rep.t0)), t_end)
 
 
 def _peak_train_times(rep, n_peaks: int, per_peak: int, n_min: int) -> np.ndarray:
@@ -392,7 +422,7 @@ def _peak_fit(dist, rep, min_peaks: int = 0):
 
 def _run_decay_fit(sc: Scenario) -> tuple[list[Path], dict]:
     q = sc.params
-    rep = _report(sc)
+    rep = _report(sc.barrier, sc.packet, sc.detector)
     times = _peak_train_times(rep, q["n_peaks"], q["samples_per_peak"], 64)
     dist = arrival_density(times, sc.packet, sc.barrier, sc.detector, rel_tol=q["rel_tol"])
     peaks, spacing, fit = _peak_fit(dist, rep)
@@ -414,9 +444,7 @@ def _run_regime_compare(sc: Scenario) -> tuple[list[Path], dict]:
     m = sc.barrier.mass
     spec = sc.packet
     L = sc.detector.position
-    rep = _report(sc)
-    vp = relativistic_kinematics(spec.p, m).velocity
-    trans = 1.0 / (spec.sigma_p * vp)  # duration of the packet's arrival transient
+    rep = _report(sc.barrier, spec, sc.detector)
     diagnostics: dict = {"regime": regime, "report": rep.to_dict()}
     substitution = None
 
@@ -424,14 +452,11 @@ def _run_regime_compare(sc: Scenario) -> tuple[list[Path], dict]:
         times = _peak_train_times(rep, q["n_peaks"], _SAMPLES_PER_PEAK, n_t)
         model = analysis.peak_series_density(times, spec, L, v0, a, r, m)
     elif regime == "continuum":
-        t_hi = rep.t0 + q["decay_spans"] / rep.gamma_p
-        times = np.linspace(rep.t0 - 4.0 * trans, t_hi, n_t)
+        _, times, window = _decay_grid(sc.barrier, spec, rep, q)
         model = analysis.continuum_density(times, spec, L, v0, a, r, m)
     else:
         k0 = q["k0"]
-        gamma_k0 = analysis.decay_rate(k0, v0, a, r, m)
-        t_hi = rep.t0 + q["decay_spans"] / gamma_k0
-        times = np.linspace(rep.t0 - 3.0 * trans, t_hi, n_t)
+        gamma_k0, times, window = _decay_grid(sc.barrier, spec, rep, q)
         model = analysis.resonance_density(times, spec, L, k0, v0, a, r, m)
         diagnostics.update(k0=k0, gamma_k0=gamma_k0)
         if q["substitute_lorentzian"]:
@@ -460,9 +485,6 @@ def _run_regime_compare(sc: Scenario) -> tuple[list[Path], dict]:
                           (f"r2_{label}", fit.r_squared)]
     else:
         gamma_ref = diagnostics.get("gamma_k0", rep.gamma_p)
-        # past the transient, but leave a usable stretch of tail to fit
-        start = rep.t0 + min(8.0 * trans, 0.4 * (float(times[-1]) - rep.t0))
-        window = (start, float(times[-1]))
         for label, dist in (("direct", direct), ("model", model)):
             fit = analysis.fit_exponential(dist, window)
             pairs += [(f"gamma_{label}", fit.rate), (f"r2_{label}", fit.r_squared)]

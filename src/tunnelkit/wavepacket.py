@@ -35,7 +35,8 @@ import numpy as np
 from . import _quadrature
 from .errors import NumericsError, PhysicsDomainError, warn_regime
 from .kinematics import relativistic_kinematics
-from .scattering import PotentialProfile, detection_amplitude_scan, detection_phase_derivative
+from .scattering import (PotentialProfile, _scaled_cosh_sinh, barrier_functions,
+                         detection_amplitude_scan, detection_phase_derivative, tunneling_window)
 
 _KWINDOW_SIGMAS = 8.0
 _ENVELOPE_FLOOR = 1e-18  # u0(x)/u0(0) beyond WavePacketSpec.reach
@@ -46,6 +47,8 @@ _WARN_L_OVER_D = 50.0
 _KERNEL_CHUNK = 2 ** 16  # bound on nodes x (A + 2B) kernel-table entries (1 MB) held at once
 _N_REP = 24  # representative times a time-grid refinement integrates
 _CSV_BLOCK = 512  # CSV rows formatted per write
+_TABLE_PHASE_STEP = math.pi / 32.0  # round-trip phase between the k table's points
+_NEWTON_STEPS = 3  # at most, after the table's interpolation
 
 
 # ---------------------------------------------------------------------------
@@ -659,14 +662,174 @@ def arrival_density(times, spec: WavePacketSpec, profile: PotentialProfile,
     return ArrivalDistribution(times=times, density=density, metadata=meta)
 
 
+def _round_trip(k: np.ndarray, v0: float, a: float, r: float, m: float):
+    """(psi, psi', log q) of the symmetric double (V0, a, r) at an array of
+    momenta in its tunneling window.
+
+    psi = 2kr + 2 arctan(eta tanh(lambda a)) is the round-trip phase of
+    find_resonances and psi' = 2r + 2 v tau its derivative, tau the
+    single-barrier tunneling time. q = (1 - R)/(1 + R) = 1/(1 + 2 rho^2
+    sinh^2(lambda a)), R the single-barrier reflection probability, so that
+    |T|^2 = q^2/(q^2 + (1 - q^2) cos^2(psi/2)) exactly. e_k of
+    barrier_functions is taken as k (m + |E - V0|)/(lambda (E + m)), its
+    value without the cancellations of E - m and m - |E - V0|, so it
+    neither rounds away nor underflows at small k; tau is written in e
+    rather than eta and rho, and q through the scaled sinh, so nothing
+    overflows.
+    """
+    bf = barrier_functions(k, v0, m)
+    E, lam = bf.energy, bf.lam
+    e = k * (m + np.abs(E - v0)) / (lam * (E + m))
+    ee = e * e
+    x = lam * a
+    th = np.tanh(x)
+    num = ((1.0 - ee) * (E - v0) * a * (1.0 - th * th) / lam
+           + (1.0 + ee) * m * (1.0 / (k * k) + 1.0 / (lam * lam)) * th)
+    dpsi = 2.0 * r + 4.0 * k * e * num / (E * (4.0 * ee + (ee - 1.0) ** 2 * th * th))
+    _, sh = _scaled_cosh_sinh(x)
+    log_q = -2.0 * x - np.log(np.exp(-2.0 * x) + 0.5 * ((ee + 1.0) * sh) ** 2 / ee)
+    return 2.0 * k * r + 2.0 * np.arctan(0.5 * (e - 1.0 / e) * th), dpsi, log_q
+
+
+def _round_trip_quadrature(spec: WavePacketSpec, v0: float, a: float, r: float, m: float,
+                           alpha, rel_tol: float):
+    """(integrand, edges) of total_transmission for a symmetric double whose
+    packet window lies in its tunneling window.
+
+    A_k = T there (w = 0), and |T|^2 = q^2/(q^2 cos^2(dpsi/2) + sin^2(dpsi/2))
+    with dpsi = psi - (2n + 1) pi the round-trip phase's offset from the
+    nearest resonance. The variable is k, as on the k path, but the piece of
+    k within delta of a resonance narrower than that (q_j < delta) takes the
+    variable theta, tan(dpsi/2) = q_j tan(theta), laid linearly onto the
+    piece, for which exactly
+
+        |T|^2 dpsi = 2 q_j t^2/(t^2 cos^2 theta + sin^2 theta) dtheta,  t = q/q_j:
+
+    with q_j = q at the resonance the peak is flat in theta however narrow
+    it is. The rest, alpha u~0^2/psi', is smooth, so k is needed only there:
+    it comes from psi by cubic Hermite interpolation in a table of psi(k),
+    and Newton steps where that misses, so no k within ulp of a resonance is
+    ever needed. Elsewhere the nodes are k itself: a k recovered from psi
+    carries the rounding of psi, ulp(psi)/psi', which would swamp the
+    envelope of a narrow packet.
+
+    delta = sigma_p psi'/4 (at most pi/4) keeps the envelope nearly
+    constant across a substituted piece, which maps its offsets beyond
+    about q to within q/dpsi of theta = +-pi/2, below what its nodes resolve
+    once q is small; so the far wings, where the envelope, up to e^32 times
+    larger across the window, may peak, are integrated over k. A piece that
+    the window cuts short of its resonance takes for q_j the largest of q at
+    its ends and at the cut and of |sin(dpsi/2)| at the cut, so t stays
+    below about 1 (q falls to 0 at k -> 0) and the cut maps to |theta| >=
+    pi/4. The initial panels halve toward theta = +-pi/2 on a substituted
+    piece, down to rel_tol/100, beyond which it carries less than that share
+    of its weight; elsewhere they double away from each resonance from delta
+    and split the rest every 2 sigma_p.
+    """
+    lo, hi = spec.k_window
+    # psi' = 2(r + v tau) is about 2(r + a), but v tau can exceed a several times
+    kt = np.linspace(lo, hi, math.ceil((hi - lo) * 2.0 * (r + a) / _TABLE_PHASE_STEP) + 2)
+    pt, dpt, lqt = _round_trip(kt, v0, a, r, m)
+    denser = math.ceil(kt.size * float(np.max(np.diff(pt))) / _TABLE_PHASE_STEP)
+    if denser > kt.size:
+        kt = np.linspace(lo, hi, denser)
+        pt, dpt, lqt = _round_trip(kt, v0, a, r, m)
+    tol_k = max(rel_tol * spec.sigma_p / 1024.0, 2.0 * float(np.spacing(hi)))  # Newton's stop
+
+    def interpolate(psi):
+        """k where the round-trip phase is psi, by cubic Hermite interpolation
+        in the table, and the pair of table points around it."""
+        j = np.clip(np.searchsorted(pt, psi) - 1, 0, pt.size - 2)
+        k_lo, k_hi = kt[j], kt[j + 1]
+        h = pt[j + 1] - pt[j]
+        u = (psi - pt[j]) / h
+        k = np.clip((1.0 + 2.0 * u) * (1.0 - u) ** 2 * k_lo + u * u * (3.0 - 2.0 * u) * k_hi
+                    + h * u * (1.0 - u) * ((1.0 - u) / dpt[j] - u / dpt[j + 1]), k_lo, k_hi)
+        return k, k_lo, k_hi
+
+    delta = min(math.pi / 4.0, 0.25 * spec.sigma_p * float(np.min(dpt)))
+    res = (2.0 * np.arange(math.floor(pt[0] / (2.0 * math.pi)) - 1,
+                           math.ceil(pt[-1] / (2.0 * math.pi)) + 1) + 1.0) * math.pi
+    start, stop = np.clip(res - delta, pt[0], pt[-1]), np.clip(res + delta, pt[0], pt[-1])
+    near = np.clip(res, start, stop)
+    # q_j is free, so the table's q interpolated will do; at least the
+    # smallest normal double, so log q_j is finite however opaque the double
+    qj = np.max([*np.interp(np.stack([start, stop, near]), pt, np.exp(lqt)),
+                 np.abs(np.sin(0.5 * (near - res)))], axis=0, initial=np.finfo(float).tiny)
+    ends = np.interp(np.concatenate([start, stop]), pt, kt).reshape(2, -1)
+    doubling = delta * 2.0 ** np.arange(math.ceil(math.log2(math.pi / delta)))
+    offsets = np.concatenate([[0.0], doubling, -doubling])
+    k_edges = np.concatenate([np.interp(np.add.outer(res, offsets).ravel(), pt, kt),
+                              np.arange(lo, hi, 2.0 * spec.sigma_p)])
+    sub = (qj < delta) & (ends[1] > ends[0])
+    res, qj, (k_a, k_b) = res[sub], qj[sub], ends[:, sub]
+    log_qj = np.log(qj)
+    half = 0.5 * (_round_trip(np.concatenate([k_a, k_b]), v0, a, r, m)[0] - np.tile(res, 2))
+    theta_a, theta_b = np.arctan2(np.sin(half), np.tile(qj, 2) * np.cos(half)).reshape(2, -1)
+    slope = (theta_b - theta_a) / (k_b - k_a)  # dtheta/dk on each substituted piece
+    wing = math.pi / 2.0 - math.pi / 4.0 * 0.5 ** np.arange(
+        math.ceil(math.log2(math.pi / 2.0 / (0.01 * rel_tol))))
+    theta = np.concatenate([-wing, [0.0], wing])[None, :]
+    keep = (theta > theta_a[:, None]) & (theta < theta_b[:, None])
+    # an infinite last piece, so every k has a substituted piece at or above it
+    k_a, k_b = np.append(k_a, np.inf), np.append(k_b, np.inf)
+    j = np.searchsorted(k_b, k_edges)
+    edges = np.sort(np.concatenate([[lo, hi], k_a[:-1], k_b[:-1],
+                                    (k_a[:-1, None] + (theta - theta_a[:, None])
+                                     / slope[:, None])[keep],
+                                    k_edges[k_edges <= k_a[j]]]))
+    edges = edges[np.append(True, np.diff(edges) > 0.0)]  # np.unique would import numpy.ma
+
+    def f(x):
+        j = np.searchsorted(k_b, x)
+        on = x > k_a[j]  # the nodes of substituted pieces
+        j = j[on]
+        theta = theta_a[j] + (x[on] - k_a[j]) * slope[j]
+        s, c = np.sin(theta), np.cos(theta)
+        psi = res[j] + 2.0 * np.arctan2(qj[j] * s, c)
+        k = x.copy()
+        k[on], k_lo, k_hi = interpolate(psi)
+        p, dpsi, lq = _round_trip(k, v0, a, r, m)
+        # Newton steps, within the pair of table points, on the substituted
+        # nodes that the interpolation leaves further than tol_k from the root
+        ks, ps, ds, ls = k[on], p[on], dpsi[on], lq[on]
+        for _ in range(_NEWTON_STEPS):
+            step = (ps - psi) / ds
+            off = np.abs(step) > tol_k
+            if not off.any():
+                break
+            ks[off] = np.clip(ks[off] - step[off], k_lo[off], k_hi[off])
+            ps[off], ds[off], ls[off] = _round_trip(ks[off], v0, a, r, m)
+        k[on] = ks
+        t2 = np.exp(2.0 * (ls - log_qj[j]))
+        weight = np.empty_like(x)
+        weight[on] = 2.0 * qj[j] * t2 / (t2 * c * c + s * s) * slope[j] / ds
+        q2, s, c = np.exp(2.0 * lq[~on]), np.sin(0.5 * p[~on]), np.cos(0.5 * p[~on])
+        weight[~on] = q2 / (q2 * s * s + c * c)
+        a_k = 1.0 if alpha is None else np.asarray(alpha(k), dtype=float)
+        return (weight * a_k * spec.envelope(k) ** 2)[:, None]
+    return f, edges
+
+
 def total_transmission(spec: WavePacketSpec, profile: PotentialProfile,
                        alpha=None, rel_tol: float = 1e-10) -> float:
-    """int dk/(2pi) alpha(k) |A_k|^2 |u~0(k - p)|^2 (no time integral)."""
-    def f(k):
-        a = 1.0 if alpha is None else np.asarray(alpha(k), dtype=float)
-        return (a * np.abs(detection_amplitude_scan(profile, k)) ** 2
-                * spec.envelope(k) ** 2)[:, None]
+    """int dk/(2pi) alpha(k) |A_k|^2 |u~0(k - p)|^2 (no time integral).
 
+    On a symmetric double barrier whose packet window lies in its tunneling
+    window, A_k = T has a closed form in the round-trip phase, which is the
+    variable near each narrow resonance (``_round_trip_quadrature``), so
+    opaque doubles converge too. Every other profile and window integrates
+    the transfer-matrix A_k over k, from 64 panels.
+    """
     lo, hi = spec.k_window
-    quad = _quadrature.adaptive_quad(f, np.linspace(lo, hi, 65), rel_tol)
+    dbl = profile.as_symmetric_double()
+    if dbl is not None and hi < tunneling_window(dbl[0], profile.mass)[1]:
+        f, edges = _round_trip_quadrature(spec, *dbl, profile.mass, alpha, rel_tol)
+    else:
+        def f(k):
+            a = 1.0 if alpha is None else np.asarray(alpha(k), dtype=float)
+            return (a * np.abs(detection_amplitude_scan(profile, k)) ** 2
+                    * spec.envelope(k) ** 2)[:, None]
+        edges = np.linspace(lo, hi, 65)
+    quad = _quadrature.adaptive_quad(f, edges, rel_tol)
     return float(quad.value[0].real) / (2.0 * math.pi)

@@ -323,6 +323,30 @@ class TestValidate:
         assert "packet.shape" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("regime, shape", [("continuum", "gaussian"),
+                                               ("resonance", "lorentzian")])
+    def test_decay_window_too_short_to_fit_is_config_error(self, tmp_path, capsys, command,
+                                                           regime, shape):
+        # 1 of 16 times lies in the fit window of 1e-6 decay times, and the
+        # decay fit needs 10: rejected before any run, not by the fit with exit 2
+        cfg = {**_readme_config(), "output": {"dir": str(tmp_path / "out")},
+               "task": {"kind": "regime-compare", "regime": regime, "n_t": 16,
+                        "decay_spans": 1e-6}}
+        cfg["packet"]["shape"] = shape
+        assert main([command, _write(tmp_path, "c.json", cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "task.decay_spans" in err and "1 lie there" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("regime, shape", [("continuum", "gaussian"),
+                                               ("resonance", "lorentzian")])
+    def test_default_decay_spans_fit_at_the_fewest_times(self, tmp_path, regime, shape):
+        cfg = {**_readme_config(),
+               "task": {"kind": "regime-compare", "regime": regime, "n_t": 16}}
+        cfg["packet"]["shape"] = shape
+        assert main(["validate", _write(tmp_path, "c.json", cfg)]) == 0
+
     @pytest.mark.parametrize("keys, value, path, task", _INPUT_RULES)
     def test_input_rule_names_its_field(self, tmp_path, capsys, keys, value, path, task):
         cfg = {"name": "rule", **_sections(task["kind"]), "task": dict(task),

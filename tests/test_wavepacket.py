@@ -30,6 +30,7 @@ from tunnelkit import (
     detect_peaks,
     double_barrier_report,
     detection_phase_derivative,
+    find_resonances,
     phase_split,
     piecewise_amplitudes,
     stationary_phase_time,
@@ -715,14 +716,17 @@ class TestUnconvergedRunsFail:
 
     @pytest.mark.parametrize("integral", ["amplitude", "transmission", "density"])
     def test_every_integral_keeps_the_round_limit(self, integral, monkeypatch):
-        # each converges in 7 to 10 rounds under the real limit
+        # each converges in 7 to 11 rounds under the real limit. A symmetric
+        # double's transmission integrates over the round-trip phase in 0
+        # rounds, so the k-space transmission runs on a right wall of 0.45
         spec = WavePacketSpec("gaussian", p=0.35, sigma_p=0.004, x0=700.0)
         prof = PotentialProfile.double(M, 0.4, 2.5, 300.0)
+        lopsided = PotentialProfile(M, ((0.4, 2.5), (0.0, 300.0), (0.45, 2.5)))
         det = DetectorSpec(position=16000.0)
         t_bar = stationary_phase_time(spec, prof, det.position)
         sig_t = spec.sigma_x / _velocity(spec.p)
         run = {"amplitude": lambda: arrival_amplitude(det.position, t_bar, spec, prof),
-               "transmission": lambda: total_transmission(spec, prof),
+               "transmission": lambda: total_transmission(spec, lopsided),
                "density": lambda: arrival_density(
                    np.linspace(t_bar - 10.5 * sig_t, t_bar + 10.5 * sig_t, 64),
                    spec, prof, det)}[integral]
@@ -736,3 +740,86 @@ class TestUnconvergedRunsFail:
         prof = PotentialProfile.double(M, 0.4, 2.5, 300.0)
         with pytest.raises(NumericsError, match="not finite"):
             total_transmission(spec, prof, alpha=lambda k: np.where(k > 0.35, np.nan, 1.0))
+
+
+def _item8_packets():
+    """The 40 packets of acceptance item 8's sweep on the double (0.5, 3, 40):
+    on and between the first 11 resonances, at sigma_p of 1/6 and 1/8 of
+    their spacing; the first reaches down to k = 1e-12 p."""
+    ks = find_resonances(0.5, 3.0, 40.0, M)
+    packets = []
+    for k1, k2 in zip(ks[:10], ks[1:11]):
+        for div in (6.0, 8.0):
+            packets += [WavePacketSpec("gaussian", p=k, sigma_p=(k2 - k1) / div, x0=1000.0)
+                        for k in (k1, 0.5 * (k1 + k2))]
+    return packets
+
+
+# total_transmission of the double (0.4, a, 500) at p = 0.35, sigma_p = 0.0035,
+# to 30 digits, from tests/make_transmission_refs.py (mpmath, |T|^2 from the
+# closed-form double barrier, not the Fabry-Perot form integrated here)
+_OPAQUE_REFS = {
+    8: 0.00000519540765666349229970658667501,
+    11: 0.0000000571385722052095495141849959517,
+    14: 6.28430585304887180058369673802e-10,
+    28: 4.54977789177115139445309866873e-19,
+}
+
+
+class TestRoundTripTransmission:
+    # a symmetric double with its packet window in the tunneling window
+    # integrates over the round-trip phase; the same double written with its
+    # gap in two segments is not recognised as one, and integrates over k
+    DOUBLE = PotentialProfile.double(M, 0.5, 3.0, 40.0)
+    SPLIT = PotentialProfile(M, ((0.5, 3.0), (0.0, 20.0), (0.0, 20.0), (0.5, 3.0)))
+
+    def test_item8_sweep_matches_k_space(self):
+        assert self.SPLIT.as_symmetric_double() is None
+        for spec in _item8_packets():
+            got = total_transmission(spec, self.DOUBLE, rel_tol=1e-10)
+            assert got == pytest.approx(total_transmission(spec, self.SPLIT, rel_tol=1e-10),
+                                        rel=1e-10)
+
+    def test_item8_sweep_converges_at_1e_12(self):
+        # the k-space path hits the round cap on the first and third packet
+        # already at 1e-11
+        for spec in _item8_packets():
+            fine = total_transmission(spec, self.DOUBLE, rel_tol=1e-12)
+            assert fine == pytest.approx(total_transmission(spec, self.DOUBLE, rel_tol=1e-10),
+                                         rel=1e-10)
+
+    @pytest.mark.parametrize("a", sorted(_OPAQUE_REFS))
+    def test_opaque_double_matches_mpmath(self, a):
+        # the k-space path fails on all four: the round cap at 8 and 11, the
+        # unitarity check of A_k at 14 and 28
+        spec = WavePacketSpec("gaussian", p=0.35, sigma_p=0.0035, x0=700.0)
+        got = total_transmission(spec, PotentialProfile.double(M, 0.4, a, 500.0))
+        assert got == pytest.approx(_OPAQUE_REFS[a], rel=1e-9)
+
+    @pytest.mark.parametrize("a", [2.5, 5.0])
+    def test_translucent_double_matches_k_space(self, a):
+        spec = WavePacketSpec("gaussian", p=0.35, sigma_p=0.0035, x0=700.0)
+        split = PotentialProfile(M, ((0.4, a), (0.0, 250.0), (0.0, 250.0), (0.4, a)))
+        assert total_transmission(spec, PotentialProfile.double(M, 0.4, a, 500.0)) == \
+            pytest.approx(total_transmission(spec, split), rel=1e-10)
+
+    def test_opaque_survey_ends_finite(self):
+        rng = np.random.default_rng(22)
+        for v0, a, r, p in rng.uniform([0.4, 8.0, 100.0, 0.1], [0.9, 20.0, 1000.0, 0.6],
+                                       size=(150, 4)):
+            spec = WavePacketSpec("gaussian", p=p, sigma_p=0.01 * p, x0=1000.0)
+            got = total_transmission(spec, PotentialProfile.double(M, v0, a, r), rel_tol=1e-7)
+            assert 0.0 < got < 1.0
+
+    def test_absorption_table_matches_k_space(self):
+        spec = WavePacketSpec("gaussian", p=0.35, sigma_p=0.004, x0=700.0)
+        lo, hi = spec.k_window
+        det = DetectorSpec(position=3050.0,
+                           absorption=(list(np.linspace(lo, hi, 9)),
+                                       [0.9, 0.8, 0.5, 0.6, 0.3, 0.4, 0.7, 0.2, 0.1]))
+        double = PotentialProfile.double(M, 0.4, 2.5, 300.0)
+        split = PotentialProfile(M, ((0.4, 2.5), (0.0, 100.0), (0.0, 200.0), (0.4, 2.5)))
+        got = total_transmission(spec, double, alpha=det.absorption_at)
+        assert got == pytest.approx(total_transmission(spec, split, alpha=det.absorption_at),
+                                    rel=1e-10)
+        assert got < 0.9 * total_transmission(spec, double)
