@@ -35,8 +35,8 @@ import numpy as np
 from . import _quadrature
 from .errors import NumericsError, PhysicsDomainError, warn_regime
 from .kinematics import relativistic_kinematics
-from .scattering import (PotentialProfile, _scaled_cosh_sinh, barrier_functions,
-                         detection_amplitude_scan, detection_phase_derivative, tunneling_window)
+from .scattering import (PotentialProfile, barrier_functions, detection_amplitude_scan,
+                         detection_phase_derivative, tunneling_window)
 
 _KWINDOW_SIGMAS = 8.0
 _ENVELOPE_FLOOR = 1e-18  # u0(x)/u0(0) beyond WavePacketSpec.reach
@@ -674,20 +674,22 @@ def _round_trip(k: np.ndarray, v0: float, a: float, r: float, m: float):
     barrier_functions is taken as k (m + |E - V0|)/(lambda (E + m)), its
     value without the cancellations of E - m and m - |E - V0|, so it
     neither rounds away nor underflows at small k; tau is written in e
-    rather than eta and rho, and q through the scaled sinh, so nothing
-    overflows.
+    rather than eta and rho, and q through sinh(lambda a) e^{-lambda a}, so
+    nothing overflows.
     """
     bf = barrier_functions(k, v0, m)
     E, lam = bf.energy, bf.lam
-    e = k * (m + np.abs(E - v0)) / (lam * (E + m))
+    gap = E - v0
+    e = k * (m + np.abs(gap)) / (lam * (E + m))
     ee = e * e
     x = lam * a
     th = np.tanh(x)
-    num = ((1.0 - ee) * (E - v0) * a * (1.0 - th * th) / lam
+    num = ((1.0 - ee) * gap * a * (1.0 - th * th) / lam
            + (1.0 + ee) * m * (1.0 / (k * k) + 1.0 / (lam * lam)) * th)
     dpsi = 2.0 * r + 4.0 * k * e * num / (E * (4.0 * ee + (ee - 1.0) ** 2 * th * th))
-    _, sh = _scaled_cosh_sinh(x)
-    log_q = -2.0 * x - np.log(np.exp(-2.0 * x) + 0.5 * ((ee + 1.0) * sh) ** 2 / ee)
+    decay = np.exp(-2.0 * x)
+    sh = 0.5 * (1.0 - decay)  # sinh(x) e^{-x}
+    log_q = -2.0 * x - np.log(decay + 0.5 * ((ee + 1.0) * sh) ** 2 / ee)
     return 2.0 * k * r + 2.0 * np.arctan(0.5 * (e - 1.0 / e) * th), dpsi, log_q
 
 

@@ -33,10 +33,12 @@ from tunnelkit import (
     find_resonances,
     phase_split,
     piecewise_amplitudes,
+    square_barrier_tunneling_time,
     stationary_phase_time,
     total_transmission,
 )
 
+from tunnelkit.scattering import _transfer_TR
 from _helpers import _velocity
 
 M = 1.0
@@ -772,6 +774,19 @@ class TestRoundTripTransmission:
     # gap in two segments is not recognised as one, and integrates over k
     DOUBLE = PotentialProfile.double(M, 0.5, 3.0, 40.0)
     SPLIT = PotentialProfile(M, ((0.5, 3.0), (0.0, 20.0), (0.0, 20.0), (0.5, 3.0)))
+
+    @pytest.mark.parametrize("v0, a, r", [(0.5, 3.0, 40.0), (0.4, 8.0, 500.0)])
+    def test_round_trip_closed_form(self, v0, a, r):
+        # |T|^2 = q^2/(q^2 + (1 - q^2) cos^2(psi/2)) against the transfer
+        # matrix, and psi' = 2r + 2 v tau against the single-barrier tau
+        k = np.sort(np.random.default_rng(7).uniform(0.01, 0.97, 200)) * math.sqrt(2 * v0 + v0 ** 2)
+        psi, dpsi, log_q = wavepacket._round_trip(k, v0, a, r, M)
+        q2 = np.exp(2.0 * log_q)
+        t, _ = _transfer_TR(PotentialProfile.double(M, v0, a, r).segments, k, M)
+        assert np.abs(q2 / (q2 + (1.0 - q2) * np.cos(0.5 * psi) ** 2) / np.abs(t) ** 2 - 1.0).max() \
+            < 1e-9
+        tau = square_barrier_tunneling_time(k, v0, a, M)
+        assert np.abs(dpsi / (2.0 * r + 2.0 * k / np.hypot(k, M) * tau) - 1.0).max() < 1e-13
 
     def test_item8_sweep_matches_k_space(self):
         assert self.SPLIT.as_symmetric_double() is None
