@@ -489,8 +489,8 @@ def fit_exponential(dist: ArrivalDistribution, window: tuple[float, float],
         keep = yy > floor
         tt, yy = tt[keep], yy[keep]
         if tt.size < FIT_MIN_SAMPLES:
-            raise PhysicsDomainError(
-                f"need >= {FIT_MIN_SAMPLES} samples above {floor:.3e} in the window, got {tt.size}")
+            raise PhysicsDomainError(f"need >= {FIT_MIN_SAMPLES} samples above {floor:.3e} "
+                                     f"in the window, got {tt.size}")
     if np.any(yy <= 0.0):
         raise PhysicsDomainError("non-positive densities in fit window")
     ly = np.log(yy)

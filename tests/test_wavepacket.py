@@ -769,9 +769,10 @@ _OPAQUE_REFS = {
 
 
 class TestRoundTripTransmission:
-    # a symmetric double with its packet window in the tunneling window
-    # integrates over the round-trip phase; the same double written with its
-    # gap in two segments is not recognised as one, and integrates over k
+    # a symmetric double with its packet window in the tunneling window takes
+    # |T|^2 in closed form and the round-trip phase near narrow resonances;
+    # the same double written with its gap in two segments is not recognised
+    # as one, and integrates the transfer-matrix A_k over k
     DOUBLE = PotentialProfile.double(M, 0.5, 3.0, 40.0)
     SPLIT = PotentialProfile(M, ((0.5, 3.0), (0.0, 20.0), (0.0, 20.0), (0.5, 3.0)))
 
@@ -779,12 +780,13 @@ class TestRoundTripTransmission:
     def test_round_trip_closed_form(self, v0, a, r):
         # |T|^2 = q^2/(q^2 + (1 - q^2) cos^2(psi/2)) against the transfer
         # matrix, and psi' = 2r + 2 v tau against the single-barrier tau
-        k = np.sort(np.random.default_rng(7).uniform(0.01, 0.97, 200)) * math.sqrt(2 * v0 + v0 ** 2)
+        k_max = math.sqrt(2 * v0 + v0 ** 2)
+        k = np.sort(np.random.default_rng(7).uniform(0.01, 0.97, 200)) * k_max
         psi, dpsi, log_q = wavepacket._round_trip(k, v0, a, r, M)
         q2 = np.exp(2.0 * log_q)
+        t2 = q2 / (q2 + (1.0 - q2) * np.cos(0.5 * psi) ** 2)
         t, _ = _transfer_TR(PotentialProfile.double(M, v0, a, r).segments, k, M)
-        assert np.abs(q2 / (q2 + (1.0 - q2) * np.cos(0.5 * psi) ** 2) / np.abs(t) ** 2 - 1.0).max() \
-            < 1e-9
+        assert np.abs(t2 / np.abs(t) ** 2 - 1.0).max() < 1e-9
         tau = square_barrier_tunneling_time(k, v0, a, M)
         assert np.abs(dpsi / (2.0 * r + 2.0 * k / np.hypot(k, M) * tau) - 1.0).max() < 1e-13
 
