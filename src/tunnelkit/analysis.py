@@ -353,7 +353,7 @@ def continuum_density(times, spec: WavePacketSpec, L: float, v0: float,
     lap = gauss * faddeeva_w(1j * np.where(neg, -z, z))
     reflection = 2.0 * np.exp(np.where(neg, -b * c + b * b / (4.0 * A * A), 0.0))
     lap = np.where(neg, reflection - lap, lap)
-    u0max = (2.0 / math.pi) ** 0.25 * math.sqrt(spec.sigma_p)
+    u0max = float(spec.position_envelope(0.0))
     amp = u0max * (math.sqrt(math.pi) / (2.0 * A) * lap + 0.5 * gauss)
     density = v * report.T0p_abs2 ** 2 * np.abs(amp) ** 2
     meta = _regime_meta(report, spec, L, "continuum")
@@ -370,7 +370,7 @@ def _lorentzian_residue_amplitude(times, spec: WavePacketSpec, v: float,
     Lorentzian packet and linearized phase.
     """
     sig = spec.sigma_p
-    C = 2.0 / math.sqrt(sig)
+    C = float(spec.envelope(spec.p))
     a_lor = 2.0 * v_k0 / gamma_k0
     delta = k0 - spec.p
     q1 = delta - 1j / a_lor

@@ -146,7 +146,8 @@ class Scenario:
     detector: DetectorSpec | None
     out_dir: Path
     raw: dict
-    # task fields parsed by _validate_task_params, defaults filled in (k0 by parse_scenario)
+    # task fields parsed by _validate_task_params, defaults filled in (k0 by parse_scenario),
+    # and the "report" and "decay_grid" that parse_scenario builds for the runners
     params: dict
 
 
@@ -213,12 +214,12 @@ def parse_scenario(config: dict, out_override: str | None = None) -> Scenario:
         res = analysis.find_resonances(*barrier.as_symmetric_double(), barrier.mass)
         _expect(res.size > 0, "task.k0", "no resonances inside the tunneling window")
         params["k0"] = float(res[int(np.argmin(np.abs(res - packet.p)))])
+    if kind in ("decay-fit", "regime-compare"):
+        rep = params["report"] = analysis.double_barrier_report(
+            packet.p, *barrier.as_symmetric_double(), barrier.mass, L=detector.position,
+            x0=packet.x0, sigma_p=packet.sigma_p)
     if "decay_spans" in params:
-        # the run's own grid: its warnings are the run's to record
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RegimeWarning)
-            rep = _report(barrier, packet, detector)
-            _, times, (start, end) = _decay_grid(barrier, packet, rep, params)
+        _, times, (start, end) = params["decay_grid"] = _decay_grid(packet, rep, params)
         n = int(np.count_nonzero((times >= start) & (times <= end)))
         _expect(n >= analysis.FIT_MIN_SAMPLES, "task.decay_spans",
                 f"the decay fit needs {analysis.FIT_MIN_SAMPLES} of the n_t = {params['n_t']} "
@@ -376,28 +377,21 @@ def _run_resonance_scan(sc: Scenario) -> tuple[list[Path], dict]:
     return [path], {"n_resonances": int(ks.size)}
 
 
-def _report(barrier: PotentialProfile, packet: WavePacketSpec,
-            detector: DetectorSpec) -> analysis.RegimeReport:
-    """The double-barrier report of the packet at the detector."""
-    v0, a, r = barrier.as_symmetric_double()
-    return analysis.double_barrier_report(packet.p, v0, a, r, barrier.mass,
-                                          L=detector.position, x0=packet.x0,
-                                          sigma_p=packet.sigma_p)
-
-
-def _decay_grid(barrier: PotentialProfile, packet: WavePacketSpec, rep, q: dict):
+def _decay_grid(packet: WavePacketSpec, rep: analysis.RegimeReport, q: dict):
     """(gamma, times, fit window) of a continuum or resonance regime-compare
     run: gamma the escape rate at p (continuum) or k0 (resonance); n_t times
     from 4 (continuum) or 3 (resonance) packet transients before t0 to
     decay_spans decay times 1/gamma past it; the fit window from past the
-    transient, but over at least the last 60% of that tail, to the last time."""
-    v0, a, r = barrier.as_symmetric_double()
-    m = barrier.mass
-    trans = 1.0 / (packet.sigma_p * relativistic_kinematics(packet.p, m).velocity)
+    transient, but over at least the last 60% of that tail, to the last time.
+    A zero gamma, where |T0|^2 underflows, is a config error: no decay to fit."""
+    trans = 1.0 / (packet.sigma_p * relativistic_kinematics(packet.p, rep.mass).velocity)
     if q["regime"] == "continuum":
         gamma, lead = rep.gamma_p, 4.0
     else:
-        gamma, lead = analysis.decay_rate(q["k0"], v0, a, r, m), 3.0
+        gamma, lead = analysis.decay_rate(q["k0"], rep.v0, rep.a, rep.r, rep.mass), 3.0
+    _expect(gamma > 0.0, "task.regime",
+            f"the escape rate of the {q['regime']} regime is 0 (|T0|^2 underflows), "
+            "so there is no decay to fit: the peaks regime applies")
     times = np.linspace(rep.t0 - lead * trans, rep.t0 + q["decay_spans"] / gamma, q["n_t"])
     t_end = float(times[-1])
     return gamma, times, (rep.t0 + min(8.0 * trans, 0.4 * (t_end - rep.t0)), t_end)
@@ -422,7 +416,7 @@ def _peak_fit(dist, rep, min_peaks: int = 0):
 
 def _run_decay_fit(sc: Scenario) -> tuple[list[Path], dict]:
     q = sc.params
-    rep = _report(sc.barrier, sc.packet, sc.detector)
+    rep = q["report"]
     times = _peak_train_times(rep, q["n_peaks"], q["samples_per_peak"], 64)
     dist = arrival_density(times, sc.packet, sc.barrier, sc.detector, rel_tol=q["rel_tol"])
     peaks, spacing, fit = _peak_fit(dist, rep)
@@ -444,7 +438,7 @@ def _run_regime_compare(sc: Scenario) -> tuple[list[Path], dict]:
     m = sc.barrier.mass
     spec = sc.packet
     L = sc.detector.position
-    rep = _report(sc.barrier, spec, sc.detector)
+    rep = q["report"]
     diagnostics: dict = {"regime": regime, "report": rep.to_dict()}
     substitution = None
 
@@ -452,11 +446,11 @@ def _run_regime_compare(sc: Scenario) -> tuple[list[Path], dict]:
         times = _peak_train_times(rep, q["n_peaks"], _SAMPLES_PER_PEAK, n_t)
         model = analysis.peak_series_density(times, spec, L, v0, a, r, m)
     elif regime == "continuum":
-        _, times, window = _decay_grid(sc.barrier, spec, rep, q)
+        _, times, window = q["decay_grid"]
         model = analysis.continuum_density(times, spec, L, v0, a, r, m)
     else:
         k0 = q["k0"]
-        gamma_k0, times, window = _decay_grid(sc.barrier, spec, rep, q)
+        gamma_k0, times, window = q["decay_grid"]
         model = analysis.resonance_density(times, spec, L, k0, v0, a, r, m)
         diagnostics.update(k0=k0, gamma_k0=gamma_k0)
         if q["substitute_lorentzian"]:

@@ -163,6 +163,20 @@ def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return d
 
 
+def _cubic_hermite(x: np.ndarray, xt: np.ndarray, yt: np.ndarray, dt: np.ndarray):
+    """(y, i): the cubic Hermite interpolant of the values yt and slopes dt at
+    the increasing points xt, at x, and the index i of each x's table interval
+    [xt[i], xt[i + 1]] (the first or last interval for an x outside xt)."""
+    i = np.clip(np.searchsorted(xt, x) - 1, 0, xt.size - 2)
+    h = xt[i + 1] - xt[i]
+    s = (x - xt[i]) / h
+    h00 = (1 + 2 * s) * (1 - s) ** 2
+    h10 = s * (1 - s) ** 2
+    h01 = s * s * (3 - 2 * s)
+    h11 = s * s * (s - 1)
+    return h00 * yt[i] + h10 * h * dt[i] + h01 * yt[i + 1] + h11 * h * dt[i + 1], i
+
+
 @dataclass(frozen=True)
 class DetectorSpec:
     """Detector at x = L with absorption coefficient alpha(k) in [0, 1].
@@ -198,16 +212,7 @@ class DetectorSpec:
             return np.full(k.shape, float(self.absorption))
         kt = np.asarray(self.absorption[0], float)
         at = np.asarray(self.absorption[1], float)
-        d = _pchip_slopes(kt, at)
-        kk = np.clip(k, kt[0], kt[-1])
-        i = np.clip(np.searchsorted(kt, kk) - 1, 0, kt.size - 2)
-        h = kt[i + 1] - kt[i]
-        s = (kk - kt[i]) / h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        return h00 * at[i] + h10 * h * d[i] + h01 * at[i + 1] + h11 * h * d[i + 1]
+        return _cubic_hermite(np.clip(k, kt[0], kt[-1]), kt, at, _pchip_slopes(kt, at))[0]
 
     def check_far_field(self, profile: PotentialProfile) -> None:
         d = profile.width
@@ -666,16 +671,18 @@ def _round_trip(k: np.ndarray, v0: float, a: float, r: float, m: float):
     """(psi, psi', log q) of the symmetric double (V0, a, r) at an array of
     momenta in its tunneling window.
 
-    psi = 2kr + 2 arctan(eta tanh(lambda a)) is the round-trip phase of
-    find_resonances and psi' = 2r + 2 v tau its derivative, tau the
-    single-barrier tunneling time. q = (1 - R)/(1 + R) = 1/(1 + 2 rho^2
-    sinh^2(lambda a)), R the single-barrier reflection probability, so that
-    |T|^2 = q^2/(q^2 + (1 - q^2) cos^2(psi/2)) exactly. e_k of
-    barrier_functions is taken as k (m + |E - V0|)/(lambda (E + m)), its
-    value without the cancellations of E - m and m - |E - V0|, so it
+    psi = 2kr + 2 arctan(eta tanh(lambda a)) is the round-trip phase whose
+    odd multiples of pi find_resonances solves for, and psi' = 2r + 2 v tau
+    its derivative, tau the single-barrier tunneling time. q = (1 - R)/(1 + R)
+    = 1/(1 + 2 rho^2 sinh^2(lambda a)), R the single-barrier reflection
+    probability, so that |T|^2 = q^2/(q^2 + (1 - q^2) cos^2(psi/2)) exactly.
+    e_k of barrier_functions is taken as k (m + |E - V0|)/(lambda (E + m)),
+    its value without the cancellations of E - m and m - |E - V0|, so it
     neither rounds away nor underflows at small k; tau is written in e
     rather than eta and rho, and q through sinh(lambda a) e^{-lambda a}, so
-    nothing overflows.
+    nothing overflows. That psi equals find_resonances' only in exact
+    arithmetic: the two differ by up to about 1e6 ulp below 5% and above
+    95% of the window edge, and by at most 64 ulp between.
     """
     bf = barrier_functions(k, v0, m)
     E, lam = bf.energy, bf.lam
@@ -694,9 +701,10 @@ def _round_trip(k: np.ndarray, v0: float, a: float, r: float, m: float):
 
 
 def _round_trip_quadrature(spec: WavePacketSpec, v0: float, a: float, r: float, m: float,
-                           alpha, rel_tol: float):
-    """(integrand, edges) of total_transmission for a symmetric double whose
-    packet window lies in its tunneling window.
+                           rel_tol: float):
+    """(x -> (weight, k), edges) of total_transmission for a symmetric double
+    whose packet window lies in its tunneling window: at each node x, the
+    factor of alpha(k) u~0(k - p)^2 in the integrand and the momentum k.
 
     A_k = T there (w = 0), and |T|^2 = q^2/(q^2 cos^2(dpsi/2) + sin^2(dpsi/2))
     with dpsi = psi - (2n + 1) pi the round-trip phase's offset from the
@@ -737,18 +745,7 @@ def _round_trip_quadrature(spec: WavePacketSpec, v0: float, a: float, r: float, 
         kt = np.linspace(lo, hi, denser)
         pt, dpt, lqt = _round_trip(kt, v0, a, r, m)
     tol_k = max(rel_tol * spec.sigma_p / 1024.0, 2.0 * float(np.spacing(hi)))  # Newton's stop
-
-    def interpolate(psi):
-        """k where the round-trip phase is psi, by cubic Hermite interpolation
-        in the table, and the pair of table points around it."""
-        j = np.clip(np.searchsorted(pt, psi) - 1, 0, pt.size - 2)
-        k_lo, k_hi = kt[j], kt[j + 1]
-        h = pt[j + 1] - pt[j]
-        u = (psi - pt[j]) / h
-        k = np.clip((1.0 + 2.0 * u) * (1.0 - u) ** 2 * k_lo + u * u * (3.0 - 2.0 * u) * k_hi
-                    + h * u * (1.0 - u) * ((1.0 - u) / dpt[j] - u / dpt[j + 1]), k_lo, k_hi)
-        return k, k_lo, k_hi
-
+    dkt = 1.0 / dpt  # dk/dpsi, the slopes of k in the table
     delta = min(math.pi / 4.0, 0.25 * spec.sigma_p * float(np.min(dpt)))
     res = (2.0 * np.arange(math.floor(pt[0] / (2.0 * math.pi)) - 1,
                            math.ceil(pt[-1] / (2.0 * math.pi)) + 1) + 1.0) * math.pi
@@ -789,8 +786,11 @@ def _round_trip_quadrature(spec: WavePacketSpec, v0: float, a: float, r: float, 
         theta = theta_a[j] + (x[on] - k_a[j]) * slope[j]
         s, c = np.sin(theta), np.cos(theta)
         psi = res[j] + 2.0 * np.arctan2(qj[j] * s, c)
+        # k where the round-trip phase is psi, within the pair of table points around it
+        k_on, i = _cubic_hermite(psi, pt, kt, dkt)
+        k_lo, k_hi = kt[i], kt[i + 1]
         k = x.copy()
-        k[on], k_lo, k_hi = interpolate(psi)
+        k[on] = np.clip(k_on, k_lo, k_hi)
         p, dpsi, lq = _round_trip(k, v0, a, r, m)
         # Newton steps, within the pair of table points, on the substituted
         # nodes that the interpolation leaves further than tol_k from the root
@@ -808,8 +808,7 @@ def _round_trip_quadrature(spec: WavePacketSpec, v0: float, a: float, r: float, 
         weight[on] = 2.0 * qj[j] * t2 / (t2 * c * c + s * s) * slope[j] / ds
         q2, s, c = np.exp(2.0 * lq[~on]), np.sin(0.5 * p[~on]), np.cos(0.5 * p[~on])
         weight[~on] = q2 / (q2 * s * s + c * c)
-        a_k = 1.0 if alpha is None else np.asarray(alpha(k), dtype=float)
-        return (weight * a_k * spec.envelope(k) ** 2)[:, None]
+        return weight, k
     return f, edges
 
 
@@ -826,12 +825,15 @@ def total_transmission(spec: WavePacketSpec, profile: PotentialProfile,
     lo, hi = spec.k_window
     dbl = profile.as_symmetric_double()
     if dbl is not None and hi < tunneling_window(dbl[0], profile.mass)[1]:
-        f, edges = _round_trip_quadrature(spec, *dbl, profile.mass, alpha, rel_tol)
+        weight_at, edges = _round_trip_quadrature(spec, *dbl, profile.mass, rel_tol)
     else:
-        def f(k):
-            a = 1.0 if alpha is None else np.asarray(alpha(k), dtype=float)
-            return (a * np.abs(detection_amplitude_scan(profile, k)) ** 2
-                    * spec.envelope(k) ** 2)[:, None]
+        def weight_at(k):
+            return np.abs(detection_amplitude_scan(profile, k)) ** 2, k
         edges = np.linspace(lo, hi, 65)
+
+    def f(x):
+        weight, k = weight_at(x)
+        a = 1.0 if alpha is None else np.asarray(alpha(k), dtype=float)
+        return (weight * a * spec.envelope(k) ** 2)[:, None]
     quad = _quadrature.adaptive_quad(f, edges, rel_tol)
     return float(quad.value[0].real) / (2.0 * math.pi)

@@ -21,7 +21,7 @@ from tunnelkit import (DetectorSpec, PhysicsDomainError, PotentialProfile, _quad
                        decay_rate, double_barrier_report, find_resonances,
                        piecewise_amplitudes)
 from tunnelkit.cli import main
-from tunnelkit.errors import warn_regime
+from tunnelkit.errors import ConfigError, warn_regime
 
 
 def _write(tmp_path, name, payload):
@@ -346,6 +346,32 @@ class TestValidate:
                "task": {"kind": "regime-compare", "regime": regime, "n_t": 16}}
         cfg["packet"]["shape"] = shape
         assert main(["validate", _write(tmp_path, "c.json", cfg)]) == 0
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("regime, shape, w", [("continuum", "gaussian", 500.0),
+                                                  ("continuum", "gaussian", 1000.0),
+                                                  ("resonance", "lorentzian", 1000.0)])
+    def test_zero_escape_rate_is_config_error(self, tmp_path, capsys, command, regime,
+                                              shape, w):
+        # |T0|^2 underflows on these walls, so the escape rate is exactly 0 and
+        # there is no decay to fit; dividing decay_spans by it gave a nan time
+        # grid, which passed the window count and failed the run with exit 2
+        cfg = {"name": "wall", **_opaque_wall(), "output": {"dir": str(tmp_path / "out")},
+               "task": {"kind": "regime-compare", "regime": regime}}
+        for wall in (0, 2):
+            cfg["barrier"]["segments"][wall]["w"] = w
+        cfg["packet"]["shape"] = shape
+        if regime == "resonance":
+            cfg["task"]["k0"] = 0.35
+        assert main([command, _write(tmp_path, "c.json", cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "task.regime" in err and "peaks regime applies" in err
+        assert not (tmp_path / "out").exists()
+        with warnings.catch_warnings(record=True) as recorded:
+            warnings.simplefilter("always")
+            with pytest.raises(ConfigError, match="escape rate"):
+                cli.parse_scenario(cfg)
+        assert not [x for x in recorded if issubclass(x.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("keys, value, path, task", _INPUT_RULES)
     def test_input_rule_names_its_field(self, tmp_path, capsys, keys, value, path, task):
@@ -1032,7 +1058,7 @@ class TestManifestAndDeterminism:
             "task": {"kind": "decay-fit"},
             "output": {"dir": str(tmp_path / "out")},
         })
-        assert main(["validate", cfg]) == 0
+        assert main(["validate", cfg]) == 2
         assert main(["run", cfg]) == 2
         assert "k = 1e-09" in capsys.readouterr().err
 

@@ -737,9 +737,12 @@ class TestUnconvergedRunsFail:
             run()
         assert exc.value.diagnostics["refinement_rounds"] == 2
 
-    def test_non_finite_integrand_raises(self):
+    @pytest.mark.parametrize("gap", [(300.0,), (100.0, 200.0)], ids=["double", "split-gap"])
+    def test_non_finite_integrand_raises(self, gap):
+        # the symmetric double takes the round-trip path, the same double with
+        # its gap split in two the k path; both apply alpha the same way
         spec = WavePacketSpec("gaussian", p=0.35, sigma_p=0.004, x0=700.0)
-        prof = PotentialProfile.double(M, 0.4, 2.5, 300.0)
+        prof = PotentialProfile(M, ((0.4, 2.5), *((0.0, w) for w in gap), (0.4, 2.5)))
         with pytest.raises(NumericsError, match="not finite"):
             total_transmission(spec, prof, alpha=lambda k: np.where(k > 0.35, np.nan, 1.0))
 
