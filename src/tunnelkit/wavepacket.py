@@ -681,7 +681,7 @@ def _round_trip(k: np.ndarray, v0: float, a: float, r: float, m: float):
     neither rounds away nor underflows at small k; tau is written in e
     rather than eta and rho, and q through sinh(lambda a) e^{-lambda a}, so
     nothing overflows. That psi equals find_resonances' only in exact
-    arithmetic: the two differ by up to about 1e6 ulp below 5% and above
+    arithmetic: the two differ by as much as 1e6 ulp below 5% and above
     95% of the window edge, and by at most 64 ulp between.
     """
     bf = barrier_functions(k, v0, m)
