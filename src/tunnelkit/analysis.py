@@ -239,20 +239,15 @@ def double_barrier_report(p: float, v0: float, a: float, r: float, m: float,
 
 
 def _regime_setup(times, spec: WavePacketSpec, L: float, v0: float, a: float,
-                  r: float, m: float):
-    """(times as an array, the double-barrier report with t0 and mu_p, v_p):
-    the common prologue of the regime densities."""
+                  r: float, m: float, formula: str):
+    """(times as an array, the double-barrier report with t0 and mu_p, v_p,
+    the metadata of ``formula``): the common prologue of the regime densities."""
     report = double_barrier_report(spec.p, v0, a, r, m, L=L, x0=spec.x0,
                                    sigma_p=spec.sigma_p)
-    return (np.asarray(times, dtype=float), report,
-            relativistic_kinematics(spec.p, m).velocity)
-
-
-def _regime_meta(report: RegimeReport, spec: WavePacketSpec, L: float,
-                 formula: str) -> dict:
-    return {"formula": formula, "report": report.to_dict(),
-            "packet": spec.to_dict(),
+    meta = {"formula": formula, "report": report.to_dict(), "packet": spec.to_dict(),
             "detector": {"position": L}}
+    return (np.asarray(times, dtype=float), report,
+            relativistic_kinematics(spec.p, m).velocity, meta)
 
 
 def _reflection_sum(times: np.ndarray, spec: WavePacketSpec, report: RegimeReport,
@@ -295,7 +290,7 @@ def peak_series_density(times, spec: WavePacketSpec, L: float, v0: float,
     rounds to 1), and each time sums only the peaks the packet envelope
     reaches (``_reflection_sum``).
     """
-    times, report, v = _regime_setup(times, spec, L, v0, a, r, m)
+    times, report, v, meta = _regime_setup(times, spec, L, v0, a, r, m, "peak-series")
     if spec.sigma_x >= v * report.dt / 4.0:
         warn_regime("peak_overlap",
                     f"sigma_x = {spec.sigma_x} >= v_p dt/4 = {v * report.dt / 4.0}: "
@@ -306,7 +301,6 @@ def peak_series_density(times, spec: WavePacketSpec, L: float, v0: float,
     n_max = float(math.ceil(math.log(_TAIL_BOUND) / log_r)) if log_r < 0.0 else math.inf
     amp = _reflection_sum(times, spec, report, v, n_max)
     density = v * report.T0p_abs2 ** 2 * np.abs(amp) ** 2
-    meta = _regime_meta(report, spec, L, "peak-series")
     meta["n_max"] = n_max
     return ArrivalDistribution(times=times, density=density, metadata=meta)
 
@@ -334,7 +328,7 @@ def continuum_density(times, spec: WavePacketSpec, L: float, v0: float,
     """
     if spec.shape != REGIME_SHAPES["continuum"]:
         raise PhysicsDomainError("continuum regime formula requires a Gaussian packet")
-    times, report, v = _regime_setup(times, spec, L, v0, a, r, m)
+    times, report, v, meta = _regime_setup(times, spec, L, v0, a, r, m, "continuum")
     A = spec.sigma_p * v * report.dt
     if A > 3.0:
         warn_regime("continuum_regime",
@@ -356,7 +350,6 @@ def continuum_density(times, spec: WavePacketSpec, L: float, v0: float,
     u0max = float(spec.position_envelope(0.0))
     amp = u0max * (math.sqrt(math.pi) / (2.0 * A) * lap + 0.5 * gauss)
     density = v * report.T0p_abs2 ** 2 * np.abs(amp) ** 2
-    meta = _regime_meta(report, spec, L, "continuum")
     return ArrivalDistribution(times=times, density=density, metadata=meta)
 
 
@@ -413,14 +406,13 @@ def multi_resonance_density(times, spec: WavePacketSpec, L: float,
     ks = np.atleast_1d(np.asarray(resonance_momenta, dtype=float))
     if ks.size < 1:
         raise PhysicsDomainError("need at least one resonance momentum")
-    times, report, v = _regime_setup(times, spec, L, v0, a, r, m)
+    times, report, v, meta = _regime_setup(times, spec, L, v0, a, r, m, "multi-resonance")
     ks = ks.tolist()
     gammas = [decay_rate(k0, v0, a, r, m) for k0 in ks]
     amp = sum(_lorentzian_residue_amplitude(times, spec, v, report.t0, k0, gamma_k0,
                                             relativistic_kinematics(k0, m).velocity)
               for k0, gamma_k0 in zip(ks, gammas))
     density = v * np.abs(amp) ** 2
-    meta = _regime_meta(report, spec, L, "multi-resonance")
     meta["resonance_momenta"] = ks
     meta["gammas"] = gammas
     return ArrivalDistribution(times=times, density=density, metadata=meta)

@@ -157,6 +157,14 @@ def _below_window_edge(barrier: PotentialProfile, k: float, path: str) -> None:
     _expect(k < k_max, path, f"must lie below the tunneling-window edge {k_max}")
 
 
+def _closed_form_momentum(barrier: PotentialProfile, k: float, path: str) -> None:
+    """k must lie in the tunneling window, above the momenta where E - m, as
+    barrier_functions forms it, rounds to 0 and the closed forms fail."""
+    _below_window_edge(barrier, k, path)
+    _expect(np.hypot(k, barrier.mass) - barrier.mass > 0.0, path,
+            f"k = {k}: E - m underflows to 0, so the closed forms do not apply")
+
+
 _SECTION_PARSERS = {"barrier": _parse_barrier, "packet": _parse_packet,
                     "detector": _parse_detector}
 
@@ -207,24 +215,21 @@ def parse_scenario(config: dict, out_override: str | None = None) -> Scenario:
     if kind == "resonance-scan" and params["k_window"] is not None:
         _below_window_edge(barrier, params["k_window"][1], "task.k_max")
     if kind in ("decay-fit", "regime-compare"):
-        _below_window_edge(barrier, packet.p, "packet.p")
+        _closed_form_momentum(barrier, packet.p, "packet.p")
+        rep = params["report"] = analysis.double_barrier_report(
+            packet.p, *barrier.as_symmetric_double(), barrier.mass, L=detector.position,
+            x0=packet.x0, sigma_p=packet.sigma_p)
+        _expect(kind == "regime-compare" or rep.gamma_p > 0.0, "packet.p",
+                "the escape rate at p is 0 (|T0|^2 underflows), so the arrival "
+                "density has no peaks to fit")
     if params.get("k0") is not None:
-        _below_window_edge(barrier, params["k0"], "task.k0")
+        _closed_form_momentum(barrier, params["k0"], "task.k0")
     elif params.get("regime") == "resonance":
         res = analysis.find_resonances(*barrier.as_symmetric_double(), barrier.mass)
         _expect(res.size > 0, "task.k0", "no resonances inside the tunneling window")
         params["k0"] = float(res[int(np.argmin(np.abs(res - packet.p)))])
-    if kind in ("decay-fit", "regime-compare"):
-        rep = params["report"] = analysis.double_barrier_report(
-            packet.p, *barrier.as_symmetric_double(), barrier.mass, L=detector.position,
-            x0=packet.x0, sigma_p=packet.sigma_p)
     if "decay_spans" in params:
-        _, times, (start, end) = params["decay_grid"] = _decay_grid(packet, rep, params)
-        n = int(np.count_nonzero((times >= start) & (times <= end)))
-        _expect(n >= analysis.FIT_MIN_SAMPLES, "task.decay_spans",
-                f"the decay fit needs {analysis.FIT_MIN_SAMPLES} of the n_t = {params['n_t']} "
-                f"times in its window [{start:.6g}, {end:.6g}], and {n} lie there: "
-                "raise decay_spans or n_t")
+        params["decay_grid"] = _decay_grid(packet, rep, params)
     if kind == "arrival-density" and "t_min" in params:
         n = prepanel_count(packet, barrier.mass, detector.position,
                            params["t_min"], params["t_max"])
@@ -383,7 +388,8 @@ def _decay_grid(packet: WavePacketSpec, rep: analysis.RegimeReport, q: dict):
     from 4 (continuum) or 3 (resonance) packet transients before t0 to
     decay_spans decay times 1/gamma past it; the fit window from past the
     transient, but over at least the last 60% of that tail, to the last time.
-    A zero gamma, where |T0|^2 underflows, is a config error: no decay to fit."""
+    A zero gamma, where |T0|^2 underflows, is a config error: no decay to fit.
+    So is a window that holds fewer than FIT_MIN_SAMPLES of the times."""
     trans = 1.0 / (packet.sigma_p * relativistic_kinematics(packet.p, rep.mass).velocity)
     if q["regime"] == "continuum":
         gamma, lead = rep.gamma_p, 4.0
@@ -394,7 +400,13 @@ def _decay_grid(packet: WavePacketSpec, rep: analysis.RegimeReport, q: dict):
             "so there is no decay to fit: the peaks regime applies")
     times = np.linspace(rep.t0 - lead * trans, rep.t0 + q["decay_spans"] / gamma, q["n_t"])
     t_end = float(times[-1])
-    return gamma, times, (rep.t0 + min(8.0 * trans, 0.4 * (t_end - rep.t0)), t_end)
+    start = rep.t0 + min(8.0 * trans, 0.4 * (t_end - rep.t0))
+    n = int(np.count_nonzero((times >= start) & (times <= t_end)))
+    _expect(n >= analysis.FIT_MIN_SAMPLES, "task.decay_spans",
+            f"the decay fit needs {analysis.FIT_MIN_SAMPLES} of the n_t = {q['n_t']} "
+            f"times in its window [{start:.6g}, {t_end:.6g}], and {n} lie there: "
+            "raise decay_spans or n_t")
+    return gamma, times, (start, t_end)
 
 
 def _peak_train_times(rep, n_peaks: int, per_peak: int, n_min: int) -> np.ndarray:
@@ -434,28 +446,27 @@ def _run_decay_fit(sc: Scenario) -> tuple[list[Path], dict]:
 def _run_regime_compare(sc: Scenario) -> tuple[list[Path], dict]:
     q = sc.params
     regime, n_t = q["regime"], q["n_t"]
-    v0, a, r = sc.barrier.as_symmetric_double()
-    m = sc.barrier.mass
     spec = sc.packet
     L = sc.detector.position
     rep = q["report"]
+    v0, a, r, m = rep.v0, rep.a, rep.r, rep.mass
     diagnostics: dict = {"regime": regime, "report": rep.to_dict()}
     substitution = None
 
     if regime == "peaks":
         times = _peak_train_times(rep, q["n_peaks"], _SAMPLES_PER_PEAK, n_t)
         model = analysis.peak_series_density(times, spec, L, v0, a, r, m)
-    elif regime == "continuum":
-        _, times, window = q["decay_grid"]
-        model = analysis.continuum_density(times, spec, L, v0, a, r, m)
     else:
-        k0 = q["k0"]
-        gamma_k0, times, window = q["decay_grid"]
-        model = analysis.resonance_density(times, spec, L, k0, v0, a, r, m)
-        diagnostics.update(k0=k0, gamma_k0=gamma_k0)
-        if q["substitute_lorentzian"]:
-            def substitution(k):
-                return analysis.lorentzian_detection_amplitude(k, k0, gamma_k0, v0, a, m)
+        gamma, times, window = q["decay_grid"]
+        if regime == "continuum":
+            model = analysis.continuum_density(times, spec, L, v0, a, r, m)
+        else:
+            k0 = q["k0"]
+            model = analysis.resonance_density(times, spec, L, k0, v0, a, r, m)
+            diagnostics.update(k0=k0, gamma_k0=gamma)
+            if q["substitute_lorentzian"]:
+                def substitution(k):
+                    return analysis.lorentzian_detection_amplitude(k, k0, gamma, v0, a, m)
 
     direct = arrival_density(times, spec, sc.barrier, sc.detector, rel_tol=q["rel_tol"],
                              detection_amplitude=substitution)
@@ -478,11 +489,10 @@ def _run_regime_compare(sc: Scenario) -> tuple[list[Path], dict]:
                 pairs += [(f"dt_{label}", spacing), (f"gamma_{label}", fit.rate),
                           (f"r2_{label}", fit.r_squared)]
     else:
-        gamma_ref = diagnostics.get("gamma_k0", rep.gamma_p)
         for label, dist in (("direct", direct), ("model", model)):
             fit = analysis.fit_exponential(dist, window)
             pairs += [(f"gamma_{label}", fit.rate), (f"r2_{label}", fit.r_squared)]
-        pairs.append(("gamma_reference", gamma_ref))
+        pairs.append(("gamma_reference", gamma))
     sm_path = sc.out_dir / f"{sc.name}_regime_summary.csv"
     _write_csv(sm_path, ["quantity", "value"], [zip(*pairs)])
     diagnostics["quadrature"] = direct.metadata["quadrature"]

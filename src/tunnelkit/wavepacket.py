@@ -579,60 +579,29 @@ def _grid_pass(g: np.ndarray, mass: float, L: float, quad, times: np.ndarray, h:
     return k15 * np.exp(-1j * E_c * times), np.abs(diff), [A, B]
 
 
-def _shared_panel_amplitudes(smooth, spec: WavePacketSpec, mass: float, L: float,
-                             times: np.ndarray, h: float, rel_tol: float):
-    """Amplitudes on a whole time grid from one adaptively refined panel set.
-
-    The panels are refined, within the panel and round limits of
-    ``_quadrature``, on up to 24 representative samples evenly spread over the
-    grid and on |g|, the integrand without its phase: int |g| dk bounds every |A|, and
-    rel_tol is relative to it, as in arrival_amplitude. The refinement keeps
-    g = smooth(k) of each panel batch it evaluates, once each. Then one pass
-    (``_grid_pass``) takes the final panels' values from them by evaluation
-    order and evaluates K15 and the embedded |K15 - G7| estimate at every time
-    of the grid (step h) on the final panels. Every sample must hold
-    |K15 - G7| <= rel_tol int |g| dk; a miss raises NumericsError naming the
-    worst sample. The reported ``error_estimate`` bounds |A| everywhere: the
-    larger of the refinement's summed estimate and the worst per-sample one,
-    over 2 pi. int |g| dk = 0 gives an exactly zero grid and a ``no_signal``
-    warning.
-    """
-    edges = _initial_edges(spec, mass, L, float(times[0]), float(times[-1]))
-    rep_times = times[np.linspace(0, times.size - 1, min(_N_REP, times.size)).astype(int)]
-    evaluated = []  # g of every panel batch the refinement evaluates
-
-    def kept(k):
-        evaluated.append(smooth(k))
-        return evaluated[-1]
-    quad = _quadrature.adaptive_quad(_integrand(kept, mass, L, rep_times), edges, rel_tol)
-    amps, err, time_blocks = _grid_pass(np.concatenate(evaluated), mass, L, quad, times, h)
-    # an all-zero grid (alpha = 0) has err = tol = 0 and passes
-    tol = rel_tol * float(quad.value[-1].real)
-    if np.any(err > tol):
-        raise NumericsError(
-            "quadrature failed to converge on the full time grid",
-            diagnostics={"panels": int(quad.lo.size), "refinement_rounds": quad.rounds,
-                         "total_error": float(np.max(err)), "tolerance": tol,
-                         "worst_time": float(times[np.argmax(err)])})
-    if quad.value[-1].real == 0.0:
-        warn_regime("no_signal", "int |g| dk = 0 on the packet window (|A_k| underflows "
-                    "or alpha = 0 there): the density is exactly 0")
-    error = max(quad.error_estimate, float(np.max(err))) / (2.0 * math.pi)
-    diagnostics = {"panels": int(quad.lo.size), "refinement_rounds": quad.rounds,
-                   "error_estimate": error, "time_blocks": time_blocks}
-    return amps / (2.0 * math.pi), diagnostics
-
-
 def arrival_density(times, spec: WavePacketSpec, profile: PotentialProfile,
                     detector: DetectorSpec, rel_tol: float = DENSITY_REL_TOL,
                     detection_amplitude=None) -> ArrivalDistribution:
     """Sample P(L, t) = |A(L, t)|^2 on a time grid that ``_uniform_step`` accepts.
 
-    One refined panel set is shared by every grid point. ``detection_amplitude``,
-    a callable of a momentum array, substitutes a model A_k (e.g. a Lorentzian
-    resonance) for the profile's, which then only supplies geometry. The grid
-    should span the expected peak by +-10 sigma_x/v_p; a narrower grid is
-    accepted with a structured warning.
+    ``detection_amplitude``, a callable of a momentum array, substitutes a
+    model A_k (e.g. a Lorentzian resonance) for the profile's, which then only
+    supplies geometry. The grid should span the expected peak by +-10
+    sigma_x/v_p; a narrower grid is accepted with a structured warning.
+
+    One adaptively refined panel set is shared by every grid point. The
+    panels are refined, within the panel and round limits of ``_quadrature``,
+    on up to 24 representative samples evenly spread over the grid and on
+    |g|, the integrand without its phase: int |g| dk bounds every |A|, and
+    rel_tol is relative to it, as in arrival_amplitude. The refinement keeps
+    g = smooth(k) of each panel batch it evaluates, once each. Then one pass
+    (``_grid_pass``) takes the final panels' values from them by evaluation
+    order and evaluates K15 and the embedded |K15 - G7| estimate at every time
+    of the grid on the final panels. Every sample must hold |K15 - G7| <=
+    rel_tol int |g| dk; a miss raises NumericsError naming the worst sample.
+    The reported ``error_estimate`` bounds |A| everywhere: the larger of the
+    refinement's summed estimate and the worst per-sample one, over 2 pi.
+    int |g| dk = 0 gives an exactly zero grid and a ``no_signal`` warning.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 4 or np.any(np.diff(times) <= 0):
@@ -655,13 +624,34 @@ def arrival_density(times, spec: WavePacketSpec, profile: PotentialProfile,
                     t_peak=t_bar, recommended_halfspan=span)
 
     smooth = _smooth_part(spec, profile, detector.absorption_at, detection_amplitude)
-    amps, diagnostics = _shared_panel_amplitudes(smooth, spec, mass, L, times, h, rel_tol)
-    density = np.abs(amps) ** 2
+    edges = _initial_edges(spec, mass, L, float(times[0]), float(times[-1]))
+    rep_times = times[np.linspace(0, times.size - 1, min(_N_REP, times.size)).astype(int)]
+    evaluated = []  # g of every panel batch the refinement evaluates
+
+    def kept(k):
+        evaluated.append(smooth(k))
+        return evaluated[-1]
+    quad = _quadrature.adaptive_quad(_integrand(kept, mass, L, rep_times), edges, rel_tol)
+    amps, err, time_blocks = _grid_pass(np.concatenate(evaluated), mass, L, quad, times, h)
+    # an all-zero grid (alpha = 0) has err = tol = 0 and passes
+    tol = rel_tol * float(quad.value[-1].real)
+    if np.any(err > tol):
+        raise NumericsError(
+            "quadrature failed to converge on the full time grid",
+            diagnostics={"panels": int(quad.lo.size), "refinement_rounds": quad.rounds,
+                         "total_error": float(np.max(err)), "tolerance": tol,
+                         "worst_time": float(times[np.argmax(err)])})
+    if quad.value[-1].real == 0.0:
+        warn_regime("no_signal", "int |g| dk = 0 on the packet window (|A_k| underflows "
+                    "or alpha = 0 there): the density is exactly 0")
+    error = max(quad.error_estimate, float(np.max(err))) / (2.0 * math.pi)
+    density = np.abs(amps / (2.0 * math.pi)) ** 2
     meta = {
         "packet": spec.to_dict(),
         "profile": profile.to_dict(),
         "detector": {"position": L},
-        "quadrature": diagnostics,
+        "quadrature": {"panels": int(quad.lo.size), "refinement_rounds": quad.rounds,
+                       "error_estimate": error, "time_blocks": time_blocks},
         "t_peak_estimate": t_bar,
     }
     return ArrivalDistribution(times=times, density=density, metadata=meta)

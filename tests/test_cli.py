@@ -737,12 +737,16 @@ class TestRunTasks:
         assert "no_signal" in {w["code"] for w in manifest["warnings"]}
 
     def test_opaque_wall_decay_fit_finds_no_peaks(self, tmp_path, capsys):
+        # the escape rate at p is exactly 0, so the train has no peaks to fit:
+        # rejected before any run, not by the peak search with exit 2
         cfg = _write(tmp_path, "c.json", {
             "name": "wall", **_opaque_wall(), "task": {"kind": "decay-fit"},
             "output": {"dir": str(tmp_path / "out")},
         })
-        assert main(["run", cfg]) == 2
-        assert "need >= 3 peaks" in capsys.readouterr().err
+        for command in ("validate", "run"):
+            assert main([command, cfg]) == 1
+            assert "packet.p" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     def test_regime_compare_continuum_offregime_warns(self, tmp_path):
         # sigma_p v_p dt ~ 4 is outside the continuum regime: the comparison
@@ -1049,7 +1053,8 @@ class TestManifestAndDeterminism:
         assert "config error" not in capsys.readouterr().err
 
     def test_underflowing_momentum_exit_code(self, tmp_path, capsys):
-        # at p = 1e-9, E - m underflows in the closed forms: exit 2, no traceback
+        # at p = 1e-9, E - m underflows in the closed forms: a config error at
+        # packet.p, no traceback
         cfg = _write(tmp_path, "c.json", {
             "name": "tiny",
             "barrier": _small_double()["barrier"],
@@ -1058,9 +1063,20 @@ class TestManifestAndDeterminism:
             "task": {"kind": "decay-fit"},
             "output": {"dir": str(tmp_path / "out")},
         })
-        assert main(["validate", cfg]) == 2
-        assert main(["run", cfg]) == 2
-        assert "k = 1e-09" in capsys.readouterr().err
+        assert main(["validate", cfg]) == 1
+        assert main(["run", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "k = 1e-09" in err and "packet.p" in err
+        # the same p in a peaks regime-compare, and a resonance regime's k0 of 1e-9
+        peaks = {**_small_double(), "task": {"kind": "regime-compare", "regime": "peaks"}}
+        peaks["packet"].update(p=1e-9, sigma_p=1e-10, x0=100.0)
+        for config, path in ((peaks, "packet.p"), (_resonance_double(k0=1e-9), "task.k0")):
+            cfg = _write(tmp_path, "c.json", {**config, "name": "tiny",
+                                              "output": {"dir": str(tmp_path / "out")}})
+            for command in ("validate", "run"):
+                assert main([command, cfg]) == 1
+                assert f"{path}: k = 1e-09" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unwritable_output_is_io_error(self, tmp_path):
         cfg = _write(tmp_path, "c.json", {

@@ -816,12 +816,29 @@ class TestRoundTripTransmission:
         got = total_transmission(spec, PotentialProfile.double(M, 0.4, a, 500.0))
         assert got == pytest.approx(_OPAQUE_REFS[a], rel=1e-9)
 
-    @pytest.mark.parametrize("a", [2.5, 5.0])
-    def test_translucent_double_matches_k_space(self, a):
-        spec = WavePacketSpec("gaussian", p=0.35, sigma_p=0.0035, x0=700.0)
-        split = PotentialProfile(M, ((0.4, a), (0.0, 250.0), (0.0, 250.0), (0.4, a)))
-        assert total_transmission(spec, PotentialProfile.double(M, 0.4, a, 500.0)) == \
-            pytest.approx(total_transmission(spec, split), rel=1e-10)
+    @pytest.mark.parametrize("v0, a, r, p, sigma_p, rel_tol, rebuilt", [
+        pytest.param(0.4, 2.5, 500.0, 0.35, 0.0035, 1e-10, False, id="2.5"),
+        pytest.param(0.4, 5.0, 500.0, 0.35, 0.0035, 1e-10, False, id="5.0"),
+        # psi steps too far across the first table, which is rebuilt denser
+        pytest.param(0.9, 0.2, 2.0, 0.162, 0.0081, 1e-12, True, id="rebuilt-table"),
+    ])
+    def test_translucent_double_matches_k_space(self, monkeypatch, v0, a, r, p, sigma_p,
+                                                rel_tol, rebuilt):
+        spec = WavePacketSpec("gaussian", p=p, sigma_p=sigma_p, x0=700.0)
+        round_trip, calls = wavepacket._round_trip, []
+
+        def recorded(k, *args):
+            calls.append(np.array(k))
+            return round_trip(k, *args)
+        monkeypatch.setattr(wavepacket, "_round_trip", recorded)
+        split = PotentialProfile(M, ((v0, a), (0.0, r / 2.0), (0.0, r / 2.0), (v0, a)))
+        assert total_transmission(spec, PotentialProfile.double(M, v0, a, r), rel_tol=rel_tol) \
+            == pytest.approx(total_transmission(spec, split, rel_tol=rel_tol), rel=rel_tol)
+        # the psi tables: _round_trip calls on the whole window, evenly spaced
+        lo, hi = spec.k_window
+        tables = [k.size for k in calls
+                  if k.size and np.array_equal(k, np.linspace(lo, hi, k.size))]
+        assert len(tables) == 1 + rebuilt and tables == sorted(tables)
 
     def test_opaque_survey_ends_finite(self):
         rng = np.random.default_rng(22)
